@@ -9,6 +9,7 @@ imbalanced test pool punishes precision.
 Run:  python demos/04_run_strategies.py   (a few minutes on one core)
 """
 
+import json
 from pathlib import Path
 
 from slicevuln import ModelConfig, StrategySpec, TrainConfig
@@ -20,17 +21,14 @@ corpus = pattern_corpus(seed=42)
 print(f"corpus: {len(corpus)} slices")
 
 out_dir = Path("demo_runs")
-reports = []
 for sid in ("S1", "S2", "S3"):
     spec = StrategySpec(
         id=sid,
         seed=42,
         model_config=ModelConfig(max_len=48, vocab_size=512),
         train_config=TrainConfig(epochs=6, early_stop_patience=3, seed=42),
-        vocab_size=512,
     )
     report = run(spec, corpus)
-    reports.append(report)
     fp = report.fingerprints
     print(
         f"{sid}: balanced {fp['balanced_total']:>4}  "
@@ -42,6 +40,8 @@ for sid in ("S1", "S2", "S3"):
                       ("json", "report.json")):
         emit(report, fmt, out_dir / sid.lower() / name)
 
+# The same comparison.csv that `slicevuln report` writes.
 print()
-print(compare(reports))
+print(compare([json.loads((out_dir / sid / "report.json").read_text(encoding="utf-8"))
+               for sid in ("s1", "s2", "s3")]), end="")
 print(f"per-strategy reports written under {out_dir}/")

@@ -8,9 +8,11 @@ The seed defaults to --seed, then SLICEVULN_SEED, then 42.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import balancer, corpus, experiments, metrics, model, slicer, synth, tokenizer
@@ -36,6 +38,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None,
                    help="default: SLICEVULN_SEED env var, then 42")
     p.add_argument("--out", type=Path, required=True, help="output file or directory")
+    p.set_defaults(parser=p)
+
+
+@contextmanager
+def _flag_values(args):
+    """Configs reject out-of-range values with ValueError.  Those values come
+    from flags or the spec file, so they are usage errors (exit 1)."""
+    try:
+        yield
+    except ValueError as e:
+        args.parser.error(str(e))
 
 
 def _resolve_seed(args, spec_cfg: dict | None = None) -> int:
@@ -138,9 +151,8 @@ def _configs_from_args(args, spec_cfg: dict, seed: int) -> tuple[model.ModelConf
     return model.ModelConfig(**model_kw), model.TrainConfig(**train_kw)
 
 
-def _slice_one_file(job: tuple[str, frozenset, int, int]) -> list[dict]:
-    path, api, max_lines, hops = job
-    cfg = slicer.SliceConfig(api_list=api, max_slice_lines=max_lines, def_use_hops=hops)
+def _slice_one_file(job: tuple[str, slicer.SliceConfig]) -> list[dict]:
+    path, cfg = job
     source = Path(path).read_text(encoding="utf-8")
     records = []
     for j, cand in enumerate(slicer.extract_candidates(source, cfg)):
@@ -158,7 +170,10 @@ def _slice_one_file(job: tuple[str, frozenset, int, int]) -> list[dict]:
 
 def _cmd_slice(args) -> int:
     api = slicer.load_api_list(args.api_list) if args.api_list else slicer.DEFAULT_API_LIST
-    jobs = [(str(p), api, args.max_lines, args.hops) for p in args.inputs]
+    with _flag_values(args):
+        cfg = slicer.SliceConfig(api_list=api, max_slice_lines=args.max_lines,
+                                 def_use_hops=args.hops)
+    jobs = [(str(p), cfg) for p in args.inputs]
     if args.jobs > 1 and len(jobs) > 1:
         # pool.map preserves input order, so worker count cannot change output
         from multiprocessing import Pool
@@ -203,40 +218,21 @@ def _cmd_balance(args) -> int:
     return 0
 
 
-def _encode_samples(sset, vocab, max_len, api_list, normalize_symbols):
-    encodings, labels = [], []
-    for s in sset:
-        text = tokenizer.normalize(s.code, api_list) if normalize_symbols else s.code
-        encodings.append(tokenizer.encode(text, vocab, max_len))
-        labels.append(int(s.label))
-    return tokenizer.EncodedDataset.from_encodings(encodings, labels)
-
-
 def _cmd_train(args) -> int:
     seed = _resolve_seed(args)
-    mcfg, tcfg = _configs_from_args(args, {}, seed)
     sset = corpus.load(args.input)
-    train_set, val_set = corpus.split(sset, args.train_fraction, seed)
-    api = slicer.DEFAULT_API_LIST
-    normalize_symbols = not args.no_normalize
-    texts = [tokenizer.normalize(s.code, api) if normalize_symbols else s.code
-             for s in train_set]
-    vocab = tokenizer.build_vocab(texts, mcfg.vocab_size)
-    train_data = _encode_samples(train_set, vocab, mcfg.max_len, api, normalize_symbols)
-    val_data = _encode_samples(val_set, vocab, mcfg.max_len, api, normalize_symbols)
-    net = model.init(mcfg, seed)
-    _log(f"training on {len(train_data)} samples, validating on {len(val_data)}")
-    net, history = model.train(net, train_data, val_data, tcfg)
+    with _flag_values(args):
+        mcfg, tcfg = _configs_from_args(args, {}, seed)
+        train_set, val_set = corpus.split(sset, args.train_fraction, seed)
+    _log(f"training on {len(train_set)} samples, validating on {len(val_set)}")
+    fitted = experiments.fit(train_set, val_set, mcfg, tcfg, seed, not args.no_normalize)
     args.out.mkdir(parents=True, exist_ok=True)
-    vocab_path = vocab.save(args.out / "vocab.txt")
-    ckpt = model.save_checkpoint(net, args.out / "checkpoint.npz", vocab.content_hash())
-    (args.out / "history.json").write_text(json.dumps({
-        "train_loss": history.train_loss,
-        "val_loss": history.val_loss,
-        "val_accuracy": history.val_accuracy,
-        "stopped_epoch": history.stopped_epoch,
-    }, indent=2) + "\n", encoding="utf-8")
-    _log(f"stopped at epoch {history.stopped_epoch}; wrote {ckpt} and {vocab_path}")
+    vocab_path = fitted.vocab.save(args.out / "vocab.txt")
+    ckpt = model.save_checkpoint(fitted.net, args.out / "checkpoint.npz",
+                                 fitted.vocab.content_hash())
+    (args.out / "history.json").write_text(
+        json.dumps(dataclasses.asdict(fitted.history), indent=2) + "\n", encoding="utf-8")
+    _log(f"stopped at epoch {fitted.history.stopped_epoch}; wrote {ckpt} and {vocab_path}")
     return 0
 
 
@@ -244,25 +240,14 @@ def _cmd_evaluate(args) -> int:
     vocab = tokenizer.Vocab.load(args.vocab)
     net, _ = model.load_checkpoint(args.checkpoint, vocab.content_hash())
     sset = corpus.load(args.input)
-    api = slicer.DEFAULT_API_LIST
-    data = _encode_samples(sset, vocab, net.config.max_len, api, not args.no_normalize)
-    predictions = model.predict(net, data)
-    per_kind = {}
-    for kind in corpus.KIND_ORDER:
-        sel = [i for i, s in enumerate(sset) if s.kind == kind]
-        if sel:
-            per_kind[kind] = metrics.confusion(
-                [int(predictions[i]) for i in sel],
-                [int(sset.samples[i].label) for i in sel],
-            )
-    per_kind_ms, overall = metrics.aggregate(per_kind)
-    rows = metrics.kind_rows(per_kind_ms, overall)
+    texts = experiments.model_texts(sset, not args.no_normalize)
+    data = experiments.encode_set(sset, texts, vocab, net.config.max_len)
+    _, per_kind, overall = experiments.score(net, sset, data)
+    rows = metrics.kind_rows(per_kind, overall)
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "metrics.txt").write_text(
         metrics.format_metric_table(rows) + "\n", encoding="utf-8")
-    lines = ["category," + ",".join(m.lower() for m in metrics.METRIC_NAMES)]
-    lines += [f"{name}," + metrics.csv_row(ms) for name, ms in rows.items()]
-    (args.out / "metrics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (args.out / "metrics.csv").write_text(experiments.metrics_csv(rows), encoding="utf-8")
     _log(f"evaluated {len(sset)} samples; wrote metrics under {args.out}")
     return 0
 
@@ -281,12 +266,12 @@ def _cmd_run_strategy(args) -> int:
     )
     if corpus_path is None:
         raise DataError("no corpus: pass --in or a spec file with paths.corpus")
-    mcfg, tcfg = _configs_from_args(args, spec_cfg, seed)
-    spec = experiments.StrategySpec(
-        id=strategy, seed=seed, model_config=mcfg, train_config=tcfg,
-        normalize_symbols=not args.no_normalize and spec_cfg.get("normalize", True),
-        vocab_size=mcfg.vocab_size,
-    )
+    with _flag_values(args):
+        mcfg, tcfg = _configs_from_args(args, spec_cfg, seed)
+        spec = experiments.StrategySpec(
+            id=strategy, seed=seed, model_config=mcfg, train_config=tcfg,
+            normalize_symbols=not args.no_normalize and spec_cfg.get("normalize", True),
+        )
     sset = corpus.load(corpus_path)
     _log(f"running {spec.id} ({spec.hypothesis}) on {len(sset)} samples, seed {seed}")
     report = experiments.run(spec, sset)
@@ -299,24 +284,10 @@ def _cmd_run_strategy(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    reports = []
-    for path in args.inputs:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        reports.append(payload)
-    lines = ["strategy,overall_f1_pct,overall_accuracy_pct,wall_time_s,peak_memory_mb"]
-    for payload in reports:
-        overall = payload["metrics"]["Overall"]
-        res = payload["resources"]
-        f1 = "" if overall["f1"] is None else f"{100 * overall['f1']:.2f}"
-        acc = "" if overall["accuracy"] is None else f"{100 * overall['accuracy']:.2f}"
-        lines.append(
-            f"{payload['strategy']},{f1},{acc},"
-            f"{res['wall_time_seconds']:.2f},"
-            f"{res['peak_resident_memory_bytes'] / 2**20:.1f}"
-        )
+    payloads = [json.loads(path.read_text(encoding="utf-8")) for path in args.inputs]
     args.out.mkdir(parents=True, exist_ok=True)
     out_path = args.out / "comparison.csv"
-    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out_path.write_text(experiments.compare(payloads), encoding="utf-8")
     _log(f"wrote {out_path}")
     return 0
 
@@ -336,13 +307,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as e:  # argparse exits; surface as a return code
-        return int(e.code) if e.code is not None else 0
-    if args.command is None:
-        parser.print_help(sys.stderr)
-        return 1
-    try:
+        if args.command is None:
+            parser.print_help(sys.stderr)
+            return 1
         return _COMMANDS[args.command](args)
+    except SystemExit as e:  # argparse and _flag_values exit; surface as a return code
+        return int(e.code) if e.code is not None else 0
     except NumericError as e:
         _log(f"numeric failure: {e}")
         return 3

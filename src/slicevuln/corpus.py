@@ -84,9 +84,6 @@ class SampleSet:
     def count(self, kind: Kind, label: Label) -> int:
         return self.manifest.get((kind, label), 0)
 
-    def of(self, kind: Kind, label: Label) -> list[Sample]:
-        return [s for s in self.samples if s.kind == kind and s.label == label]
-
     def ids(self) -> set[str]:
         return {s.id for s in self.samples}
 

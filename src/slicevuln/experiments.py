@@ -7,7 +7,10 @@ Strategies:
 * S3 -- same training procedure as S2, but evaluated on the full remainder
   of the corpus (everything the balanced set left out).
 
-The held-out 20% doubles as the early-stopping validation set.  Every
+A run is ``fit`` (tokenize and train on a split) followed by ``score``
+(predict a test set and tally per-kind metrics); S3 is S2's fit scored on
+the remainder.  The held-out 20% is encoded once and serves as the
+early-stopping validation set and, for S1 and S2, as the test set.  Every
 random stage is keyed by the spec seed, so a rerun with the same seed
 regenerates identical datasets, models, and metric files; only wall time
 and memory readings differ.
@@ -20,7 +23,7 @@ import json
 import resource
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -38,7 +41,6 @@ class StrategySpec:
     model_config: model.ModelConfig = field(default_factory=model.ModelConfig)
     train_config: model.TrainConfig = field(default_factory=model.TrainConfig)
     train_fraction: float = 0.8
-    vocab_size: int = 4096
     normalize_symbols: bool = True
     api_list: frozenset[str] = DEFAULT_API_LIST
 
@@ -98,16 +100,87 @@ class _Stage:
         return False
 
 
-def _encode_set(
-    sset: SampleSet, vocab: tokenizer.Vocab, spec: StrategySpec
+def model_texts(
+    sset: SampleSet, normalize_symbols: bool = True, api_list: frozenset[str] = DEFAULT_API_LIST
+) -> list[str]:
+    """The text the model sees for each sample: normalized code, or the raw code."""
+    if not normalize_symbols:
+        return [s.code for s in sset]
+    return [tokenizer.normalize(s.code, api_list) for s in sset]
+
+
+def encode_set(
+    sset: SampleSet, texts: Sequence[str], vocab: tokenizer.Vocab, max_len: int
 ) -> tokenizer.EncodedDataset:
-    encodings = []
-    labels = []
-    for s in sset:
-        text = tokenizer.normalize(s.code, spec.api_list) if spec.normalize_symbols else s.code
-        encodings.append(tokenizer.encode(text, vocab, spec.model_config.max_len))
-        labels.append(int(s.label))
-    return tokenizer.EncodedDataset.from_encodings(encodings, labels)
+    """Encode each sample's model text, labelled with the sample's label."""
+    return tokenizer.EncodedDataset.from_encodings(
+        [tokenizer.encode(text, vocab, max_len) for text in texts],
+        [int(s.label) for s in sset],
+    )
+
+
+@dataclass
+class Fitted:
+    """A trained model with the vocabulary it reads and the encoded held-out
+    set it validated on."""
+
+    vocab: tokenizer.Vocab
+    net: model.Model
+    history: model.TrainHistory
+    heldout: tokenizer.EncodedDataset
+    resources: ResourceUsage
+
+
+def fit(
+    train_set: SampleSet,
+    heldout: SampleSet,
+    model_config: model.ModelConfig,
+    train_config: model.TrainConfig,
+    seed: int,
+    normalize_symbols: bool = True,
+    api_list: frozenset[str] = DEFAULT_API_LIST,
+) -> Fitted:
+    """Normalize each sample once, build the vocabulary from the training
+    texts, encode both sides, then initialize and train with early stopping
+    on the held-out side."""
+    with _Stage("tokenize"):
+        train_texts = model_texts(train_set, normalize_symbols, api_list)
+        vocab = tokenizer.build_vocab(train_texts, model_config.vocab_size)
+        train_data = encode_set(train_set, train_texts, vocab, model_config.max_len)
+        heldout_data = encode_set(
+            heldout, model_texts(heldout, normalize_symbols, api_list), vocab,
+            model_config.max_len,
+        )
+
+    with _Stage("train"):
+        net = model.init(model_config, seed)
+        t0 = time.monotonic()
+        net, history = model.train(net, train_data, heldout_data, train_config)
+        resources = ResourceUsage(
+            wall_time=time.monotonic() - t0,
+            peak_resident_memory=_peak_rss_bytes(),
+        )
+    return Fitted(vocab, net, history, heldout_data, resources)
+
+
+def score(
+    net: model.Model, test_set: SampleSet, test_data: tokenizer.EncodedDataset
+) -> tuple[dict[Kind, metrics.ConfusionMatrix], dict[Kind, metrics.MetricSet], metrics.MetricSet]:
+    """Predict the test set; per-kind confusion matrices, per-kind metrics
+    and the pooled overall metrics."""
+    with _Stage("evaluate"):
+        predictions = model.predict(net, test_data)
+        per_kind_cm: dict[Kind, metrics.ConfusionMatrix] = {}
+        for kind in KIND_ORDER:
+            sel = [i for i, s in enumerate(test_set) if s.kind == kind]
+            if not sel:
+                continue
+            per_kind_cm[kind] = metrics.confusion(
+                [int(predictions[i]) for i in sel],
+                [int(test_set.samples[i].label) for i in sel],
+            )
+        per_kind_ms, overall = metrics.aggregate(per_kind_cm)
+    return per_kind_cm, per_kind_ms, overall
 
 
 def run(spec: StrategySpec, full_corpus: SampleSet) -> Report:
@@ -123,43 +196,21 @@ def run(spec: StrategySpec, full_corpus: SampleSet) -> Report:
             balanced.samples, spec.train_fraction, spec.seed, stratify=True
         )
 
+    fitted = fit(train_set, heldout, spec.model_config, spec.train_config, spec.seed,
+                 spec.normalize_symbols, spec.api_list)
+
     if spec.id == "S3":
         with _Stage("remainder"):
             test_set = balancer.remainder(full_corpus, balanced)
-    else:
-        test_set = heldout
-
-    with _Stage("tokenize"):
-        if spec.normalize_symbols:
-            train_texts = [tokenizer.normalize(s.code, spec.api_list) for s in train_set]
-        else:
-            train_texts = [s.code for s in train_set]
-        vocab = tokenizer.build_vocab(train_texts, spec.vocab_size)
-        train_data = _encode_set(train_set, vocab, spec)
-        val_data = _encode_set(heldout, vocab, spec)
-        test_data = _encode_set(test_set, vocab, spec)
-
-    with _Stage("train"):
-        net = model.init(spec.model_config, spec.seed)
-        t0 = time.monotonic()
-        net, history = model.train(net, train_data, val_data, spec.train_config)
-        resources = ResourceUsage(
-            wall_time=time.monotonic() - t0,
-            peak_resident_memory=_peak_rss_bytes(),
-        )
-
-    with _Stage("evaluate"):
-        predictions = model.predict(net, test_data)
-        per_kind_cm: dict[Kind, metrics.ConfusionMatrix] = {}
-        for kind in KIND_ORDER:
-            sel = [i for i, s in enumerate(test_set) if s.kind == kind]
-            if not sel:
-                continue
-            per_kind_cm[kind] = metrics.confusion(
-                [int(predictions[i]) for i in sel],
-                [int(test_set.samples[i].label) for i in sel],
+        with _Stage("tokenize"):
+            test_data = encode_set(
+                test_set, model_texts(test_set, spec.normalize_symbols, spec.api_list),
+                fitted.vocab, spec.model_config.max_len,
             )
-        per_kind_ms, overall = metrics.aggregate(per_kind_cm)
+    else:
+        test_set, test_data = heldout, fitted.heldout
+
+    per_kind_cm, per_kind_ms, overall = score(fitted.net, test_set, test_data)
 
     fingerprints = {
         "strategy": spec.id,
@@ -182,21 +233,24 @@ def run(spec: StrategySpec, full_corpus: SampleSet) -> Report:
         "test_size": len(test_set),
         "train_ids_sha256": _ids_digest(train_set.samples),
         "test_ids_sha256": _ids_digest(test_set.samples),
-        "vocab_sha256": vocab.content_hash(),
+        "vocab_sha256": fitted.vocab.content_hash(),
     }
     return Report(
         strategy=spec,
         per_kind=per_kind_ms,
         overall=overall,
         per_kind_confusion=per_kind_cm,
-        resources=resources,
+        resources=fitted.resources,
         fingerprints=fingerprints,
-        history=history,
+        history=fitted.history,
     )
 
 
-def _report_rows(report: Report) -> dict[str, metrics.MetricSet]:
-    return metrics.kind_rows(report.per_kind, report.overall)
+def metrics_csv(rows: dict[str, metrics.MetricSet]) -> str:
+    """One CSV line per metric row; percentages, undefined cells empty."""
+    lines = ["category," + ",".join(m.lower() for m in metrics.METRIC_NAMES)]
+    lines += [f"{name}," + metrics.csv_row(ms) for name, ms in rows.items()]
+    return "\n".join(lines) + "\n"
 
 
 def emit(report: Report, format: str, path: str | Path) -> Path:
@@ -204,16 +258,12 @@ def emit(report: Report, format: str, path: str | Path) -> Path:
     'json' additionally carries resources, history, and fingerprints."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    rows = _report_rows(report)
+    rows = metrics.kind_rows(report.per_kind, report.overall)
     if format == "table":
         body = f"Strategy {report.strategy.id} ({report.strategy.hypothesis})\n"
-        body += metrics.format_metric_table(rows) + "\n"
-        path.write_text(body, encoding="utf-8")
+        path.write_text(body + metrics.format_metric_table(rows) + "\n", encoding="utf-8")
     elif format == "csv":
-        lines = ["category," + ",".join(m.lower() for m in metrics.METRIC_NAMES)]
-        for name, ms in rows.items():
-            lines.append(f"{name}," + metrics.csv_row(ms))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.write_text(metrics_csv(rows), encoding="utf-8")
     elif format == "json":
         payload = {
             "strategy": report.strategy.id,
@@ -228,12 +278,7 @@ def emit(report: Report, format: str, path: str | Path) -> Path:
                 "wall_time_seconds": report.resources.wall_time,
                 "peak_resident_memory_bytes": report.resources.peak_resident_memory,
             },
-            "history": {
-                "train_loss": report.history.train_loss,
-                "val_loss": report.history.val_loss,
-                "val_accuracy": report.history.val_accuracy,
-                "stopped_epoch": report.history.stopped_epoch,
-            },
+            "history": asdict(report.history),
             "fingerprints": report.fingerprints,
         }
         path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
@@ -242,29 +287,18 @@ def emit(report: Report, format: str, path: str | Path) -> Path:
     return path
 
 
-def compare(reports: Sequence[Report]) -> str:
-    """Side-by-side overall F1, accuracy, wall time, and peak memory."""
-    if len(reports) < 2:
-        raise ValueError("compare needs at least two reports")
-    names = [r.strategy.id for r in reports]
-    rows = [
-        ("overall_f1_pct", [metrics.percent(r.overall.f1) for r in reports]),
-        ("overall_accuracy_pct", [metrics.percent(r.overall.accuracy) for r in reports]),
-        ("wall_time_s", [f"{r.resources.wall_time:.2f}" for r in reports]),
-        ("peak_memory_mb", [f"{r.resources.peak_resident_memory / 2**20:.1f}" for r in reports]),
-    ]
-    width = max(len(n) for n, _ in rows)
-    col = max(12, *(len(n) + 2 for n in names))
-    out = ["metric".ljust(width) + "".join(n.rjust(col) for n in names)]
-    if len(reports) == 2:
-        out[0] += "delta".rjust(col)
-    for name, cells in rows:
-        line = name.ljust(width) + "".join(c.rjust(col) for c in cells)
-        if len(reports) == 2:
-            try:
-                delta = float(cells[1]) - float(cells[0])
-                line += f"{delta:+.2f}".rjust(col)
-            except ValueError:
-                line += "n/a".rjust(col)
-        out.append(line)
-    return "\n".join(out) + "\n"
+def compare(payloads: Sequence[dict]) -> str:
+    """comparison.csv for ``report.json`` payloads, one row each in the order
+    given: overall F1 and accuracy in percent (empty when undefined),
+    training wall time in seconds and peak memory in MiB."""
+    lines = ["strategy,overall_f1_pct,overall_accuracy_pct,wall_time_s,peak_memory_mb"]
+    for payload in payloads:
+        overall = payload["metrics"]["Overall"]
+        res = payload["resources"]
+        lines.append(
+            f"{payload['strategy']},{metrics.percent(overall['f1'], '')},"
+            f"{metrics.percent(overall['accuracy'], '')},"
+            f"{res['wall_time_seconds']:.2f},"
+            f"{res['peak_resident_memory_bytes'] / 2**20:.1f}"
+        )
+    return "\n".join(lines) + "\n"

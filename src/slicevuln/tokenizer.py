@@ -80,9 +80,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self._tokens) + len(self.RESERVED)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids
-
     def lookup(self, token: str) -> int:
         return self._ids.get(token, self.UNK)
 

@@ -52,7 +52,6 @@ def desk_spec(sid: str) -> StrategySpec:
         seed=42,
         model_config=ModelConfig(max_len=48, vocab_size=512),
         train_config=TrainConfig(epochs=6, early_stop_patience=3, seed=42),
-        vocab_size=512,
     )
 
 

@@ -29,6 +29,26 @@ def test_unknown_flag_is_usage_error():
     assert main(["balance", "--bogus"]) == 1
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("run-strategy", ["--strategy", "s2", "--heads", "3"]),
+    ("run-strategy", ["--strategy", "s2", "--epochs", "0"]),
+    ("train", ["--train-fraction", "1.5"]),
+    ("slice", ["--max-lines", "0"]),
+])
+def test_invalid_flag_value_is_usage_error(tmp_path, small_corpus_path, capsys,
+                                           command, flags):
+    inputs = [str(small_corpus_path)]
+    if command == "slice":
+        src = tmp_path / "a.c"
+        src.write_text("void f(char *s) {\n  strcpy(b, s);\n}\n")
+        inputs = [str(src)]
+    code = main([command, "--in", *inputs, *flags, "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"usage: slicevuln {command}" in err and "error:" in err
+    assert "Traceback" not in err
+
+
 def test_missing_input_is_data_error(tmp_path):
     code = main(["balance", "--hypothesis", "h1", "--in", str(tmp_path / "no.jsonl"),
                  "--out", str(tmp_path / "o")])
@@ -163,3 +183,22 @@ def test_report_comparison(tmp_path, small_corpus_path):
     lines = (cmp_dir / "comparison.csv").read_text().splitlines()
     assert lines[0].startswith("strategy,overall_f1_pct")
     assert len(lines) == 3
+
+
+def test_report_comparison_is_frozen(tmp_path):
+    payloads = [
+        {"strategy": "S1", "metrics": {"Overall": {"f1": 0.98765, "accuracy": 0.5}},
+         "resources": {"wall_time_seconds": 12.345, "peak_resident_memory_bytes": 123456789}},
+        {"strategy": "S3", "metrics": {"Overall": {"f1": None, "accuracy": 0.904525}},
+         "resources": {"wall_time_seconds": 0.004, "peak_resident_memory_bytes": 1048576}},
+    ]
+    paths = []
+    for i, payload in enumerate(payloads):
+        paths.append(tmp_path / f"r{i}.json")
+        paths[-1].write_text(json.dumps(payload))
+    assert main(["report", "--in", *map(str, paths), "--out", str(tmp_path / "cmp")]) == 0
+    assert (tmp_path / "cmp" / "comparison.csv").read_text() == (
+        "strategy,overall_f1_pct,overall_accuracy_pct,wall_time_s,peak_memory_mb\n"
+        "S1,98.77,50.00,12.35,117.7\n"
+        "S3,,90.45,0.00,1.0\n"
+    )

@@ -39,7 +39,6 @@ def small_spec(sid, seed=42, epochs=2):
         model_config=ModelConfig(num_layers=1, hidden_dim=32, num_heads=4,
                                  ff_dim=64, max_len=48, vocab_size=256),
         train_config=TrainConfig(epochs=epochs, early_stop_patience=epochs, seed=seed),
-        vocab_size=256,
     )
 
 
@@ -59,6 +58,11 @@ def fake_report(sid, f1, accuracy=0.9, wall=1.0, mem=2**20):
         fingerprints={"seed": 42},
         history=TrainHistory(),
     )
+
+
+def fake_payload(tmp_path, sid, f1, **kwargs):
+    path = emit(fake_report(sid, f1, **kwargs), "json", tmp_path / f"{sid}.json")
+    return json.loads(path.read_text())
 
 
 def test_s2_sizes_match_hypothesis(small_corpus):
@@ -93,6 +97,29 @@ def test_s3_tests_on_remainder_disjoint_from_training(small_corpus):
         digest.update(s.id.encode())
         digest.update(b"\0")
     assert digest.hexdigest() == report.fingerprints["train_ids_sha256"]
+
+
+def test_s3_is_s2_fit_scored_on_the_remainder(small_corpus):
+    s2 = run(small_spec("S2"), small_corpus)
+    s3 = run(small_spec("S3"), small_corpus)
+    for key in ("train_ids_sha256", "vocab_sha256", "train_size", "val_size"):
+        assert s3.fingerprints[key] == s2.fingerprints[key], key
+    assert s3.history == s2.history
+    assert s3.fingerprints["test_ids_sha256"] != s2.fingerprints["test_ids_sha256"]
+
+
+def test_vocabulary_follows_the_model_config(small_corpus):
+    # the vocabulary is sized by model_config.vocab_size, so no token id can
+    # fall outside the embedding table
+    spec = StrategySpec(
+        id="S2",
+        model_config=ModelConfig(num_layers=1, hidden_dim=8, num_heads=2, ff_dim=16,
+                                 max_len=32, vocab_size=16),
+        train_config=TrainConfig(epochs=1, early_stop_patience=1),
+    )
+    report = run(spec, small_corpus)
+    assert report.history.stopped_epoch == 1
+    assert report.overall.accuracy is not None
 
 
 def test_same_spec_twice_identical_except_wall_time(small_corpus):
@@ -184,39 +211,24 @@ def test_emit_unwritable_path(tmp_path):
         emit(fake_report("S1", 0.9), "csv", target / "impossible" / "y.csv")
 
 
-def test_compare_identical_reports():
-    a = fake_report("S1", 0.95)
-    b = fake_report("S1", 0.95)
-    table = compare([a, b])
-    for line in table.splitlines()[1:]:
-        cells = line.split()
-        assert cells[1] == cells[2]
+def test_compare_identical_reports(tmp_path):
+    a = fake_payload(tmp_path, "S1", 0.95)
+    b = fake_payload(tmp_path, "S1", 0.95)
+    lines = compare([a, b]).splitlines()
+    assert len(lines) == 3
+    assert lines[1] == lines[2]
 
 
-def test_compare_orders_strategies():
-    reports = [
-        fake_report("S1", 0.9882),
-        fake_report("S2", 0.9537),
-        fake_report("S3", 0.9062),
+def test_compare_orders_strategies(tmp_path):
+    payloads = [
+        fake_payload(tmp_path, "S1", 0.9882),
+        fake_payload(tmp_path, "S2", 0.9537),
+        fake_payload(tmp_path, "S3", 0.9062),
     ]
-    table = compare(reports)
-    f1_line = [l for l in table.splitlines() if l.startswith("overall_f1_pct")][0]
-    cells = f1_line.split()
-    s1, s2, s3 = (float(c) for c in cells[1:4])
+    rows = [line.split(",") for line in compare(payloads).splitlines()[1:]]
+    assert [r[0] for r in rows] == ["S1", "S2", "S3"]
+    s1, s2, s3 = (float(r[1]) for r in rows)
     assert s1 > s2 > s3
-
-
-def test_compare_delta_column():
-    a = fake_report("S1", 0.90, accuracy=0.80)
-    b = fake_report("S2", 0.95, accuracy=0.85)
-    table = compare([a, b])
-    f1_line = [l for l in table.splitlines() if l.startswith("overall_f1_pct")][0]
-    assert f1_line.split()[-1] == "+5.00"
-
-
-def test_compare_needs_two():
-    with pytest.raises(ValueError):
-        compare([fake_report("S1", 0.9)])
 
 
 def test_strategy_spec_validation():
