@@ -43,8 +43,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 @contextmanager
 def _flag_values(args):
-    """Configs reject out-of-range values with ValueError.  Those values come
-    from flags or the spec file, so they are usage errors (exit 1)."""
+    """Configs reject out-of-range values, and spec files unknown or mistyped
+    keys, with ValueError.  Those are usage errors (exit 1)."""
     try:
         yield
     except ValueError as e:
@@ -134,11 +134,28 @@ _TRAIN_KEYS = {
     "lr": "learning_rate", "batch_size": "batch_size", "epochs": "epochs",
     "patience": "early_stop_patience", "weight_decay": "weight_decay",
 }
+_JSON_TYPES = {"int": int, "float": (int, float)}
+
+
+def _spec_section(spec_cfg: dict, section: str, config_cls) -> dict:
+    """The spec file's ``section`` object, checked against the fields of
+    ``config_cls``; an unknown key or a value of the wrong JSON type is a
+    ValueError naming the key."""
+    kw = spec_cfg.get(section, {})
+    if not isinstance(kw, dict):
+        raise ValueError(f"spec file: {section!r} must be an object")
+    types = {f.name: f.type for f in dataclasses.fields(config_cls)}
+    for key, value in kw.items():
+        if key not in types:
+            raise ValueError(f"spec file: unknown {section} key {key!r}")
+        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[types[key]]):
+            raise ValueError(f"spec file: {section}.{key} must be {types[key]}, got {value!r}")
+    return dict(kw)
 
 
 def _configs_from_args(args, spec_cfg: dict, seed: int) -> tuple[model.ModelConfig, model.TrainConfig]:
-    model_kw = dict(spec_cfg.get("model", {}))
-    train_kw = dict(spec_cfg.get("train", {}))
+    model_kw = _spec_section(spec_cfg, "model", model.ModelConfig)
+    train_kw = _spec_section(spec_cfg, "train", model.TrainConfig)
     for flag, key in _MODEL_KEYS.items():
         value = getattr(args, flag, None)
         if value is not None:
@@ -152,11 +169,11 @@ def _configs_from_args(args, spec_cfg: dict, seed: int) -> tuple[model.ModelConf
 
 
 def _slice_one_file(job: tuple[str, slicer.SliceConfig]) -> list[dict]:
+    """Candidate records of one file; a DataError names the file."""
     path, cfg = job
-    source = Path(path).read_text(encoding="utf-8")
-    records = []
-    for j, cand in enumerate(slicer.extract_candidates(source, cfg)):
-        records.append({
+    try:
+        source = Path(path).read_text(encoding="utf-8")
+        return [{
             "id": f"{Path(path).name}#{j}",
             "kind": cand.kind.value,
             "focus": cand.focus,
@@ -164,8 +181,9 @@ def _slice_one_file(job: tuple[str, slicer.SliceConfig]) -> list[dict]:
             "span": list(cand.span),
             "code": slicer.build_slice(source, cand, cfg),
             "source": path,
-        })
-    return records
+        } for j, cand in enumerate(slicer.extract_candidates(source, cfg))]
+    except (UnicodeDecodeError, DataError) as e:
+        raise DataError(f"{path}: {e}") from e
 
 
 def _cmd_slice(args) -> int:
@@ -259,6 +277,8 @@ def _cmd_run_strategy(args) -> int:
             spec_cfg = json.loads(args.spec.read_text(encoding="utf-8"))
         except json.JSONDecodeError as e:
             raise DataError(f"{args.spec}: malformed spec file ({e.msg})") from e
+        if not isinstance(spec_cfg, dict):
+            raise DataError(f"{args.spec}: a spec file holds one JSON object")
     strategy = (args.strategy or spec_cfg.get("strategy", "s2")).upper()
     seed = _resolve_seed(args, spec_cfg)
     corpus_path = args.input or (
@@ -283,8 +303,19 @@ def _cmd_run_strategy(args) -> int:
     return 0
 
 
+def _read_report(path: Path) -> dict:
+    """A report.json payload.  Malformed JSON, or a payload that lacks a field
+    the comparison reads, is a DataError naming the file."""
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        experiments.compare([payload])
+    except (KeyError, TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
+        raise DataError(f"{path}: not a report.json ({type(e).__name__}: {e})") from e
+    return payload
+
+
 def _cmd_report(args) -> int:
-    payloads = [json.loads(path.read_text(encoding="utf-8")) for path in args.inputs]
+    payloads = [_read_report(path) for path in args.inputs]
     args.out.mkdir(parents=True, exist_ok=True)
     out_path = args.out / "comparison.csv"
     out_path.write_text(experiments.compare(payloads), encoding="utf-8")
@@ -323,3 +354,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -207,14 +207,13 @@ def split(
     sset: SampleSet,
     train_fraction: float,
     seed: int,
-    stratify: bool = True,
 ) -> tuple[SampleSet, SampleSet]:
-    """Partition into (train, test) at ``train_fraction``.
+    """Partition into (train, test) at ``train_fraction``, stratified.
 
-    The partition is exact: disjoint, union equals the input.  With
-    ``stratify`` each (kind, label) cell is split separately; the test side
-    of a cell gets floor((1 - fraction) * n), so rounding remainders land
-    in train.  Output order follows input order on both sides.
+    The partition is exact: disjoint, union equals the input.  Each
+    (kind, label) cell is split separately; the test side of a cell gets
+    floor((1 - fraction) * n), so rounding remainders land in train.  Output
+    order follows input order on both sides.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
@@ -223,17 +222,13 @@ def split(
 
     rng = np.random.default_rng(seed)
     test_idx: list[int] = []
-    if stratify:
-        cells: dict[tuple[Kind, Label], list[int]] = {}
-        for i, s in enumerate(sset.samples):
-            cells.setdefault((s.kind, s.label), []).append(i)
-        for key in sorted(cells, key=lambda kl: (KIND_ORDER.index(kl[0]), int(kl[1]))):
-            idx = cells[key]
-            perm = rng.permutation(len(idx))
-            test_idx.extend(idx[j] for j in perm[: _test_count(len(idx), train_fraction)])
-    else:
-        perm = rng.permutation(len(sset))
-        test_idx.extend(int(j) for j in perm[: _test_count(len(sset), train_fraction)])
+    cells: dict[tuple[Kind, Label], list[int]] = {}
+    for i, s in enumerate(sset.samples):
+        cells.setdefault((s.kind, s.label), []).append(i)
+    for key in sorted(cells, key=lambda kl: (KIND_ORDER.index(kl[0]), int(kl[1]))):
+        idx = cells[key]
+        perm = rng.permutation(len(idx))
+        test_idx.extend(idx[j] for j in perm[: _test_count(len(idx), train_fraction)])
 
     test_mask = set(test_idx)
     train = [s for i, s in enumerate(sset.samples) if i not in test_mask]

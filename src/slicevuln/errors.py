@@ -17,7 +17,11 @@ class LexError(DataError):
 
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
+        self.message = message
         self.line = line
+
+    def __reduce__(self):  # rebuilt from its own arguments, e.g. across a process pool
+        return type(self), (self.message, self.line)
 
 
 class NumericError(SliceVulnError):

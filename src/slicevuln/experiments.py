@@ -29,9 +29,9 @@ from typing import Sequence
 
 from . import balancer, corpus, metrics, model, tokenizer
 from .corpus import KIND_ORDER, Kind, SampleSet
-from .slicer import DEFAULT_API_LIST
 
 STRATEGY_IDS = ("S1", "S2", "S3")
+_TRAIN_FRACTION = 0.8
 
 
 @dataclass
@@ -40,9 +40,7 @@ class StrategySpec:
     seed: int = 42
     model_config: model.ModelConfig = field(default_factory=model.ModelConfig)
     train_config: model.TrainConfig = field(default_factory=model.TrainConfig)
-    train_fraction: float = 0.8
     normalize_symbols: bool = True
-    api_list: frozenset[str] = DEFAULT_API_LIST
 
     def __post_init__(self):
         if self.id not in STRATEGY_IDS:
@@ -100,13 +98,11 @@ class _Stage:
         return False
 
 
-def model_texts(
-    sset: SampleSet, normalize_symbols: bool = True, api_list: frozenset[str] = DEFAULT_API_LIST
-) -> list[str]:
+def model_texts(sset: SampleSet, normalize_symbols: bool = True) -> list[str]:
     """The text the model sees for each sample: normalized code, or the raw code."""
     if not normalize_symbols:
         return [s.code for s in sset]
-    return [tokenizer.normalize(s.code, api_list) for s in sset]
+    return [tokenizer.normalize(s.code) for s in sset]
 
 
 def encode_set(
@@ -138,17 +134,16 @@ def fit(
     train_config: model.TrainConfig,
     seed: int,
     normalize_symbols: bool = True,
-    api_list: frozenset[str] = DEFAULT_API_LIST,
 ) -> Fitted:
     """Normalize each sample once, build the vocabulary from the training
     texts, encode both sides, then initialize and train with early stopping
     on the held-out side."""
     with _Stage("tokenize"):
-        train_texts = model_texts(train_set, normalize_symbols, api_list)
+        train_texts = model_texts(train_set, normalize_symbols)
         vocab = tokenizer.build_vocab(train_texts, model_config.vocab_size)
         train_data = encode_set(train_set, train_texts, vocab, model_config.max_len)
         heldout_data = encode_set(
-            heldout, model_texts(heldout, normalize_symbols, api_list), vocab,
+            heldout, model_texts(heldout, normalize_symbols), vocab,
             model_config.max_len,
         )
 
@@ -192,19 +187,17 @@ def run(spec: StrategySpec, full_corpus: SampleSet) -> Report:
             balanced = balancer.balance_h2(full_corpus, spec.seed)
 
     with _Stage("split"):
-        train_set, heldout = corpus.split(
-            balanced.samples, spec.train_fraction, spec.seed, stratify=True
-        )
+        train_set, heldout = corpus.split(balanced.samples, _TRAIN_FRACTION, spec.seed)
 
     fitted = fit(train_set, heldout, spec.model_config, spec.train_config, spec.seed,
-                 spec.normalize_symbols, spec.api_list)
+                 spec.normalize_symbols)
 
     if spec.id == "S3":
         with _Stage("remainder"):
             test_set = balancer.remainder(full_corpus, balanced)
         with _Stage("tokenize"):
             test_data = encode_set(
-                test_set, model_texts(test_set, spec.normalize_symbols, spec.api_list),
+                test_set, model_texts(test_set, spec.normalize_symbols),
                 fitted.vocab, spec.model_config.max_len,
             )
     else:

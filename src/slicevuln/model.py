@@ -13,13 +13,15 @@ bitwise independent of token ids at masked positions.
 Training uses decoupled-weight-decay Adam (weight decay applied directly
 to matrix-shaped parameters, not through the gradient), shuffling keyed by
 (seed, epoch), and early stopping on validation loss with restoration of
-the best weights.
+the best weights.  Dropout draws from a generator keyed by the training
+seed.  Validation and ``predict`` both take their logits from ``forward``,
+the one eval-mode pass, which refuses non-finite logits.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -34,6 +36,7 @@ _ADAM_EPS = 1e-8
 _LN_EPS = 1e-5
 _GELU_A = 0.044715
 _GELU_C = float(np.sqrt(2.0 / np.pi))
+_THRESHOLD = 0.5  # vulnerable iff softmax probability of class 1 >= this
 CHECKPOINT_VERSION = 1
 
 
@@ -74,7 +77,6 @@ class TrainConfig:
     weight_decay: float = 0.01
     early_stop_patience: int = 2
     seed: int = 42
-    dynamic_padding: bool = True  # False forces full max_len padding
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 1:
@@ -96,19 +98,15 @@ class TrainHistory:
 class Model:
     """Configuration plus a flat name -> float64 ndarray parameter map."""
 
-    def __init__(self, config: ModelConfig, params: dict[str, np.ndarray], seed: int = 0):
+    def __init__(self, config: ModelConfig, params: dict[str, np.ndarray]):
         self.config = config
         self.params = params
-        self._dropout_rng = np.random.default_rng([seed, 0xD0])
 
     def num_parameters(self) -> int:
         return sum(p.size for p in self.params.values())
 
     def copy_params(self) -> dict[str, np.ndarray]:
         return {name: p.copy() for name, p in self.params.items()}
-
-    def reseed_dropout(self, seed: int) -> None:
-        self._dropout_rng = np.random.default_rng([seed, 0xD0])
 
 
 def init(cfg: ModelConfig, seed: int) -> Model:
@@ -141,7 +139,7 @@ def init(cfg: ModelConfig, seed: int) -> Model:
     params["lnf_b"] = np.zeros(H)
     params["head_W"] = w(H, cfg.num_classes)
     params["head_b"] = np.zeros(cfg.num_classes)
-    return Model(cfg, params, seed=seed)
+    return Model(cfg, params)
 
 
 def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -211,14 +209,14 @@ def _forward_core(
     model: Model,
     ids: np.ndarray,
     mask: np.ndarray,
-    train_mode: bool,
-    need_cache: bool,
+    rng: np.random.Generator | None = None,
+    need_cache: bool = False,
 ):
-    """Array-level forward pass; ids/mask are [B, L] with L <= max_len."""
+    """Array-level forward pass; ids/mask are [B, L] with L <= max_len.
+    Dropout applies only when a generator is given (training)."""
     cfg = model.config
     P = model.params
-    rng = model._dropout_rng
-    p_drop = cfg.dropout if train_mode else 0.0
+    p_drop = cfg.dropout if rng is not None else 0.0
     B, L = ids.shape
     nh, dh = cfg.num_heads, cfg.head_dim
     scale = 1.0 / np.sqrt(dh)
@@ -330,22 +328,18 @@ def _backward_core(model: Model, cache: dict, dlogits: np.ndarray) -> dict[str, 
     return grads
 
 
-def _as_arrays(batch) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(batch, EncodedDataset):
-        return batch.ids, batch.attention_mask
-    ids = np.stack([e.ids for e in batch])
-    mask = np.stack([e.attention_mask for e in batch])
-    return ids, mask
-
-
-def forward(model: Model, batch, train_mode: bool = False) -> np.ndarray:
-    """Logits [batch, 2] for a list of Encodings or an EncodedDataset."""
-    ids, mask = _as_arrays(batch)
-    if ids.shape[1] != model.config.max_len:
+def forward(model: Model, data: EncodedDataset, batch_size: int = 64) -> np.ndarray:
+    """Eval-mode logits [n, 2], computed in batches of ``batch_size`` that
+    are trimmed to their longest sequence."""
+    if data.ids.shape[1] != model.config.max_len:
         raise ValueError(
-            f"encoding length {ids.shape[1]} != model max_len {model.config.max_len}"
+            f"encoding length {data.ids.shape[1]} != model max_len {model.config.max_len}"
         )
-    logits, _ = _forward_core(model, ids, mask, train_mode, need_cache=False)
+    logits = np.empty((len(data), model.config.num_classes))
+    for start in range(0, len(data), batch_size):
+        ids, mask = _trim(data.ids[start:start + batch_size],
+                          data.attention_mask[start:start + batch_size])
+        logits[start:start + batch_size], _ = _forward_core(model, ids, mask)
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite logits in forward pass")
     return logits
@@ -370,12 +364,6 @@ def _loss_and_grad(logits: np.ndarray, labels: np.ndarray):
     return float(nll.mean()), dlogits
 
 
-def _softmax_prob1(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(-1, keepdims=True)
-    e = np.exp(shifted)
-    return e[:, 1] / e.sum(-1)
-
-
 def _trim(ids: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     longest = max(int(mask.sum(1).max()), 1)
     return ids[:, :longest], mask[:, :longest]
@@ -383,7 +371,7 @@ def _trim(ids: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def grad_check(
     model: Model,
-    batch,
+    data: EncodedDataset,
     labels: Sequence[int],
     epsilon: float = 1e-5,
     num_samples: int = 200,
@@ -395,9 +383,9 @@ def grad_check(
     relative-error denominator is floored at 1e-6 so finite-difference
     roundoff on near-zero coordinates does not dominate.
     """
-    ids, mask = _as_arrays(batch)
+    ids, mask = data.ids, data.attention_mask
     y = np.asarray(labels, dtype=np.int64)
-    logits, cache = _forward_core(model, ids, mask, train_mode=False, need_cache=True)
+    logits, cache = _forward_core(model, ids, mask, need_cache=True)
     _, dlogits = _loss_and_grad(logits, y)
     grads = _backward_core(model, cache, dlogits)
     for name, g in grads.items():
@@ -412,7 +400,7 @@ def grad_check(
     picks = rng.choice(total, size=min(num_samples, total), replace=False)
 
     def loss_at() -> float:
-        lg, _ = _forward_core(model, ids, mask, train_mode=False, need_cache=False)
+        lg, _ = _forward_core(model, ids, mask)
         value, _ = _loss_and_grad(lg, y)
         return value
 
@@ -451,20 +439,14 @@ def _adamw_step(params, grads, m, v, t, tcfg: TrainConfig):
             raise NumericError(f"non-finite values in {name} after optimizer step {t}")
 
 
-def _eval_loss_acc(model: Model, data: EncodedDataset, batch_size: int,
-                   dynamic: bool) -> tuple[float, float]:
+def _eval_loss_acc(model: Model, data: EncodedDataset, batch_size: int) -> tuple[float, float]:
+    logits = forward(model, data, batch_size)
     total_nll = 0.0
-    correct = 0
     for start in range(0, len(data), batch_size):
-        ids = data.ids[start:start + batch_size]
-        mask = data.attention_mask[start:start + batch_size]
         y = data.labels[start:start + batch_size]
-        if dynamic:
-            ids, mask = _trim(ids, mask)
-        logits, _ = _forward_core(model, ids, mask, train_mode=False, need_cache=False)
-        nll, _ = _loss_and_grad(logits, y)
+        nll, _ = _loss_and_grad(logits[start:start + batch_size], y)
         total_nll += nll * len(y)
-        correct += int((logits.argmax(-1) == y).sum())
+    correct = int((logits.argmax(-1) == data.labels).sum())
     return total_nll / len(data), correct / len(data)
 
 
@@ -481,7 +463,7 @@ def train(
     """
     if len(train_data) == 0 or len(val_data) == 0:
         raise DataError("training and validation sets must be non-empty")
-    model.reseed_dropout(tcfg.seed)
+    dropout_rng = np.random.default_rng([tcfg.seed, 0xD0])
     m = {n: np.zeros_like(p) for n, p in model.params.items()}
     v = {n: np.zeros_like(p) for n, p in model.params.items()}
     history = TrainHistory()
@@ -495,11 +477,9 @@ def train(
         epoch_nll = 0.0
         for start in range(0, len(order), tcfg.batch_size):
             sel = order[start:start + tcfg.batch_size]
-            ids, mask = train_data.ids[sel], train_data.attention_mask[sel]
-            if tcfg.dynamic_padding:
-                ids, mask = _trim(ids, mask)
+            ids, mask = _trim(train_data.ids[sel], train_data.attention_mask[sel])
             y = train_data.labels[sel]
-            logits, cache = _forward_core(model, ids, mask, train_mode=True, need_cache=True)
+            logits, cache = _forward_core(model, ids, mask, dropout_rng, need_cache=True)
             nll, dlogits = _loss_and_grad(logits, y)
             if not np.isfinite(nll):
                 raise NumericError(
@@ -510,9 +490,7 @@ def train(
             _adamw_step(model.params, grads, m, v, step, tcfg)
             epoch_nll += nll * len(sel)
 
-        val_loss, val_acc = _eval_loss_acc(
-            model, val_data, tcfg.batch_size, tcfg.dynamic_padding
-        )
+        val_loss, val_acc = _eval_loss_acc(model, val_data, tcfg.batch_size)
         history.train_loss.append(epoch_nll / len(train_data))
         history.val_loss.append(val_loss)
         history.val_accuracy.append(val_acc)
@@ -531,16 +509,11 @@ def train(
     return model, history
 
 
-def predict(model: Model, encodings, threshold: float = 0.5,
-            batch_size: int = 64) -> np.ndarray:
-    """0/1 labels; vulnerable iff softmax probability of class 1 >= threshold."""
-    ids, mask = _as_arrays(encodings)
-    out = np.empty(ids.shape[0], dtype=np.int64)
-    for start in range(0, ids.shape[0], batch_size):
-        bi, bm = _trim(ids[start:start + batch_size], mask[start:start + batch_size])
-        logits, _ = _forward_core(model, bi, bm, train_mode=False, need_cache=False)
-        out[start:start + batch_size] = (_softmax_prob1(logits) >= threshold).astype(np.int64)
-    return out
+def predict(model: Model, data: EncodedDataset) -> np.ndarray:
+    """0/1 labels; vulnerable iff softmax probability of class 1 >= 0.5."""
+    logits = forward(model, data)
+    e = np.exp(logits - logits.max(-1, keepdims=True))
+    return (e[:, 1] / e.sum(-1) >= _THRESHOLD).astype(np.int64)
 
 
 def save_checkpoint(model: Model, path: str | Path, vocab_hash: str) -> Path:
@@ -550,9 +523,7 @@ def save_checkpoint(model: Model, path: str | Path, vocab_hash: str) -> Path:
         path = Path(str(path) + ".npz")
     meta = {
         "version": CHECKPOINT_VERSION,
-        "config": {k: getattr(model.config, k) for k in (
-            "num_layers", "hidden_dim", "num_heads", "ff_dim", "max_len",
-            "vocab_size", "dropout", "num_classes")},
+        "config": asdict(model.config),
         "vocab_hash": vocab_hash,
         "shapes": {name: list(p.shape) for name, p in model.params.items()},
     }

@@ -27,7 +27,7 @@ _PLACEHOLDER = re.compile(r"(VAR|FUN)(\d+)$")
 _KEEP_NUMBER_CHARS = 4
 
 
-def normalize(slice_text: str, api_list: frozenset[str] = DEFAULT_API_LIST) -> str:
+def normalize(slice_text: str) -> str:
     """Rename user symbols to canonical placeholders; drop comments."""
     toks = significant(lex(slice_text))
     # fresh placeholder numbering starts above anything already present so
@@ -49,7 +49,7 @@ def normalize(slice_text: str, api_list: frozenset[str] = DEFAULT_API_LIST) -> s
             out.append(t.text if len(t.text) <= _KEEP_NUMBER_CHARS else "NUM")
         elif t.cls is TokenClass.IDENTIFIER:
             name = t.text
-            if name in api_list or name in ("STR", "NUM") or _PLACEHOLDER.match(name):
+            if name in DEFAULT_API_LIST or name in ("STR", "NUM") or _PLACEHOLDER.match(name):
                 out.append(name)
                 continue
             if name not in renames:

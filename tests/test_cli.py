@@ -1,11 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from slicevuln import Kind, balance_h1
 from slicevuln.cli import main
 from slicevuln.corpus import load, save
 from slicevuln.synth import DESK_COUNTS, pattern_corpus, reference_corpus
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 SMALL = {Kind.API: (20, 50), Kind.AU: (15, 35), Kind.PU: (25, 80), Kind.AE: (10, 40)}
 
@@ -20,9 +27,22 @@ def small_corpus_path(tmp_path):
     return path
 
 
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports slicevuln from this checkout."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": path})
+
+
 def test_no_arguments_is_usage_error(capsys):
     assert main([]) == 1
     assert "usage" in capsys.readouterr().err.lower()
+
+
+def test_module_entry_point_runs_main():
+    result = _run_python("-m", "slicevuln.cli")
+    assert result.returncode == 1
+    assert "usage: slicevuln" in result.stderr
 
 
 def test_unknown_flag_is_usage_error():
@@ -34,6 +54,10 @@ def test_unknown_flag_is_usage_error():
     ("run-strategy", ["--strategy", "s2", "--epochs", "0"]),
     ("train", ["--train-fraction", "1.5"]),
     ("slice", ["--max-lines", "0"]),
+    # a dict stands for a spec file holding it; the error names the key
+    ("run-strategy", ["--spec", {"model": {"hidden": 32}}]),
+    ("run-strategy", ["--spec", {"train": {"epochs": "6"}}]),
+    ("run-strategy", ["--spec", {"model": {"num_layers": True}}]),
 ])
 def test_invalid_flag_value_is_usage_error(tmp_path, small_corpus_path, capsys,
                                            command, flags):
@@ -42,11 +66,21 @@ def test_invalid_flag_value_is_usage_error(tmp_path, small_corpus_path, capsys,
         src = tmp_path / "a.c"
         src.write_text("void f(char *s) {\n  strcpy(b, s);\n}\n")
         inputs = [str(src)]
-    code = main([command, "--in", *inputs, *flags, "--out", str(tmp_path / "out")])
+    argv, keys = [], []
+    for flag in flags:
+        if isinstance(flag, dict):
+            (kw,) = flag.values()
+            keys += list(kw)
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps(flag))
+            flag = str(spec)
+        argv.append(flag)
+    code = main([command, "--in", *inputs, *argv, "--out", str(tmp_path / "out")])
     assert code == 1
     err = capsys.readouterr().err
     assert f"usage: slicevuln {command}" in err and "error:" in err
     assert "Traceback" not in err
+    assert all(key in err for key in keys)
 
 
 def test_missing_input_is_data_error(tmp_path):
@@ -57,10 +91,11 @@ def test_missing_input_is_data_error(tmp_path):
 
 def test_malformed_spec_is_data_error(tmp_path, small_corpus_path):
     spec = tmp_path / "broken.cfg"
-    spec.write_text("{not json")
-    code = main(["run-strategy", "--spec", str(spec), "--in", str(small_corpus_path),
-                 "--out", str(tmp_path / "runs")])
-    assert code == 2
+    for text in ("{not json", "[1]"):
+        spec.write_text(text)
+        code = main(["run-strategy", "--spec", str(spec), "--in", str(small_corpus_path),
+                     "--out", str(tmp_path / "runs")])
+        assert code == 2
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -69,6 +104,23 @@ def test_numeric_blowup_is_exit_3(tmp_path, small_corpus_path):
                  *FAST_FLAGS, "--lr", "1e12", "--epochs", "3",
                  "--out", str(tmp_path / "model")])
     assert code == 3
+
+
+def test_evaluate_nonfinite_checkpoint_is_exit_3(tmp_path, small_corpus_path, capsys):
+    from slicevuln import ModelConfig, build_vocab, init
+    from slicevuln.experiments import model_texts
+    from slicevuln.model import save_checkpoint
+
+    vocab = build_vocab(model_texts(load(small_corpus_path)), 64)
+    net = init(ModelConfig(num_layers=1, hidden_dim=8, num_heads=2, ff_dim=16,
+                           max_len=16, vocab_size=64), seed=0)
+    net.params["head_b"][:] = np.nan
+    ckpt = save_checkpoint(net, tmp_path / "checkpoint.npz", vocab.content_hash())
+    code = main(["evaluate", "--model", str(ckpt), "--vocab", str(vocab.save(tmp_path / "v.txt")),
+                 "--in", str(small_corpus_path), "--out", str(tmp_path / "eval")])
+    assert code == 3
+    assert "non-finite logits" in capsys.readouterr().err
+    assert not (tmp_path / "eval" / "metrics.csv").exists()
 
 
 def test_build_dataset_desk(tmp_path):
@@ -99,6 +151,26 @@ def test_slice_jobs_flag_never_changes_results(tmp_path):
     assert main(["slice", "--in", *sources, "--jobs", "1", "--out", str(out1)]) == 0
     assert main(["slice", "--in", *sources, "--jobs", "4", "--out", str(out2)]) == 0
     assert (out1 / "slices.jsonl").read_bytes() == (out2 / "slices.jsonl").read_bytes()
+
+
+def test_slice_jobs_reports_a_file_that_fails_to_lex(tmp_path):
+    # a worker's error has to come back through the pool, not hang it
+    good, bad = tmp_path / "ok.c", tmp_path / "bad.c"
+    good.write_text("void f(char *s) {\n  strcpy(b, s);\n}\n")
+    bad.write_text("int f() {\n  int $x;\n}\n")
+    result = _run_python(
+        "-c", "import sys; from slicevuln.cli import main; sys.exit(main(sys.argv[1:]))",
+        "slice", "--in", str(good), str(bad), "--jobs", "2", "--out", str(tmp_path / "o"))
+    assert result.returncode == 2
+    assert f"{bad}: line 2: unexpected character '$'" in result.stderr
+
+
+def test_slice_non_utf8_file_is_data_error(tmp_path, capsys):
+    src = tmp_path / "latin1.c"
+    src.write_bytes("int caf\u00e9;\n".encode("latin-1"))
+    assert main(["slice", "--in", str(src), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"{src}: 'utf-8' codec can't decode" in err and "Traceback" not in err
 
 
 def test_seed_env_var_is_default_of_last_resort(tmp_path, small_corpus_path, monkeypatch):
@@ -183,6 +255,18 @@ def test_report_comparison(tmp_path, small_corpus_path):
     lines = (cmp_dir / "comparison.csv").read_text().splitlines()
     assert lines[0].startswith("strategy,overall_f1_pct")
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("{broken", "JSONDecodeError"),
+    ('{"strategy": "S1"}', "KeyError: 'metrics'"),
+])
+def test_report_on_a_broken_report_is_data_error(tmp_path, capsys, text, reason):
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    assert main(["report", "--in", str(path), "--out", str(tmp_path / "cmp")]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and reason in err and "Traceback" not in err
 
 
 def test_report_comparison_is_frozen(tmp_path):

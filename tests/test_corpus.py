@@ -117,7 +117,7 @@ def test_unknown_format(tmp_path):
 
 def test_split_8_2():
     sset = make_set({(Kind.API, Label.VULNERABLE): 10})
-    train, test = split(sset, 0.8, seed=1, stratify=False)
+    train, test = split(sset, 0.8, seed=1)
     assert len(train) == 8 and len(test) == 2
 
 
@@ -146,7 +146,7 @@ def test_split_stratified_exact_cells():
         for l in (Label.VULNERABLE, Label.NON_VULNERABLE)
     }
     sset = make_set(cells)
-    train, _ = split(sset, 0.8, seed=3, stratify=True)
+    train, _ = split(sset, 0.8, seed=3)
     for key in cells:
         assert train.count(*key) == 80
 

@@ -58,8 +58,7 @@ def test_parameter_count_closed_form():
 
 def test_forward_shape_and_softmax(tiny_cfg):
     net = init(tiny_cfg, seed=1)
-    encodings, _ = random_batch(tiny_cfg, 1, seed=2)
-    logits = forward(net, encodings)
+    logits = forward(net, random_dataset(tiny_cfg, 1, seed=2))
     assert logits.shape == (1, 2)
     p = np.exp(logits - logits.max(-1, keepdims=True))
     p = p / p.sum(-1, keepdims=True)
@@ -70,14 +69,17 @@ def test_forward_rejects_wrong_length(tiny_cfg):
     net = init(tiny_cfg, seed=1)
     enc = Encoding(ids=np.array([2, 3], dtype=np.int64),
                    attention_mask=np.array([1, 1], dtype=np.int64))
+    data = EncodedDataset.from_encodings([enc], [0])
     with pytest.raises(ValueError, match="max_len"):
-        forward(net, [enc])
+        forward(net, data)
+    with pytest.raises(ValueError, match="max_len"):
+        predict(net, data)
 
 
 def test_pad_positions_do_not_affect_logits(tiny_cfg):
     net = init(tiny_cfg, seed=3)
-    encodings, _ = random_batch(tiny_cfg, 4, seed=4)
-    base = forward(net, encodings)
+    encodings, labels = random_batch(tiny_cfg, 4, seed=4)
+    base = forward(net, EncodedDataset.from_encodings(encodings, labels))
     mutated = []
     for e in encodings:
         ids = e.ids.copy()
@@ -85,7 +87,7 @@ def test_pad_positions_do_not_affect_logits(tiny_cfg):
         if len(pad_positions):
             ids[pad_positions] = (ids[pad_positions] + 7) % tiny_cfg.vocab_size
         mutated.append(Encoding(ids=ids, attention_mask=e.attention_mask))
-    changed = forward(net, mutated)
+    changed = forward(net, EncodedDataset.from_encodings(mutated, labels))
     assert np.abs(base - changed).max() < 1e-9
 
 
@@ -130,7 +132,7 @@ def test_unused_embedding_rows_get_zero_gradient(tiny_cfg):
 
     net = init(tiny_cfg, seed=7)
     data = random_dataset(tiny_cfg, 4, seed=3)
-    logits, cache = _forward_core(net, data.ids, data.attention_mask, False, True)
+    logits, cache = _forward_core(net, data.ids, data.attention_mask, need_cache=True)
     _, dlogits = _loss_and_grad(logits, data.labels)
     grads = _backward_core(net, cache, dlogits)
     used = set(np.unique(data.ids))
@@ -182,23 +184,13 @@ def test_train_deterministic_history():
     assert h1.stopped_epoch == h2.stopped_epoch
 
 
-def test_dynamic_and_full_padding_same_predictions():
-    cfg = desk_cfg(dropout=0.0)
-    data = make_separable_dataset(cfg, n=32)
-    net1, _ = train(init(cfg, seed=1), data, data,
-                    TrainConfig(epochs=3, dynamic_padding=True))
-    net2, _ = train(init(cfg, seed=1), data, data,
-                    TrainConfig(epochs=3, dynamic_padding=False))
-    assert np.array_equal(predict(net1, data), predict(net2, data))
-
-
 def test_early_stop_patience_one(tiny_cfg, monkeypatch):
     # force strictly worsening validation loss via a tiny lr and rigged eval
     import slicevuln.model as m
 
     losses = iter([1.0, 2.0, 3.0, 4.0])
 
-    def fake_eval(model, data, batch_size, dynamic):
+    def fake_eval(model, data, batch_size):
         return next(losses), 0.5
 
     monkeypatch.setattr(m, "_eval_loss_acc", fake_eval)
@@ -215,7 +207,7 @@ def test_train_restores_best_weights(tiny_cfg):
     net, history = train(init(tiny_cfg, seed=0), data, data, tcfg)
     from slicevuln.model import _eval_loss_acc
 
-    final_loss, _ = _eval_loss_acc(net, data, tcfg.batch_size, True)
+    final_loss, _ = _eval_loss_acc(net, data, tcfg.batch_size)
     assert final_loss == pytest.approx(min(history.val_loss), abs=1e-12)
 
 
@@ -239,17 +231,27 @@ def test_predict_extreme_logits_class0(tiny_cfg):
 def test_predict_invariant_to_batch_partitioning(tiny_cfg):
     net = init(tiny_cfg, seed=9)
     data = random_dataset(tiny_cfg, 17, seed=2)
-    assert np.array_equal(predict(net, data, batch_size=1),
-                          predict(net, data, batch_size=8))
+    one = forward(net, data, batch_size=1)
+    assert np.allclose(one, forward(net, data, batch_size=8), rtol=0, atol=1e-12)
+    assert np.array_equal(predict(net, data), (one[:, 1] >= one[:, 0]).astype(np.int64))
 
 
 def test_prediction_permutation_consistency(tiny_cfg):
     net = init(tiny_cfg, seed=9)
-    encodings, _ = random_batch(tiny_cfg, 10, seed=3)
-    base = predict(net, encodings)
+    encodings, labels = random_batch(tiny_cfg, 10, seed=3)
+    base = predict(net, EncodedDataset.from_encodings(encodings, labels))
     perm = np.random.default_rng(0).permutation(10)
-    shuffled = predict(net, [encodings[i] for i in perm])
+    shuffled = predict(net, EncodedDataset.from_encodings(
+        [encodings[i] for i in perm], labels[perm]))
     assert np.array_equal(shuffled, base[perm])
+
+
+def test_predict_rejects_nonfinite_logits(tiny_cfg):
+    # NaN compares False against the threshold, which would read as label 0
+    net = init(tiny_cfg, seed=0)
+    net.params["head_b"][:] = np.nan
+    with pytest.raises(NumericError, match="non-finite logits"):
+        predict(net, random_dataset(tiny_cfg, 2, seed=1))
 
 
 def test_train_config_validation():

@@ -1,3 +1,4 @@
+import pickle
 import string
 
 import numpy as np
@@ -61,6 +62,14 @@ def test_lex_unterminated_block_comment():
 def test_lex_unterminated_string():
     with pytest.raises(LexError, match="line 1"):
         lex('char *s = "oops')
+
+
+def test_lex_error_survives_pickling():
+    # slice --jobs N sends a worker's LexError back through a pickle
+    err = LexError("unexpected character '$'", 3)
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is LexError
+    assert (back.line, str(back)) == (3, "line 3: unexpected character '$'")
 
 
 def test_lex_directive_single_token():
