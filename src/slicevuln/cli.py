@@ -171,10 +171,11 @@ def _configs_from_args(args, spec_cfg: dict, seed: int) -> tuple[model.ModelConf
 def _slice_one_file(job: tuple[str, slicer.SliceConfig]) -> list[dict]:
     """Candidate records of one file; a DataError names the file."""
     path, cfg = job
+    name = Path(path).name
     try:
         source = Path(path).read_text(encoding="utf-8")
         return [{
-            "id": f"{Path(path).name}#{j}",
+            "id": f"{name}#{j}",
             "kind": cand.kind.value,
             "focus": cand.focus,
             "line": cand.line,

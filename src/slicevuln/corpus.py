@@ -171,6 +171,20 @@ def _gadget_record(
     return Sample(id=sample_id, kind=kind, label=label, code=code, source=source)
 
 
+def _not_utf8(path: Path) -> DataError:
+    """The data error for a file that does not decode, naming its first bad
+    line.  A newline byte never occurs inside a UTF-8 sequence, so decoding
+    line by line finds the line the whole-file decode failed on."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                return DataError(f"{path}:{lineno}: not UTF-8 "
+                                 f"(byte 0x{raw[e.start]:02x}: {e.reason})")
+    return DataError(f"{path}: not UTF-8")
+
+
 def load(
     path: str | Path,
     format: str = "jsonlines",
@@ -178,10 +192,13 @@ def load(
 ) -> SampleSet:
     """Load a dataset from disk. ``default_kind`` applies to gadget-text only."""
     path = Path(path)
-    if format == "jsonlines":
-        return SampleSet(_load_jsonlines(path))
-    if format == "gadget-text":
-        return SampleSet(_load_gadget_text(path, default_kind))
+    try:
+        if format == "jsonlines":
+            return SampleSet(_load_jsonlines(path))
+        if format == "gadget-text":
+            return SampleSet(_load_gadget_text(path, default_kind))
+    except UnicodeDecodeError as e:
+        raise _not_utf8(path) from e
     raise DataError(f"unknown format {format!r} (expected jsonlines or gadget-text)")
 
 

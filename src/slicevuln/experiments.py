@@ -29,6 +29,7 @@ from typing import Sequence
 
 from . import balancer, corpus, metrics, model, tokenizer
 from .corpus import KIND_ORDER, Kind, SampleSet
+from .errors import DataError
 
 STRATEGY_IDS = ("S1", "S2", "S3")
 _TRAIN_FRACTION = 0.8
@@ -138,6 +139,8 @@ def fit(
     """Normalize each sample once, build the vocabulary from the training
     texts, encode both sides, then initialize and train with early stopping
     on the held-out side."""
+    if len(train_set) == 0 or len(heldout) == 0:
+        raise DataError("training and validation sets must be non-empty")
     with _Stage("tokenize"):
         train_texts = model_texts(train_set, normalize_symbols)
         vocab = tokenizer.build_vocab(train_texts, model_config.vocab_size)

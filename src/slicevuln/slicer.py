@@ -20,6 +20,7 @@ slicing, good enough to produce realistic classifier inputs.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -184,6 +185,90 @@ def significant(tokens: list[Token]) -> list[Token]:
     return [t for t in tokens if t.cls not in _INSIGNIFICANT]
 
 
+_OPENER = {")": "(", "]": "[", "}": "{"}
+
+
+def _match_brackets(toks: list[Token]) -> list[int | None]:
+    """Index of the token closing the bracket opened at each position, or
+    None.  Each bracket type is matched on its own stack, blind to the
+    other two, so an unbalanced ``(`` never disturbs ``{}`` matching."""
+    closing: list[int | None] = [None] * len(toks)
+    open_at: dict[str, list[int]] = {"(": [], "[": [], "{": []}
+    for i, tok in enumerate(toks):
+        if tok.text in open_at:
+            open_at[tok.text].append(i)
+        elif tok.text in _OPENER:
+            stack = open_at[_OPENER[tok.text]]
+            if stack:
+                closing[stack.pop()] = i
+    return closing
+
+
+def _function_regions(toks: list[Token], closing: list[int | None]) -> list[tuple[int, int]]:
+    """(start line, end line) of each top-level ``name(args) {...}`` block
+    in the significant tokens ``toks``."""
+    regions = []
+    depth = 0
+    i = 0
+    while i < len(toks):
+        tok = toks[i]
+        if tok.text == "{":
+            depth += 1
+        elif tok.text == "}":
+            depth = max(0, depth - 1)
+        elif depth == 0 and tok.cls is TokenClass.IDENTIFIER and i + 1 < len(toks) and toks[i + 1].text == "(":
+            close = closing[i + 1]
+            if close is not None and close + 1 < len(toks) and toks[close + 1].text == "{":
+                end = closing[close + 1]
+                if end is not None:
+                    regions.append((tok.line, toks[end].line))
+                    # resume at the opening brace so depth tracking sees it
+                    i = close
+        i += 1
+    return regions
+
+
+class _FileIndex:
+    """What candidate detection and slicing read from one source text,
+    built from a single ``lex``: the significant tokens, their bracket
+    matches, the source lines, the identifiers on each line and the
+    function region of each line."""
+
+    def __init__(self, source: str):
+        tokens = lex(source)
+        self.sig = significant(tokens)
+        self.closing = _match_brackets(self.sig)
+        self.lines = source.split("\n")
+        self.line_ids: dict[int, set[str]] = {}
+        for tok in tokens:
+            if tok.cls is TokenClass.IDENTIFIER:
+                self.line_ids.setdefault(tok.line, set()).add(tok.text)
+        # a line shared by two regions belongs to the first, as it is found first
+        self.region_of: dict[int, tuple[int, int]] = {}
+        for start, end in _function_regions(self.sig, self.closing):
+            for n in range(start, end + 1):
+                self.region_of.setdefault(n, (start, end))
+        self._uses: dict[tuple[int, int], dict[str, list[int]]] = {}
+
+    def uses(self, lo: int, hi: int) -> dict[str, list[int]]:
+        """Identifier -> the lines in lo..hi that mention it, built once per
+        region."""
+        uses = self._uses.get((lo, hi))
+        if uses is None:
+            uses = self._uses[lo, hi] = {}
+            for n in range(lo, hi + 1):
+                for ident in self.line_ids.get(n, ()):
+                    uses.setdefault(ident, []).append(n)
+        return uses
+
+
+@functools.lru_cache(maxsize=1)
+def _index(source: str) -> _FileIndex:
+    """The index of the last file seen: extract_candidates followed by
+    build_slice for each candidate lexes the file once."""
+    return _FileIndex(source)
+
+
 _AE_OPS = {"+", "-", "*", "/", "%"}
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "<<=", ">>=", "&=", "|=", "^="}
 # token classes that can end an expression; an operator after one of these
@@ -198,18 +283,6 @@ def _is_binary_position(prev: Token | None) -> bool:
     if prev.cls in _OPERAND_END:
         return True
     return prev.text in (")", "]", "++", "--")
-
-
-def _matching_close(toks: list[Token], open_idx: int, open_ch: str, close_ch: str) -> int | None:
-    depth = 0
-    for j in range(open_idx, len(toks)):
-        if toks[j].text == open_ch:
-            depth += 1
-        elif toks[j].text == close_ch:
-            depth -= 1
-            if depth == 0:
-                return j
-    return None
 
 
 def _ae_focus(toks: list[Token], op_idx: int) -> str | None:
@@ -250,7 +323,8 @@ def extract_candidates(source: str, cfg: SliceConfig | None = None) -> list[Cand
     sorted by (line, column).
     """
     cfg = cfg or SliceConfig()
-    toks = significant(lex(source))
+    idx = _index(source)
+    toks = idx.sig
     found: dict[tuple[int, int], Candidate] = {}
 
     def claim(kind: Kind, tok: Token, focus: str, span: tuple[int, int]):
@@ -272,11 +346,11 @@ def extract_candidates(source: str, cfg: SliceConfig | None = None) -> list[Cand
 
         if tok.cls is TokenClass.IDENTIFIER and nxt is not None:
             if nxt.text == "(" and tok.text in cfg.api_list:
-                close = _matching_close(toks, i + 1, "(", ")")
+                close = idx.closing[i + 1]
                 end_line = toks[close].line if close is not None else tok.line
                 claim(Kind.API, tok, tok.text, (tok.line, end_line))
             elif nxt.text == "[":
-                close = _matching_close(toks, i + 1, "[", "]")
+                close = idx.closing[i + 1]
                 end_line = toks[close].line if close is not None else tok.line
                 claim(Kind.AU, tok, tok.text, (tok.line, end_line))
 
@@ -309,30 +383,6 @@ def extract_candidates(source: str, cfg: SliceConfig | None = None) -> list[Cand
     return sorted(found.values(), key=lambda c: (c.line, c.column))
 
 
-def _function_regions(tokens: list[Token]) -> list[tuple[int, int]]:
-    """(start line, end line) of each top-level ``name(args) {...}`` block."""
-    toks = significant(tokens)
-    regions = []
-    depth = 0
-    i = 0
-    while i < len(toks):
-        tok = toks[i]
-        if tok.text == "{":
-            depth += 1
-        elif tok.text == "}":
-            depth = max(0, depth - 1)
-        elif depth == 0 and tok.cls is TokenClass.IDENTIFIER and i + 1 < len(toks) and toks[i + 1].text == "(":
-            close = _matching_close(toks, i + 1, "(", ")")
-            if close is not None and close + 1 < len(toks) and toks[close + 1].text == "{":
-                end = _matching_close(toks, close + 1, "{", "}")
-                if end is not None:
-                    regions.append((tok.line, toks[end].line))
-                    # resume at the opening brace so depth tracking sees it
-                    i = close
-        i += 1
-    return regions
-
-
 def build_slice(source: str, candidate: Candidate, cfg: SliceConfig | None = None) -> str:
     """Assemble the candidate line plus def-use-related lines, in order.
 
@@ -342,32 +392,25 @@ def build_slice(source: str, candidate: Candidate, cfg: SliceConfig | None = Non
     cfg.max_slice_lines lines centered on the candidate line.
     """
     cfg = cfg or SliceConfig()
-    tokens = lex(source)
-    lines = source.split("\n")
+    idx = _index(source)
+    lines = idx.lines
     if not 1 <= candidate.line <= len(lines):
         raise ValueError(f"candidate line {candidate.line} out of range 1..{len(lines)}")
+    uses = idx.uses(*idx.region_of.get(candidate.line, (1, len(lines))))
 
-    lo, hi = 1, len(lines)
-    for start, end in _function_regions(tokens):
-        if start <= candidate.line <= end:
-            lo, hi = start, end
-            break
-
-    line_ids: dict[int, set[str]] = {n: set() for n in range(lo, hi + 1)}
-    for tok in tokens:
-        if tok.cls is TokenClass.IDENTIFIER and lo <= tok.line <= hi:
-            line_ids[tok.line].add(tok.text)
-
-    # hop 0: the focus plus everything co-located with it on its line
-    reachable = {candidate.focus} | line_ids.get(candidate.line, set())
+    # hop 0: the focus plus everything co-located with it on its line.  Each
+    # hop looks up only the identifiers the previous hop added: lines that
+    # mention older ones are already selected.
+    reachable = {candidate.focus} | idx.line_ids.get(candidate.line, set())
     selected = {candidate.line}
+    added = reachable
     for _ in range(cfg.def_use_hops):
-        hit = {n for n, ids in line_ids.items() if ids & reachable}
-        new_selected = selected | hit
-        new_reachable = reachable.union(*(line_ids[n] for n in hit)) if hit else reachable
-        if new_selected == selected and new_reachable == reachable:
+        hit = {n for ident in added for n in uses.get(ident, ())} - selected
+        if not hit:
             break
-        selected, reachable = new_selected, new_reachable
+        selected |= hit
+        added = set().union(*(idx.line_ids[n] for n in hit)) - reachable
+        reachable |= added
 
     ordered = sorted(selected)
     if len(ordered) > cfg.max_slice_lines:

@@ -13,11 +13,27 @@ from slicevuln.corpus import load, save
 from slicevuln.synth import DESK_COUNTS, pattern_corpus, reference_corpus
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 SMALL = {Kind.API: (20, 50), Kind.AU: (15, 35), Kind.PU: (25, 80), Kind.AE: (10, 40)}
 
 FAST_FLAGS = ["--max-len", "48", "--vocab-size", "256", "--hidden", "32",
               "--ff", "64", "--layers", "1", "--epochs", "2", "--patience", "2"]
+
+# C files the slice tests run on; their slices are frozen in
+# fixtures/cli_sources.slices.jsonl
+SLICE_SOURCES = {
+    "a.c": "void f(char *s) {\n  char b[8];\n  strcpy(b, s);\n}\n",
+    "ok.c": "void f(char *s) {\n  strcpy(b, s);\n}\n",
+    **{f"s{i}.c": f"void f{i}() {{\n  {body}\n}}\n"
+       for i, body in enumerate(["strcpy(a, b);", "buf[i] = 0;", "*p = q;", "x = a + b;"])},
+}
+
+
+def _write_sources(directory: Path, sources: dict[str, str]) -> list[str]:
+    for name, text in sources.items():
+        (directory / name).write_text(text, encoding="utf-8")
+    return [str(directory / name) for name in sources]
 
 
 @pytest.fixture()
@@ -132,21 +148,16 @@ def test_build_dataset_desk(tmp_path):
 
 
 def test_slice_writes_candidates(tmp_path):
-    src = tmp_path / "a.c"
-    src.write_text("void f(char *s) {\n  char b[8];\n  strcpy(b, s);\n}\n")
+    (src,) = _write_sources(tmp_path, {"a.c": SLICE_SOURCES["a.c"]})
     out = tmp_path / "slices"
-    assert main(["slice", "--in", str(src), "--out", str(out)]) == 0
+    assert main(["slice", "--in", src, "--out", str(out)]) == 0
     rows = [json.loads(l) for l in (out / "slices.jsonl").read_text().splitlines()]
     assert {r["kind"] for r in rows} == {"PU", "AU", "API"}
     assert all(r["focus"] in r["code"] for r in rows)
 
 
 def test_slice_jobs_flag_never_changes_results(tmp_path):
-    sources = []
-    for i, body in enumerate(["strcpy(a, b);", "buf[i] = 0;", "*p = q;", "x = a + b;"]):
-        path = tmp_path / f"s{i}.c"
-        path.write_text(f"void f{i}() {{\n  {body}\n}}\n")
-        sources.append(str(path))
+    sources = _write_sources(tmp_path, {n: SLICE_SOURCES[n] for n in ("s0.c", "s1.c", "s2.c", "s3.c")})
     out1, out2 = tmp_path / "j1", tmp_path / "j2"
     assert main(["slice", "--in", *sources, "--jobs", "1", "--out", str(out1)]) == 0
     assert main(["slice", "--in", *sources, "--jobs", "4", "--out", str(out2)]) == 0
@@ -155,12 +166,12 @@ def test_slice_jobs_flag_never_changes_results(tmp_path):
 
 def test_slice_jobs_reports_a_file_that_fails_to_lex(tmp_path):
     # a worker's error has to come back through the pool, not hang it
-    good, bad = tmp_path / "ok.c", tmp_path / "bad.c"
-    good.write_text("void f(char *s) {\n  strcpy(b, s);\n}\n")
+    (good,) = _write_sources(tmp_path, {"ok.c": SLICE_SOURCES["ok.c"]})
+    bad = tmp_path / "bad.c"
     bad.write_text("int f() {\n  int $x;\n}\n")
     result = _run_python(
         "-c", "import sys; from slicevuln.cli import main; sys.exit(main(sys.argv[1:]))",
-        "slice", "--in", str(good), str(bad), "--jobs", "2", "--out", str(tmp_path / "o"))
+        "slice", "--in", good, str(bad), "--jobs", "2", "--out", str(tmp_path / "o"))
     assert result.returncode == 2
     assert f"{bad}: line 2: unexpected character '$'" in result.stderr
 
@@ -171,6 +182,20 @@ def test_slice_non_utf8_file_is_data_error(tmp_path, capsys):
     assert main(["slice", "--in", str(src), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert f"{src}: 'utf-8' codec can't decode" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("expected,sources", [
+    ("multi_function.slices.jsonl",
+     {"multi_function.c": (FIXTURES / "multi_function.c").read_text(encoding="utf-8")}),
+    ("cli_sources.slices.jsonl", SLICE_SOURCES),
+], ids=["multi_function", "cli_sources"])
+def test_slice_output_is_frozen(tmp_path, monkeypatch, expected, sources):
+    # the expected files were written by the re-lexing slicer that the
+    # per-file index replaced; the output must not change by a byte
+    _write_sources(tmp_path, sources)
+    monkeypatch.chdir(tmp_path)  # relative --in paths keep "source" stable
+    assert main(["slice", "--in", *sources, "--out", "out"]) == 0
+    assert (tmp_path / "out" / "slices.jsonl").read_bytes() == (FIXTURES / expected).read_bytes()
 
 
 def test_seed_env_var_is_default_of_last_resort(tmp_path, small_corpus_path, monkeypatch):
@@ -189,6 +214,16 @@ def test_balance_cli_matches_library(tmp_path, small_corpus_path):
     cli_ids = load(out / "balanced.jsonl").ids()
     lib_ids = balance_h1(load(small_corpus_path), seed=7).samples.ids()
     assert cli_ids == lib_ids
+
+
+def test_balance_non_utf8_corpus_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b'{"id": "a", "kind": "API", "label": 0, "code": "x = 1;"}\n'
+                    b'{"id": "b", "kind": "API", "label": 1, "code": "caf\xe9"}\n')
+    assert main(["balance", "--in", str(bad), "--hypothesis", "h1",
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:2: not UTF-8 (byte 0xe9" in err and "Traceback" not in err
 
 
 def test_balance_h1_reference_manifest_total(tmp_path):
@@ -223,6 +258,16 @@ def test_train_then_evaluate(tmp_path, small_corpus_path):
     lines = (eval_dir / "metrics.csv").read_text().splitlines()
     assert lines[0].startswith("category,recall")
     assert any(l.startswith("Overall,") for l in lines)
+
+
+def test_train_on_a_corpus_too_small_to_split_is_data_error(tmp_path, small_corpus_path,
+                                                           capsys):
+    # three samples of one (kind, label) cell: the 8/2 split holds none out
+    tiny = tmp_path / "tiny.jsonl"
+    tiny.write_text("".join(small_corpus_path.read_text().splitlines(keepends=True)[:3]))
+    assert main(["train", "--in", str(tiny), *FAST_FLAGS, "--out", str(tmp_path / "m")]) == 2
+    err = capsys.readouterr().err
+    assert "training and validation sets must be non-empty" in err
 
 
 def test_run_strategy_spec_file_and_determinism(tmp_path, small_corpus_path):

@@ -108,6 +108,18 @@ def test_gadget_text_bad_label(tmp_path):
         load(path, format="gadget-text")
 
 
+@pytest.mark.parametrize("format,data", [
+    ("jsonlines", b'{"id": "a", "kind": "AU", "label": 0, "code": "b[i] = 0;"}\n\n\n'
+                  b'{"id": "b", "kind": "AU", "label": 1, "code": "caf\xe9"}\n'),
+    ("gadget-text", b"char *s = 0;\n1\n-----\n/* caf\xe9 */\n0\n-----\n"),
+])
+def test_load_non_utf8_names_file_and_line(tmp_path, format, data):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(data)
+    with pytest.raises(DataError, match=r"latin1\.txt:4: not UTF-8 \(byte 0xe9: "):
+        load(path, format=format)
+
+
 def test_unknown_format(tmp_path):
     path = tmp_path / "x.jsonl"
     path.write_text("")

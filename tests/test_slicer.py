@@ -1,8 +1,10 @@
 import pickle
 import string
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slicevuln import (
     Kind,
@@ -15,6 +17,15 @@ from slicevuln import (
     load_api_list,
 )
 from golden_corpus import GOLDEN
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+# Lexer-relevant pieces that random printable characters rarely combine
+# into (comment, literal and directive delimiters, continuations,
+# multi-character operators, number shapes), plus characters C does not use.
+C_FRAGMENTS = ["/*", "*/", "//", '"', "'", "\\", "\\\n", "#", "#define X ", "\n", "\r\n",
+               " ", "\t", "->", "<<=", "...", "++", "0x1F", "1e+5", ".5", "10UL", "int", "x_1",
+               "(", ")", "{", "}", "[", "]", ";", "*", "$", "@", "`", "\u00e9"]
 
 
 def test_lex_empty():
@@ -100,6 +111,18 @@ def test_lex_round_trip_random_printable():
         assert "".join(t.text for t in toks) == s
         checked += 1
     assert checked > 100
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.text(alphabet=string.printable, max_size=80)
+       | st.lists(st.sampled_from(C_FRAGMENTS + list(string.printable)), max_size=40).map("".join))
+def test_lex_round_trips_or_raises_lex_error(src):
+    # any other exception escapes and fails the test
+    try:
+        toks = lex(src)
+    except LexError:
+        return
+    assert "".join(t.text for t in toks) == src
 
 
 @pytest.mark.parametrize("name,src,expected", GOLDEN, ids=[g[0] for g in GOLDEN])
@@ -195,7 +218,7 @@ def test_build_slice_stays_inside_function():
 
 
 def test_function_regions_ignore_call_brace_patterns_in_bodies():
-    from slicevuln.slicer import _function_regions, lex as lex_fn
+    from slicevuln.slicer import _function_regions, _index
 
     src = (
         "int outer(int n) {\n"
@@ -207,7 +230,25 @@ def test_function_regions_ignore_call_brace_patterns_in_bodies():
         "    strcpy(buf, s);\n"
         "}"
     )
-    assert _function_regions(lex_fn(src)) == [(1, 5), (6, 8)]
+    idx = _index(src)
+    assert _function_regions(idx.sig, idx.closing) == [(1, 5), (6, 8)]
+
+
+def test_slicing_a_file_lexes_it_once(monkeypatch):
+    from slicevuln import cli, slicer
+
+    calls = []
+
+    def counting_lex(source):
+        calls.append(source)
+        return real_lex(source)
+
+    real_lex = slicer.lex
+    monkeypatch.setattr(slicer, "lex", counting_lex)
+    slicer._index.cache_clear()
+    records = cli._slice_one_file((str(FIXTURES / "multi_function.c"), SliceConfig()))
+    assert len(records) > 100
+    assert len(calls) == 1
 
 
 def test_build_slice_focus_always_present():
