@@ -24,7 +24,7 @@ print("normalized:", normalize(sample.code))
 # side, encodes both sides and trains with early stopping on the test side.
 cfg = ModelConfig(max_len=48, vocab_size=512)  # 2 layers, 64 hidden, 4 heads
 tcfg = TrainConfig(learning_rate=1e-3, epochs=6, early_stop_patience=3, seed=42)
-fitted = fit(train_set, test_set, cfg, tcfg, seed=42)
+fitted = fit(train_set, test_set, cfg, tcfg)  # initialized from tcfg.seed
 print(f"\nvocabulary: {len(fitted.vocab)} entries")
 print(f"model: {fitted.net.num_parameters():,} parameters")
 

@@ -24,9 +24,8 @@ out_dir = Path("demo_runs")
 for sid in ("S1", "S2", "S3"):
     spec = StrategySpec(
         id=sid,
-        seed=42,
         model_config=ModelConfig(max_len=48, vocab_size=512),
-        train_config=TrainConfig(epochs=6, early_stop_patience=3, seed=42),
+        train_config=TrainConfig(epochs=6, early_stop_patience=3, seed=42),  # the run's seed
     )
     report = run(spec, corpus)
     fp = report.fingerprints

@@ -24,7 +24,6 @@ from .model import (
     forward,
     grad_check,
     init,
-    loss,
     predict,
     train,
 )
@@ -39,7 +38,7 @@ __all__ = [
     "BalancedSet", "balance_h1", "balance_h2", "remainder",
     "Encoding", "EncodedDataset", "Vocab", "build_vocab", "encode", "normalize",
     "Model", "ModelConfig", "TrainConfig", "TrainHistory",
-    "forward", "grad_check", "init", "loss", "predict", "train",
+    "forward", "grad_check", "init", "predict", "train",
     "ConfusionMatrix", "MetricSet", "aggregate", "compute", "confusion",
     "Report", "ResourceUsage", "StrategySpec", "compare", "emit", "run",
     "DataError", "LexError", "NumericError", "SliceVulnError",

@@ -11,12 +11,13 @@ import argparse
 import dataclasses
 import json
 import os
+import shlex
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 
 from . import balancer, corpus, experiments, metrics, model, slicer, synth, tokenizer
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, read_utf8
 
 
 def _log(msg: str) -> None:
@@ -28,14 +29,33 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    def convert_arg_line_to_args(self, arg_line):
+        """A flags-file line holds shell words; '#' starts a comment."""
+        try:
+            return shlex.split(arg_line, comments=True)
+        except ValueError as e:  # an unclosed quote
+            self.error(f"flags file line {arg_line!r}: {e}")
 
-def _default_seed() -> int:
-    env = os.environ.get("SLICEVULN_SEED")
-    return int(env) if env and env.isdigit() else 42
+    def _read_args_from_files(self, arg_strings):
+        # argparse decodes a flags file by the locale and lets a decoding
+        # error escape as a traceback; check each file is readable UTF-8 first
+        for arg in arg_strings:
+            if arg and arg[0] in self.fromfile_prefix_chars:
+                try:
+                    read_utf8(arg[1:])
+                except (DataError, OSError) as e:
+                    self.error(str(e))
+        return super()._read_args_from_files(arg_strings)
+
+
+def _seed(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_seed, default=None,
                    help="default: SLICEVULN_SEED env var, then 42")
     p.add_argument("--out", type=Path, required=True, help="output file or directory")
     p.set_defaults(parser=p)
@@ -43,20 +63,24 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 @contextmanager
 def _flag_values(args):
-    """Configs reject out-of-range values, and spec files unknown or mistyped
-    keys, with ValueError.  Those are usage errors (exit 1)."""
+    """Configs reject out-of-range values with ValueError.  Those are usage
+    errors (exit 1)."""
     try:
         yield
     except ValueError as e:
         args.parser.error(str(e))
 
 
-def _resolve_seed(args, spec_cfg: dict | None = None) -> int:
+def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    if spec_cfg and "seed" in spec_cfg:
-        return int(spec_cfg["seed"])
-    return _default_seed()
+    env = os.environ.get("SLICEVULN_SEED")
+    if not env:
+        return 42
+    try:
+        return _seed(env)
+    except argparse.ArgumentTypeError as e:
+        args.parser.error(f"SLICEVULN_SEED: {e}")
 
 
 def _build_parser() -> _Parser:
@@ -96,10 +120,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--no-normalize", action="store_true")
     _add_common(p)
 
-    p = sub.add_parser("run-strategy", help="run one strategy end to end")
-    p.add_argument("--spec", type=Path, default=None, help="JSON run-config file")
-    p.add_argument("--strategy", choices=["s1", "s2", "s3"], default=None)
-    p.add_argument("--in", dest="input", type=Path, default=None)
+    p = sub.add_parser("run-strategy", help="run one strategy end to end",
+                       fromfile_prefix_chars="@",
+                       epilog="@FILE reads flags from FILE, shell words on each line; "
+                              "flags after it win")
+    p.add_argument("--strategy", choices=["s1", "s2", "s3"], default="s2")
+    p.add_argument("--in", dest="input", type=Path, required=True)
     _add_model_flags(p)
     _add_common(p)
 
@@ -134,38 +160,14 @@ _TRAIN_KEYS = {
     "lr": "learning_rate", "batch_size": "batch_size", "epochs": "epochs",
     "patience": "early_stop_patience", "weight_decay": "weight_decay",
 }
-_JSON_TYPES = {"int": int, "float": (int, float)}
 
 
-def _spec_section(spec_cfg: dict, section: str, config_cls) -> dict:
-    """The spec file's ``section`` object, checked against the fields of
-    ``config_cls``; an unknown key or a value of the wrong JSON type is a
-    ValueError naming the key."""
-    kw = spec_cfg.get(section, {})
-    if not isinstance(kw, dict):
-        raise ValueError(f"spec file: {section!r} must be an object")
-    types = {f.name: f.type for f in dataclasses.fields(config_cls)}
-    for key, value in kw.items():
-        if key not in types:
-            raise ValueError(f"spec file: unknown {section} key {key!r}")
-        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[types[key]]):
-            raise ValueError(f"spec file: {section}.{key} must be {types[key]}, got {value!r}")
-    return dict(kw)
-
-
-def _configs_from_args(args, spec_cfg: dict, seed: int) -> tuple[model.ModelConfig, model.TrainConfig]:
-    model_kw = _spec_section(spec_cfg, "model", model.ModelConfig)
-    train_kw = _spec_section(spec_cfg, "train", model.TrainConfig)
-    for flag, key in _MODEL_KEYS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            model_kw[key] = value
-    for flag, key in _TRAIN_KEYS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            train_kw[key] = value
-    train_kw["seed"] = seed
-    return model.ModelConfig(**model_kw), model.TrainConfig(**train_kw)
+def _configs_from_args(args, seed: int) -> tuple[model.ModelConfig, model.TrainConfig]:
+    model_kw = {key: getattr(args, flag) for flag, key in _MODEL_KEYS.items()
+                if getattr(args, flag) is not None}
+    train_kw = {key: getattr(args, flag) for flag, key in _TRAIN_KEYS.items()
+                if getattr(args, flag) is not None}
+    return model.ModelConfig(**model_kw), model.TrainConfig(**train_kw, seed=seed)
 
 
 def _slice_one_file(job: tuple[str, slicer.SliceConfig]) -> list[dict]:
@@ -241,10 +243,10 @@ def _cmd_train(args) -> int:
     seed = _resolve_seed(args)
     sset = corpus.load(args.input)
     with _flag_values(args):
-        mcfg, tcfg = _configs_from_args(args, {}, seed)
+        mcfg, tcfg = _configs_from_args(args, seed)
         train_set, val_set = corpus.split(sset, args.train_fraction, seed)
     _log(f"training on {len(train_set)} samples, validating on {len(val_set)}")
-    fitted = experiments.fit(train_set, val_set, mcfg, tcfg, seed, not args.no_normalize)
+    fitted = experiments.fit(train_set, val_set, mcfg, tcfg, not args.no_normalize)
     args.out.mkdir(parents=True, exist_ok=True)
     vocab_path = fitted.vocab.save(args.out / "vocab.txt")
     ckpt = model.save_checkpoint(fitted.net, args.out / "checkpoint.npz",
@@ -272,28 +274,14 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_run_strategy(args) -> int:
-    spec_cfg = {}
-    if args.spec is not None:
-        try:
-            spec_cfg = json.loads(args.spec.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as e:
-            raise DataError(f"{args.spec}: malformed spec file ({e.msg})") from e
-        if not isinstance(spec_cfg, dict):
-            raise DataError(f"{args.spec}: a spec file holds one JSON object")
-    strategy = (args.strategy or spec_cfg.get("strategy", "s2")).upper()
-    seed = _resolve_seed(args, spec_cfg)
-    corpus_path = args.input or (
-        Path(spec_cfg["paths"]["corpus"]) if "paths" in spec_cfg else None
-    )
-    if corpus_path is None:
-        raise DataError("no corpus: pass --in or a spec file with paths.corpus")
+    seed = _resolve_seed(args)
     with _flag_values(args):
-        mcfg, tcfg = _configs_from_args(args, spec_cfg, seed)
+        mcfg, tcfg = _configs_from_args(args, seed)
         spec = experiments.StrategySpec(
-            id=strategy, seed=seed, model_config=mcfg, train_config=tcfg,
-            normalize_symbols=not args.no_normalize and spec_cfg.get("normalize", True),
+            id=args.strategy.upper(), model_config=mcfg, train_config=tcfg,
+            normalize_symbols=not args.no_normalize,
         )
-    sset = corpus.load(corpus_path)
+    sset = corpus.load(args.input)
     _log(f"running {spec.id} ({spec.hypothesis}) on {len(sset)} samples, seed {seed}")
     report = experiments.run(spec, sset)
     run_dir = args.out / f"{spec.id.lower()}-seed{seed}"
@@ -338,7 +326,9 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:  # with the subcommand's usage line, not the top level's
+            getattr(args, "parser", parser).error(f"unrecognized arguments: {' '.join(unknown)}")
         if args.command is None:
             parser.print_help(sys.stderr)
             return 1

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, not_utf8
 
 
 class Kind(str, Enum):
@@ -171,20 +171,6 @@ def _gadget_record(
     return Sample(id=sample_id, kind=kind, label=label, code=code, source=source)
 
 
-def _not_utf8(path: Path) -> DataError:
-    """The data error for a file that does not decode, naming its first bad
-    line.  A newline byte never occurs inside a UTF-8 sequence, so decoding
-    line by line finds the line the whole-file decode failed on."""
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as e:
-                return DataError(f"{path}:{lineno}: not UTF-8 "
-                                 f"(byte 0x{raw[e.start]:02x}: {e.reason})")
-    return DataError(f"{path}: not UTF-8")
-
-
 def load(
     path: str | Path,
     format: str = "jsonlines",
@@ -198,7 +184,7 @@ def load(
         if format == "gadget-text":
             return SampleSet(_load_gadget_text(path, default_kind))
     except UnicodeDecodeError as e:
-        raise _not_utf8(path) from e
+        raise not_utf8(path) from e
     raise DataError(f"unknown format {format!r} (expected jsonlines or gadget-text)")
 
 

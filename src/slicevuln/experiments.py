@@ -11,9 +11,9 @@ A run is ``fit`` (tokenize and train on a split) followed by ``score``
 (predict a test set and tally per-kind metrics); S3 is S2's fit scored on
 the remainder.  The held-out 20% is encoded once and serves as the
 early-stopping validation set and, for S1 and S2, as the test set.  Every
-random stage is keyed by the spec seed, so a rerun with the same seed
-regenerates identical datasets, models, and metric files; only wall time
-and memory readings differ.
+random stage is keyed by the run's one seed, ``TrainConfig.seed``, so a
+rerun with the same seed regenerates identical datasets, models, and metric
+files; only wall time and memory readings differ.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ _TRAIN_FRACTION = 0.8
 @dataclass
 class StrategySpec:
     id: str
-    seed: int = 42
     model_config: model.ModelConfig = field(default_factory=model.ModelConfig)
     train_config: model.TrainConfig = field(default_factory=model.TrainConfig)
     normalize_symbols: bool = True
@@ -50,6 +49,12 @@ class StrategySpec:
     @property
     def hypothesis(self) -> str:
         return "H1" if self.id == "S1" else "H2"
+
+    @property
+    def seed(self) -> int:
+        """The run's one seed, ``train_config.seed``: it keys balancing,
+        the split, initialization, shuffling and dropout."""
+        return self.train_config.seed
 
 
 @dataclass
@@ -133,12 +138,11 @@ def fit(
     heldout: SampleSet,
     model_config: model.ModelConfig,
     train_config: model.TrainConfig,
-    seed: int,
     normalize_symbols: bool = True,
 ) -> Fitted:
     """Normalize each sample once, build the vocabulary from the training
-    texts, encode both sides, then initialize and train with early stopping
-    on the held-out side."""
+    texts, encode both sides, then initialize from ``train_config.seed`` and
+    train with early stopping on the held-out side."""
     if len(train_set) == 0 or len(heldout) == 0:
         raise DataError("training and validation sets must be non-empty")
     with _Stage("tokenize"):
@@ -151,7 +155,7 @@ def fit(
         )
 
     with _Stage("train"):
-        net = model.init(model_config, seed)
+        net = model.init(model_config, train_config.seed)
         t0 = time.monotonic()
         net, history = model.train(net, train_data, heldout_data, train_config)
         resources = ResourceUsage(
@@ -192,7 +196,7 @@ def run(spec: StrategySpec, full_corpus: SampleSet) -> Report:
     with _Stage("split"):
         train_set, heldout = corpus.split(balanced.samples, _TRAIN_FRACTION, spec.seed)
 
-    fitted = fit(train_set, heldout, spec.model_config, spec.train_config, spec.seed,
+    fitted = fit(train_set, heldout, spec.model_config, spec.train_config,
                  spec.normalize_symbols)
 
     if spec.id == "S3":

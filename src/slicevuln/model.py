@@ -21,6 +21,7 @@ the one eval-mode pass, which refuses non-finite logits.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -345,14 +346,9 @@ def forward(model: Model, data: EncodedDataset, batch_size: int = 64) -> np.ndar
     return logits
 
 
-def loss(logits: np.ndarray, labels: Sequence[int]) -> float:
-    """Mean cross-entropy of softmax(logits) against integer labels."""
-    value, _ = _loss_and_grad(np.asarray(logits, dtype=np.float64),
-                              np.asarray(labels, dtype=np.int64))
-    return value
-
-
 def _loss_and_grad(logits: np.ndarray, labels: np.ndarray):
+    """Mean cross-entropy of softmax(logits) against integer labels, and its
+    gradient with respect to the logits."""
     if logits.shape[0] != labels.shape[0]:
         raise ValueError("logits and labels differ in batch size")
     B = logits.shape[0]
@@ -532,22 +528,31 @@ def save_checkpoint(model: Model, path: str | Path, vocab_hash: str) -> Path:
     return path
 
 
-def load_checkpoint(path: str | Path, expected_vocab_hash: str | None = None) -> tuple[Model, str]:
-    """Load a checkpoint; refuses on version or vocab-hash mismatch."""
-    with np.load(path) as blob:
-        meta = json.loads(bytes(blob["__meta__"]).decode())
+def load_checkpoint(path: str | Path, expected_vocab_hash: str) -> tuple[Model, str]:
+    """Load a checkpoint written by ``save_checkpoint``.  A file that is not
+    one, a version or vocabulary-hash mismatch, and parameters whose names or
+    shapes differ from what ``init`` gives for the stored config are each a
+    DataError naming the file."""
+    try:
+        with np.load(path) as blob:
+            meta = json.loads(bytes(blob["__meta__"]).decode())
+            arrays = {name: blob[name] for name in blob.files if name != "__meta__"}
         if meta.get("version") != CHECKPOINT_VERSION:
-            raise DataError(f"unsupported checkpoint version {meta.get('version')}")
-        if expected_vocab_hash is not None and meta["vocab_hash"] != expected_vocab_hash:
+            raise DataError(f"{path}: unsupported checkpoint version {meta.get('version')}")
+        if meta["vocab_hash"] != expected_vocab_hash:
             raise DataError(
-                "vocabulary hash mismatch: the checkpoint was trained with a "
+                f"{path}: vocabulary hash mismatch: the checkpoint was trained with a "
                 "different vocabulary"
             )
         cfg = ModelConfig(**meta["config"])
-        params = {}
-        for name, shape in meta["shapes"].items():
-            arr = blob[name]
-            if list(arr.shape) != shape:
-                raise DataError(f"checkpoint parameter {name} has wrong shape")
-            params[name] = arr.astype(np.float64)
-    return Model(cfg, params), meta["vocab_hash"]
+    except (AttributeError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as e:
+        raise DataError(f"{path}: not a checkpoint ({type(e).__name__}: {e})") from e
+    expected = {name: p.shape for name, p in init(cfg, 0).params.items()}
+    if arrays.keys() != expected.keys():
+        raise DataError(f"{path}: parameters missing {sorted(expected.keys() - arrays.keys())}, "
+                        f"unexpected {sorted(arrays.keys() - expected.keys())}")
+    for name, shape in expected.items():
+        if arrays[name].shape != shape:
+            raise DataError(f"{path}: parameter {name} has shape {arrays[name].shape}, "
+                            f"the stored config gives {shape}")
+    return Model(cfg, {name: arrays[name].astype(np.float64) for name in expected}), meta["vocab_hash"]

@@ -27,7 +27,7 @@ from enum import Enum
 from pathlib import Path
 
 from .corpus import Kind
-from .errors import LexError
+from .errors import LexError, read_utf8
 
 
 class TokenClass(str, Enum):
@@ -77,7 +77,7 @@ DEFAULT_API_LIST = frozenset(
 def load_api_list(path: str | Path) -> frozenset[str]:
     """Read a risky-function list: one name per line, '#' starts a comment."""
     names = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in read_utf8(path).splitlines():
         name = raw.split("#", 1)[0].strip()
         if name:
             names.append(name)
@@ -285,36 +285,6 @@ def _is_binary_position(prev: Token | None) -> bool:
     return prev.text in (")", "]", "++", "--")
 
 
-def _ae_focus(toks: list[Token], op_idx: int) -> str | None:
-    """Focus for an arithmetic site: the assigned variable when the line has
-    an assignment before the operator, else the nearest identifier operand."""
-    op = toks[op_idx]
-    line_start = op_idx
-    while line_start > 0 and toks[line_start - 1].line == op.line:
-        line_start -= 1
-    assign_idx = None
-    for j in range(line_start, op_idx):
-        if toks[j].cls is TokenClass.OPERATOR and toks[j].text in _ASSIGN_OPS:
-            assign_idx = j
-    if assign_idx is not None:
-        stmt_start = line_start
-        for j in range(assign_idx - 1, line_start - 1, -1):
-            if toks[j].text == ";":
-                stmt_start = j + 1
-                break
-        for j in range(stmt_start, assign_idx):
-            if toks[j].cls is TokenClass.IDENTIFIER:
-                return toks[j].text
-        return None
-    prev = toks[op_idx - 1] if op_idx > 0 else None
-    nxt = toks[op_idx + 1] if op_idx + 1 < len(toks) else None
-    if prev is not None and prev.cls is TokenClass.IDENTIFIER and prev.line == op.line:
-        return prev.text
-    if nxt is not None and nxt.cls is TokenClass.IDENTIFIER and nxt.line == op.line:
-        return nxt.text
-    return None
-
-
 def extract_candidates(source: str, cfg: SliceConfig | None = None) -> list[Candidate]:
     """Detect API/AU/PU/AE candidate sites in the token stream.
 
@@ -335,9 +305,21 @@ def extract_candidates(source: str, cfg: SliceConfig | None = None) -> list[Cand
             found[site] = cand
 
     bracket_depth = 0
+    # per line, so far: the first identifier of the current statement, and
+    # whether an assignment was seen and the first identifier of its statement
+    line, stmt_first, assigned, assign_focus = 0, None, False, None
     for i, tok in enumerate(toks):
         prev = toks[i - 1] if i > 0 else None
         nxt = toks[i + 1] if i + 1 < len(toks) else None
+
+        if tok.line != line:
+            line, stmt_first, assigned = tok.line, None, False
+        if tok.text == ";":
+            stmt_first = None
+        elif tok.cls is TokenClass.IDENTIFIER and stmt_first is None:
+            stmt_first = tok.text
+        elif tok.cls is TokenClass.OPERATOR and tok.text in _ASSIGN_OPS:
+            assigned, assign_focus = True, stmt_first
 
         if tok.text == "[":
             bracket_depth += 1
@@ -376,7 +358,11 @@ def extract_candidates(source: str, cfg: SliceConfig | None = None) -> list[Cand
                 and nxt is not None
                 and nxt.cls in (TokenClass.IDENTIFIER, TokenClass.NUMBER)
             ):
-                focus = _ae_focus(toks, i)
+                # the assigned variable when the line has an assignment before
+                # the operator, else the nearest identifier operand on its line
+                focus = assign_focus if assigned else next(
+                    (t.text for t in (prev, nxt)
+                     if t.cls is TokenClass.IDENTIFIER and t.line == tok.line), None)
                 if focus is not None:
                     claim(Kind.AE, tok, focus, (tok.line, tok.line))
 

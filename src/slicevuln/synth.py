@@ -2,8 +2,8 @@
 
 Two generators:
 
-* ``reference_corpus`` expands a per-kind count table (default: the
-  bundled reference distribution) into a corpus with exactly those counts.
+* ``reference_corpus`` expands the bundled reference distribution into a
+  corpus with exactly those per-kind counts.
   Content is minimal; it exists to exercise balancing arithmetic.
 * ``pattern_corpus`` plants separable vulnerability patterns whose signal
   survives symbol normalization: unbounded vs. bounded API calls, missing
@@ -22,7 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from .corpus import KIND_ORDER, Kind, Label, Sample, SampleSet
-from .errors import DataError
+from .errors import DataError, read_utf8
 
 # Per-kind (vulnerable, non-vulnerable) counts of the reference distribution:
 # a heavily imbalanced real-world-shaped corpus of 420,627 slices.
@@ -43,25 +43,26 @@ DESK_COUNTS: dict[Kind, tuple[int, int]] = {
 }
 
 
-def write_counts_manifest(counts: Mapping[Kind, tuple[int, int]], path: str | Path) -> Path:
-    path = Path(path)
-    payload = {
-        k.value: {"vulnerable": c[0], "non_vulnerable": c[1]} for k, c in counts.items()
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    return path
-
-
 def read_counts_manifest(path: str | Path) -> dict[Kind, tuple[int, int]]:
+    """Per-kind counts from a JSON object mapping kind names to
+    ``{"vulnerable": n, "non_vulnerable": n}`` with non-negative integer
+    counts; anything else is a DataError naming the file."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(read_utf8(path))
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: malformed counts manifest ({e.msg})") from e
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: a counts manifest holds one JSON object")
     counts = {}
     for name, cell in payload.items():
         if name not in Kind._value2member_map_:
             raise DataError(f"{path}: unknown kind {name!r}")
-        counts[Kind(name)] = (int(cell["vulnerable"]), int(cell["non_vulnerable"]))
+        if not (isinstance(cell, dict) and all(
+                type(cell.get(key)) is int and cell[key] >= 0
+                for key in ("vulnerable", "non_vulnerable"))):
+            raise DataError(f"{path}: {name} needs non-negative integer 'vulnerable' "
+                            f"and 'non_vulnerable' counts, got {cell!r}")
+        counts[Kind(name)] = (cell["vulnerable"], cell["non_vulnerable"])
     return counts
 
 
@@ -73,14 +74,12 @@ _REFERENCE_LINES = {
 }
 
 
-def reference_corpus(counts: Mapping[Kind, tuple[int, int]] | None = None) -> SampleSet:
-    """Expand a count table into a corpus with exactly those per-cell counts."""
-    counts = dict(counts) if counts is not None else REFERENCE_COUNTS
+def reference_corpus() -> SampleSet:
+    """Expand the reference count table into a corpus with exactly those
+    per-cell counts."""
     samples = []
     for kind in KIND_ORDER:
-        if kind not in counts:
-            continue
-        n_vul, n_non = counts[kind]
+        n_vul, n_non = REFERENCE_COUNTS[kind]
         line = _REFERENCE_LINES[kind]
         for label, n in ((Label.VULNERABLE, n_vul), (Label.NON_VULNERABLE, n_non)):
             tag = "v" if label == Label.VULNERABLE else "n"
@@ -225,16 +224,3 @@ def pattern_corpus(
                 )
     return SampleSet(samples)
 
-
-def separable_toy_set(n: int = 64, seed: int = 0) -> SampleSet:
-    """Tiny perfectly separable corpus for overfit benchmarks."""
-    rng = np.random.default_rng(seed)
-    samples = []
-    for i in range(n):
-        label = Label(i % 2)
-        kind = KIND_ORDER[i % 4]
-        code = _make_slice(kind, label, rng)
-        samples.append(
-            Sample(id=f"toy-{i:03d}", kind=kind, label=label, code=code, source="toy")
-        )
-    return SampleSet(samples)

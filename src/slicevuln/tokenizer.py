@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, read_utf8
 from .slicer import DEFAULT_API_LIST, TokenClass, lex, significant
 
 _PLACEHOLDER = re.compile(r"(VAR|FUN)(\d+)$")
@@ -98,7 +98,7 @@ class Vocab:
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
         tokens = []
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, line in enumerate(read_utf8(path).splitlines(), 1):
             if not line:
                 continue
             try:

@@ -27,9 +27,10 @@ from slicevuln import (
     remainder,
     train,
 )
+from slicevuln.corpus import KIND_ORDER, Label, Sample, SampleSet
 from slicevuln.experiments import emit, run
 from slicevuln.slicer import C_KEYWORDS, DEFAULT_API_LIST, TokenClass
-from slicevuln.synth import pattern_corpus, reference_corpus, separable_toy_set
+from slicevuln.synth import _make_slice, pattern_corpus, reference_corpus
 from slicevuln.tokenizer import EncodedDataset, Vocab, build_vocab, encode, normalize
 
 from golden_corpus import GOLDEN
@@ -49,10 +50,23 @@ def desk_corpus():
 def desk_spec(sid: str) -> StrategySpec:
     return StrategySpec(
         id=sid,
-        seed=42,
         model_config=ModelConfig(max_len=48, vocab_size=512),
         train_config=TrainConfig(epochs=6, early_stop_patience=3, seed=42),
     )
+
+
+def separable_toy_set(n: int, seed: int) -> SampleSet:
+    """Tiny perfectly separable corpus for the overfit benchmark."""
+    rng = np.random.default_rng(seed)
+    samples = []
+    for i in range(n):
+        label = Label(i % 2)
+        kind = KIND_ORDER[i % 4]
+        code = _make_slice(kind, label, rng)
+        samples.append(
+            Sample(id=f"toy-{i:03d}", kind=kind, label=label, code=code, source="toy")
+        )
+    return SampleSet(samples)
 
 
 @pytest.fixture(scope="module")

@@ -70,10 +70,10 @@ def test_unknown_flag_is_usage_error():
     ("run-strategy", ["--strategy", "s2", "--epochs", "0"]),
     ("train", ["--train-fraction", "1.5"]),
     ("slice", ["--max-lines", "0"]),
-    # a dict stands for a spec file holding it; the error names the key
-    ("run-strategy", ["--spec", {"model": {"hidden": 32}}]),
-    ("run-strategy", ["--spec", {"train": {"epochs": "6"}}]),
-    ("run-strategy", ["--spec", {"model": {"num_layers": True}}]),
+    # {text: named} stands for a flags file holding text; the error names named
+    ("run-strategy", [{"--hiden 32": "--hiden"}]),
+    ("run-strategy", [{"--epochs six": "--epochs"}]),
+    ("run-strategy", [{"--heads 3": "num_heads 3"}]),
 ])
 def test_invalid_flag_value_is_usage_error(tmp_path, small_corpus_path, capsys,
                                            command, flags):
@@ -82,21 +82,21 @@ def test_invalid_flag_value_is_usage_error(tmp_path, small_corpus_path, capsys,
         src = tmp_path / "a.c"
         src.write_text("void f(char *s) {\n  strcpy(b, s);\n}\n")
         inputs = [str(src)]
-    argv, keys = [], []
+    argv, named = [], []
     for flag in flags:
         if isinstance(flag, dict):
-            (kw,) = flag.values()
-            keys += list(kw)
-            spec = tmp_path / "spec.json"
-            spec.write_text(json.dumps(flag))
-            flag = str(spec)
+            ((text, name),) = flag.items()
+            named.append(name)
+            flags_file = tmp_path / "run.flags"
+            flags_file.write_text(text + "\n")
+            flag = f"@{flags_file}"
         argv.append(flag)
     code = main([command, "--in", *inputs, *argv, "--out", str(tmp_path / "out")])
     assert code == 1
     err = capsys.readouterr().err
     assert f"usage: slicevuln {command}" in err and "error:" in err
     assert "Traceback" not in err
-    assert all(key in err for key in keys)
+    assert all(name in err for name in named)
 
 
 def test_missing_input_is_data_error(tmp_path):
@@ -105,13 +105,44 @@ def test_missing_input_is_data_error(tmp_path):
     assert code == 2
 
 
-def test_malformed_spec_is_data_error(tmp_path, small_corpus_path):
-    spec = tmp_path / "broken.cfg"
-    for text in ("{not json", "[1]"):
-        spec.write_text(text)
-        code = main(["run-strategy", "--spec", str(spec), "--in", str(small_corpus_path),
+def test_unreadable_flags_file_is_usage_error(tmp_path, small_corpus_path, capsys):
+    absent, latin1, quote = (tmp_path / f"{n}.flags" for n in ("absent", "latin1", "quote"))
+    latin1.write_bytes(b"--epochs 2\n# caf\xe9\n")
+    quote.write_text('--epochs 2\n--in "corpus.jsonl\n')
+    for flags_file, named in (
+        (absent, f"No such file or directory: '{absent}'"),
+        (latin1, f"{latin1}:2: not UTF-8 (byte 0xe9"),
+        (quote, """flags file line '--in "corpus.jsonl': No closing quotation"""),
+    ):
+        code = main(["run-strategy", f"@{flags_file}", "--in", str(small_corpus_path),
                      "--out", str(tmp_path / "runs")])
-        assert code == 2
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "usage: slicevuln run-strategy" in err
+        assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["build-dataset", "balance", "train", "run-strategy"])
+@pytest.mark.parametrize("flags, env, named", [
+    (["--seed", "-1"], None, "argument --seed: expected a non-negative integer, got '-1'"),
+    ([], "abc", "SLICEVULN_SEED: expected a non-negative integer, got 'abc'"),
+    ([], "-3", "SLICEVULN_SEED: expected a non-negative integer, got '-3'"),
+], ids=["flag-negative", "env-not-a-number", "env-negative"])
+def test_malformed_seed_is_usage_error(tmp_path, small_corpus_path, capsys, monkeypatch,
+                                       command, flags, env, named):
+    if env is None:
+        monkeypatch.delenv("SLICEVULN_SEED", raising=False)
+    else:
+        monkeypatch.setenv("SLICEVULN_SEED", env)
+    inputs = {"build-dataset": [], "balance": ["--hypothesis", "h1"], "train": FAST_FLAGS,
+              "run-strategy": FAST_FLAGS}[command]
+    if command != "build-dataset":
+        inputs = ["--in", str(small_corpus_path), *inputs]
+    assert main([command, *inputs, *flags, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"usage: slicevuln {command}" in err and named in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -188,14 +219,64 @@ def test_slice_non_utf8_file_is_data_error(tmp_path, capsys):
     ("multi_function.slices.jsonl",
      {"multi_function.c": (FIXTURES / "multi_function.c").read_text(encoding="utf-8")}),
     ("cli_sources.slices.jsonl", SLICE_SOURCES),
-], ids=["multi_function", "cli_sources"])
+    ("one_line.slices.jsonl",
+     {"one_line.c": (FIXTURES / "one_line.c").read_text(encoding="utf-8")}),
+], ids=["multi_function", "cli_sources", "one_line"])
 def test_slice_output_is_frozen(tmp_path, monkeypatch, expected, sources):
-    # the expected files were written by the re-lexing slicer that the
-    # per-file index replaced; the output must not change by a byte
+    # the expected files were written by earlier slicers (the re-lexing one
+    # for the first two, the one that rescanned a line for each arithmetic
+    # operator for one_line); the output must not change by a byte
     _write_sources(tmp_path, sources)
     monkeypatch.chdir(tmp_path)  # relative --in paths keep "source" stable
     assert main(["slice", "--in", *sources, "--out", "out"]) == 0
     assert (tmp_path / "out" / "slices.jsonl").read_bytes() == (FIXTURES / expected).read_bytes()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("evaluate", "--vocab"),
+    ("slice", "--api-list"),
+])
+def test_non_utf8_vocab_or_api_list_is_data_error(tmp_path, small_corpus_path, capsys,
+                                                  command, flag):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"strcpy\t3\n# caf\xe9\n")
+    (src,) = _write_sources(tmp_path, {"a.c": SLICE_SOURCES["a.c"]})
+    argv = {"evaluate": ["--model", str(tmp_path / "checkpoint.npz"),
+                         "--in", str(small_corpus_path)],
+            "slice": ["--in", src]}[command]
+    assert main([command, *argv, flag, str(bad), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:2: not UTF-8 (byte 0xe9" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, named", [
+    ('{"API": {"vul": 1}}', "API needs non-negative integer"),
+    ('{"AU": {"vulnerable": -1, "non_vulnerable": 3}}', "AU needs non-negative integer"),
+    ("[1]", "a counts manifest holds one JSON object"),
+    ('{"API": [1, 2]}', "API needs non-negative integer"),
+], ids=["missing-key", "negative", "not-an-object", "cell-not-an-object"])
+def test_bad_counts_manifest_is_data_error(tmp_path, capsys, text, named):
+    counts = tmp_path / "counts.json"
+    counts.write_text(text)
+    assert main(["build-dataset", "--counts", str(counts),
+                 "--out", str(tmp_path / "c.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert f"{counts}: {named}" in err and "Traceback" not in err
+    assert not (tmp_path / "c.jsonl").exists()
+
+
+def test_evaluate_on_a_file_that_is_not_a_checkpoint_is_data_error(tmp_path, small_corpus_path,
+                                                                   capsys):
+    from slicevuln import build_vocab
+    from slicevuln.experiments import model_texts
+
+    vocab = build_vocab(model_texts(load(small_corpus_path)), 64).save(tmp_path / "v.txt")
+    ckpt = tmp_path / "checkpoint.npz"
+    ckpt.write_text("not an archive\n")
+    assert main(["evaluate", "--model", str(ckpt), "--vocab", str(vocab),
+                 "--in", str(small_corpus_path), "--out", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert f"{ckpt}: not a checkpoint" in err and "Traceback" not in err
 
 
 def test_seed_env_var_is_default_of_last_resort(tmp_path, small_corpus_path, monkeypatch):
@@ -270,23 +351,29 @@ def test_train_on_a_corpus_too_small_to_split_is_data_error(tmp_path, small_corp
     assert "training and validation sets must be non-empty" in err
 
 
-def test_run_strategy_spec_file_and_determinism(tmp_path, small_corpus_path):
-    spec = tmp_path / "s2.cfg"
-    spec.write_text(json.dumps({
-        "strategy": "s2",
-        "seed": 42,
-        "model": {"num_layers": 1, "hidden_dim": 32, "num_heads": 4,
-                  "ff_dim": 64, "max_len": 48, "vocab_size": 256},
-        "train": {"epochs": 2, "early_stop_patience": 2},
-        "paths": {"corpus": str(small_corpus_path)},
-    }))
-    out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    assert main(["run-strategy", "--spec", str(spec), "--out", str(out1)]) == 0
-    assert main(["run-strategy", "--spec", str(spec), "--out", str(out2)]) == 0
+def test_run_strategy_flags_file_and_determinism(tmp_path, small_corpus_path):
+    flags = ["--strategy", "s2", "--in", str(small_corpus_path), "--seed", "42", *FAST_FLAGS]
+    flags_file = tmp_path / "s2.flags"
+    flags_file.write_text(
+        "# S2 at desk-test scale\n"
+        f"--strategy s2 --in '{small_corpus_path}'\n"
+        "--seed 42  # the run's one seed\n"
+        + " ".join(FAST_FLAGS) + "\n")
+    out1, out2, typed = tmp_path / "r1", tmp_path / "r2", tmp_path / "typed"
+    assert main(["run-strategy", f"@{flags_file}", "--out", str(out1)]) == 0
+    assert main(["run-strategy", f"@{flags_file}", "--out", str(out2)]) == 0
+    assert main(["run-strategy", *flags, "--out", str(typed)]) == 0
     for name in ("metrics.csv", "metrics.txt"):
         a = (out1 / "s2-seed42" / name).read_bytes()
-        b = (out2 / "s2-seed42" / name).read_bytes()
-        assert a == b
+        assert a == (out2 / "s2-seed42" / name).read_bytes()
+        assert a == (typed / "s2-seed42" / name).read_bytes()
+    report = json.loads((out1 / "s2-seed42" / "report.json").read_text())
+    assert report["seed"] == 42 and report["fingerprints"]["seed"] == 42
+
+    # flags after the file win
+    assert main(["run-strategy", f"@{flags_file}", "--seed", "7", "--out", str(out1)]) == 0
+    report = json.loads((out1 / "s2-seed7" / "report.json").read_text())
+    assert report["seed"] == 7 and report["fingerprints"]["seed"] == 7
 
 
 def test_report_comparison(tmp_path, small_corpus_path):

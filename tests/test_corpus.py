@@ -193,7 +193,10 @@ def test_reference_corpus_matches_reference_counts():
 
 
 def test_counts_manifest_round_trip(tmp_path):
-    from slicevuln.synth import read_counts_manifest, write_counts_manifest
+    from slicevuln.synth import read_counts_manifest
 
-    path = write_counts_manifest(REFERENCE_COUNTS, tmp_path / "counts.json")
+    path = tmp_path / "counts.json"
+    path.write_text(json.dumps({
+        k.value: {"vulnerable": v, "non_vulnerable": n} for k, (v, n) in REFERENCE_COUNTS.items()
+    }))
     assert read_counts_manifest(path) == REFERENCE_COUNTS

@@ -35,7 +35,6 @@ def small_corpus():
 def small_spec(sid, seed=42, epochs=2):
     return StrategySpec(
         id=sid,
-        seed=seed,
         model_config=ModelConfig(num_layers=1, hidden_dim=32, num_heads=4,
                                  ff_dim=64, max_len=48, vocab_size=256),
         train_config=TrainConfig(epochs=epochs, early_stop_patience=epochs, seed=seed),
@@ -236,3 +235,12 @@ def test_strategy_spec_validation():
         StrategySpec(id="S9")
     assert StrategySpec(id="S1").hypothesis == "H1"
     assert StrategySpec(id="S3").hypothesis == "H2"
+
+
+def test_the_train_config_seed_is_the_run_seed():
+    spec = StrategySpec(id="S1", train_config=TrainConfig(seed=7))
+    assert spec.seed == 7
+    with pytest.raises(AttributeError):
+        spec.seed = 8
+    with pytest.raises(TypeError):
+        StrategySpec(id="S1", seed=7)

@@ -1,4 +1,7 @@
+import dataclasses
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,11 +13,10 @@ from slicevuln import (
     forward,
     grad_check,
     init,
-    loss,
     predict,
     train,
 )
-from slicevuln.model import load_checkpoint, save_checkpoint
+from slicevuln.model import _loss_and_grad, load_checkpoint, save_checkpoint
 from slicevuln.tokenizer import EncodedDataset, Encoding
 
 from conftest import random_batch, random_dataset
@@ -89,6 +91,10 @@ def test_pad_positions_do_not_affect_logits(tiny_cfg):
         mutated.append(Encoding(ids=ids, attention_mask=e.attention_mask))
     changed = forward(net, EncodedDataset.from_encodings(mutated, labels))
     assert np.abs(base - changed).max() < 1e-9
+
+
+def loss(logits, labels):
+    return _loss_and_grad(logits, np.asarray(labels))[0]
 
 
 def test_loss_uniform_logits_is_ln2():
@@ -302,3 +308,42 @@ def test_checkpoint_vocab_hash_mismatch(tmp_path, tiny_cfg):
     path = save_checkpoint(net, tmp_path / "model.npz", vocab_hash="abc123")
     with pytest.raises(DataError, match="vocab"):
         load_checkpoint(path, expected_vocab_hash="zzz")
+
+
+def _rewrite_checkpoint(path, drop=(), **config):
+    """Rewrite a saved checkpoint without the ``drop`` arrays and with
+    ``config`` merged into its stored model config."""
+    with np.load(path) as blob:
+        arrays = {name: blob[name] for name in blob.files}
+    meta = json.loads(bytes(arrays["__meta__"]).decode())
+    meta["config"].update(config)
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, **{name: a for name, a in arrays.items() if name not in drop})
+
+
+def test_checkpoint_that_is_not_an_archive_is_data_error(tmp_path):
+    from slicevuln import DataError
+
+    path = tmp_path / "model.npz"
+    path.write_text("not an archive\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}: not a checkpoint")):
+        load_checkpoint(path, expected_vocab_hash="abc123")
+
+
+def test_checkpoint_missing_a_parameter_is_data_error(tmp_path, tiny_cfg):
+    from slicevuln import DataError
+
+    path = save_checkpoint(init(tiny_cfg, seed=4), tmp_path / "model.npz", "abc123")
+    _rewrite_checkpoint(path, drop=("layers.0.Wq",))
+    with pytest.raises(DataError, match=re.escape(f"{path}: parameters missing ['layers.0.Wq']")):
+        load_checkpoint(path, expected_vocab_hash="abc123")
+
+
+def test_checkpoint_config_disagreeing_with_its_arrays_is_data_error(tmp_path, tiny_cfg):
+    from slicevuln import DataError
+
+    net = init(dataclasses.replace(tiny_cfg, vocab_size=16), seed=4)
+    path = save_checkpoint(net, tmp_path / "model.npz", "abc123")
+    _rewrite_checkpoint(path, vocab_size=99)
+    with pytest.raises(DataError, match=re.escape(f"{path}: parameter tok_emb has shape (16, 8)")):
+        load_checkpoint(path, expected_vocab_hash="abc123")
