@@ -174,8 +174,8 @@ def _slice_one_file(job: tuple[str, slicer.SliceConfig]) -> list[dict]:
     """Candidate records of one file; a DataError names the file."""
     path, cfg = job
     name = Path(path).name
+    source = read_utf8(path)
     try:
-        source = Path(path).read_text(encoding="utf-8")
         return [{
             "id": f"{name}#{j}",
             "kind": cand.kind.value,
@@ -185,7 +185,7 @@ def _slice_one_file(job: tuple[str, slicer.SliceConfig]) -> list[dict]:
             "code": slicer.build_slice(source, cand, cfg),
             "source": path,
         } for j, cand in enumerate(slicer.extract_candidates(source, cfg))]
-    except (UnicodeDecodeError, DataError) as e:
+    except DataError as e:
         raise DataError(f"{path}: {e}") from e
 
 

@@ -144,52 +144,97 @@ def init(cfg: ModelConfig, seed: int) -> Model:
 
 
 def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """tanh-form GELU; returns (value, tanh term) so backward can reuse it."""
-    t = np.tanh(_GELU_C * (x + _GELU_A * x * x * x))
-    return 0.5 * x * (1.0 + t), t
+    """tanh-form GELU; returns (value, tanh term) so backward can reuse it.
+    Built in place, in the order of 0.5 * x * (1 + tanh(C * (x + A*x*x*x)))."""
+    t = _GELU_A * x
+    t *= x
+    t *= x
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = t + 1.0
+    y *= 0.5 * x
+    return y, t
 
 
 def _gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
+    """0.5 * (1 + t) + 0.5 * x * (1 - t*t) * C * (1 + 3A * x * x), in place."""
+    g = t * t
+    np.subtract(1.0, g, out=g)
+    g *= 0.5 * x
+    g *= _GELU_C
+    s = (3.0 * _GELU_A) * x
+    s *= x
+    s += 1.0
+    g *= s
+    np.add(t, 1.0, out=s)
+    s *= 0.5
+    g += s
+    return g
+
+
+def _masked_softmax(scores: np.ndarray, scale: float, amask: np.ndarray) -> np.ndarray:
+    """softmax(scores * scale + amask) over the last axis, in place."""
+    scores *= scale
+    scores += amask
+    scores -= scores.max(-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(-1, keepdims=True)
+    return scores
 
 
 def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
-    mu = x.mean(-1, keepdims=True)
-    var = x.var(-1, keepdims=True)
+    xhat = x - x.mean(-1, keepdims=True)
+    var = (xhat * xhat).mean(-1, keepdims=True)  # x.var(-1), sharing the centering
     inv_std = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = (x - mu) * inv_std
-    return g * xhat + b, (xhat, inv_std)
+    xhat *= inv_std
+    y = g * xhat
+    y += b
+    return y, (xhat, inv_std)
 
 
 def _layer_norm_grad(dy: np.ndarray, g: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), in place."""
     xhat, inv_std = cache
-    dg = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
-    db = dy.sum(axis=tuple(range(dy.ndim - 1)))
+    axes = tuple(range(dy.ndim - 1))
+    dg = (dy * xhat).sum(axis=axes)
+    db = dy.sum(axis=axes)
     dxhat = dy * g
-    dx = inv_std * (
-        dxhat
-        - dxhat.mean(-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(-1, keepdims=True)
-    )
-    return dx, dg, db
+    t = dxhat * xhat
+    m = t.mean(-1, keepdims=True)
+    np.multiply(xhat, m, out=t)
+    dxhat -= dxhat.mean(-1, keepdims=True)
+    dxhat -= t
+    dxhat *= inv_std
+    return dxhat, dg, db
 
 
-def _dropout(x: np.ndarray, p: float, rng: np.random.Generator):
+def _dropout(x: np.ndarray, p: float, rng: np.random.Generator, shape: tuple[int, ...]):
+    """Inverted dropout whose mask is drawn at ``shape``, the block's
+    [B, L, H].  A CLS-row input [B, H] keeps row 0 of that draw, so every
+    later draw comes from the same place in the stream as if all rows ran."""
     if p <= 0.0:
         return x, None
-    keep = rng.random(x.shape) >= p
-    return x * keep / (1.0 - p), keep
+    keep = rng.random(shape) >= p
+    if x.ndim == 2:
+        keep = keep[:, 0]
+    y = x * keep
+    y /= 1.0 - p
+    return y, keep
 
 
 def _dropout_grad(dy: np.ndarray, p: float, keep) -> np.ndarray:
     if keep is None:
         return dy
-    return dy * keep / (1.0 - p)
+    dx = dy * keep
+    dx /= 1.0 - p
+    return dx
 
 
 def _split_heads(x: np.ndarray, nh: int, dh: int) -> np.ndarray:
-    B, L, _ = x.shape
-    return x.reshape(B, L, nh, dh).transpose(0, 2, 1, 3)
+    """[B, L, H] or CLS rows [B, H] -> [B, nh, L or 1, dh]."""
+    B = x.shape[0]
+    return x.reshape(B, -1, nh, dh).transpose(0, 2, 1, 3)
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
@@ -198,10 +243,10 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 
 
 def _linear_grads(x: np.ndarray, dz: np.ndarray, W: np.ndarray):
-    """Grads for z = x @ W + b with x [B,L,I], dz [B,L,O]."""
+    """Grads for z = x @ W + b with x [..., I], dz [..., O]."""
     I, O = W.shape
     dW = x.reshape(-1, I).T @ dz.reshape(-1, O)
-    db = dz.sum((0, 1))
+    db = dz.sum(tuple(range(dz.ndim - 1)))
     dx = dz @ W.T
     return dx, dW, db
 
@@ -214,7 +259,15 @@ def _forward_core(
     need_cache: bool = False,
 ):
     """Array-level forward pass; ids/mask are [B, L] with L <= max_len.
-    Dropout applies only when a generator is given (training)."""
+    Dropout applies only when a generator is given (training).
+
+    The head reads only the CLS position, so the last block computes its
+    keys and values from every position but everything on its query side
+    (attention, output projection, FFN, final layer norm) for the CLS row
+    alone, as [B, H] arrays.  Those go through 2D GEMMs over B rows, which
+    round each row as the all-rows GEMM does; the attention products of a
+    single query row do not, so logits move from the all-rows result by
+    roundoff only."""
     cfg = model.config
     P = model.params
     p_drop = cfg.dropout if rng is not None else 0.0
@@ -225,106 +278,104 @@ def _forward_core(
     amask = np.where(mask[:, None, None, :] == 1, 0.0, -np.inf)
 
     x = P["tok_emb"][ids] + P["pos_emb"][:L][None, :, :]
-    x, keep_emb = _dropout(x, p_drop, rng)
+    full = x.shape
+    x, keep_emb = _dropout(x, p_drop, rng, full)
 
     layer_caches = []
     for l in range(cfg.num_layers):
         p = f"layers.{l}."
+        rows = np.s_[:, 0] if l == cfg.num_layers - 1 else np.s_[...]
         h, ln1_cache = _layer_norm(x, P[p + "ln1_g"], P[p + "ln1_b"])
-        q = h @ P[p + "Wq"] + P[p + "bq"]
+        q = h[rows] @ P[p + "Wq"] + P[p + "bq"]
         k = h @ P[p + "Wk"] + P[p + "bk"]
         v = h @ P[p + "Wv"] + P[p + "bv"]
         qh, kh, vh = (_split_heads(t, nh, dh) for t in (q, k, v))
-        scores = qh @ kh.transpose(0, 1, 3, 2) * scale + amask
-        scores_max = scores.max(-1, keepdims=True)
-        expd = np.exp(scores - scores_max)
-        attn = expd / expd.sum(-1, keepdims=True)
-        ctx = _merge_heads(attn @ vh)
+        attn = _masked_softmax(qh @ kh.transpose(0, 1, 3, 2), scale, amask)
+        ctx = _merge_heads(attn @ vh).reshape(q.shape)
         ao = ctx @ P[p + "Wo"] + P[p + "bo"]
-        ao, keep_attn = _dropout(ao, p_drop, rng)
-        x_attn = x + ao
+        ao, keep_attn = _dropout(ao, p_drop, rng, full)
+        x_attn = x[rows] + ao
 
         h2, ln2_cache = _layer_norm(x_attn, P[p + "ln2_g"], P[p + "ln2_b"])
         z1 = h2 @ P[p + "W1"] + P[p + "b1"]
         a1, gelu_t = _gelu(z1)
         z2 = a1 @ P[p + "W2"] + P[p + "b2"]
-        z2, keep_ff = _dropout(z2, p_drop, rng)
+        z2, keep_ff = _dropout(z2, p_drop, rng, full)
         x_out = x_attn + z2
 
         if need_cache:
             layer_caches.append(
-                dict(h=h, ln1=ln1_cache, qh=qh, kh=kh, vh=vh, attn=attn,
+                dict(rows=rows, h=h, ln1=ln1_cache, qh=qh, kh=kh, vh=vh, attn=attn,
                      ctx=ctx, keep_attn=keep_attn, h2=h2, ln2=ln2_cache,
                      z1=z1, a1=a1, gelu_t=gelu_t, keep_ff=keep_ff)
             )
         x = x_out
 
-    hf, lnf_cache = _layer_norm(x, P["lnf_g"], P["lnf_b"])
-    cls = hf[:, 0, :]
+    cls, lnf_cache = _layer_norm(x, P["lnf_g"], P["lnf_b"])
     logits = cls @ P["head_W"] + P["head_b"]
 
     cache = None
     if need_cache:
-        cache = dict(ids=ids, mask=mask, L=L, keep_emb=keep_emb, p_drop=p_drop,
+        cache = dict(ids=ids, L=L, keep_emb=keep_emb, p_drop=p_drop,
                      layers=layer_caches, lnf=lnf_cache, cls=cls, scale=scale)
     return logits, cache
 
 
 def _backward_core(model: Model, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
+    """Gradients of every parameter, each assigned once.  Through the last
+    block only the CLS row carries a gradient, as in ``_forward_core``."""
     cfg = model.config
     P = model.params
-    grads = {name: np.zeros_like(p) for name, p in P.items()}
     ids, L, p_drop = cache["ids"], cache["L"], cache["p_drop"]
     nh, dh = cfg.num_heads, cfg.head_dim
-    B = ids.shape[0]
 
-    grads["head_W"] = cache["cls"].T @ dlogits
-    grads["head_b"] = dlogits.sum(0)
+    grads = {"head_W": cache["cls"].T @ dlogits, "head_b": dlogits.sum(0)}
     dcls = dlogits @ P["head_W"].T
-    dhf = np.zeros((B, L, cfg.hidden_dim))
-    dhf[:, 0, :] = dcls
-    dx, grads["lnf_g"], grads["lnf_b"] = _layer_norm_grad(dhf, P["lnf_g"], cache["lnf"])
+    dx, grads["lnf_g"], grads["lnf_b"] = _layer_norm_grad(dcls, P["lnf_g"], cache["lnf"])
 
     for l in range(cfg.num_layers - 1, -1, -1):
         p = f"layers.{l}."
         c = cache["layers"][l]
+        rows = c["rows"]
 
         # feed-forward branch
         dz2 = _dropout_grad(dx, p_drop, c["keep_ff"])
-        da1, dW2, db2 = _linear_grads(c["a1"], dz2, P[p + "W2"])
-        dz1 = da1 * _gelu_grad(c["z1"], c["gelu_t"])
-        dh2, dW1, db1 = _linear_grads(c["h2"], dz1, P[p + "W1"])
-        grads[p + "W2"], grads[p + "b2"] = dW2, db2
-        grads[p + "W1"], grads[p + "b1"] = dW1, db1
-        dx_attn, dg2, db2n = _layer_norm_grad(dh2, P[p + "ln2_g"], c["ln2"])
-        grads[p + "ln2_g"], grads[p + "ln2_b"] = dg2, db2n
-        dx_attn = dx_attn + dx  # residual
+        da1, grads[p + "W2"], grads[p + "b2"] = _linear_grads(c["a1"], dz2, P[p + "W2"])
+        dz1 = _gelu_grad(c["z1"], c["gelu_t"])
+        dz1 *= da1
+        dh2, grads[p + "W1"], grads[p + "b1"] = _linear_grads(c["h2"], dz1, P[p + "W1"])
+        dx_attn, grads[p + "ln2_g"], grads[p + "ln2_b"] = _layer_norm_grad(
+            dh2, P[p + "ln2_g"], c["ln2"])
+        dx_attn += dx  # residual
 
         # attention branch
         dao = _dropout_grad(dx_attn, p_drop, c["keep_attn"])
-        dctx, dWo, dbo = _linear_grads(c["ctx"], dao, P[p + "Wo"])
-        grads[p + "Wo"], grads[p + "bo"] = dWo, dbo
+        dctx, grads[p + "Wo"], grads[p + "bo"] = _linear_grads(c["ctx"], dao, P[p + "Wo"])
         dctx_h = _split_heads(dctx, nh, dh)
-        dattn = dctx_h @ c["vh"].transpose(0, 1, 3, 2)
-        dvh = c["attn"].transpose(0, 1, 3, 2) @ dctx_h
+        attn = c["attn"]
+        dvh = attn.transpose(0, 1, 3, 2) @ dctx_h
         # softmax backward; masked columns carry attn == 0, hence zero grad
-        ds = c["attn"] * (dattn - (dattn * c["attn"]).sum(-1, keepdims=True))
-        ds = ds * cache["scale"]
-        dqh = ds @ c["kh"]
-        dkh = ds.transpose(0, 1, 3, 2) @ c["qh"]
-        dq, dk, dv = (_merge_heads(t) for t in (dqh, dkh, dvh))
-        dh_sum = np.zeros_like(dx_attn)
-        for name, dt in (("Wq", dq), ("Wk", dk), ("Wv", dv)):
-            dh_part, dW, db = _linear_grads(c["h"], dt, P[p + name])
-            grads[p + name] = dW
-            grads[p + "b" + name[-1].lower()] = db
-            dh_sum = dh_sum + dh_part
-        dx_ln1, dg1, db1n = _layer_norm_grad(dh_sum, P[p + "ln1_g"], c["ln1"])
-        grads[p + "ln1_g"], grads[p + "ln1_b"] = dg1, db1n
-        dx = dx_attn + dx_ln1
+        ds = dctx_h @ c["vh"].transpose(0, 1, 3, 2)
+        ds -= (ds * attn).sum(-1, keepdims=True)
+        ds *= attn
+        ds *= cache["scale"]
+        dq = _merge_heads(ds @ c["kh"]).reshape(dctx.shape)
+        dk, dv = (_merge_heads(t) for t in (ds.transpose(0, 1, 3, 2) @ c["qh"], dvh))
+        h = c["h"]
+        dh_q, grads[p + "Wq"], grads[p + "bq"] = _linear_grads(h[rows], dq, P[p + "Wq"])
+        dh_sum, grads[p + "Wk"], grads[p + "bk"] = _linear_grads(h, dk, P[p + "Wk"])
+        dh_v, grads[p + "Wv"], grads[p + "bv"] = _linear_grads(h, dv, P[p + "Wv"])
+        dh_sum[rows] += dh_q
+        dh_sum += dh_v
+        dx, grads[p + "ln1_g"], grads[p + "ln1_b"] = _layer_norm_grad(
+            dh_sum, P[p + "ln1_g"], c["ln1"])
+        dx[rows] += dx_attn
 
     dx = _dropout_grad(dx, p_drop, cache["keep_emb"])
-    np.add.at(grads["tok_emb"], ids, dx)
+    V, H = P["tok_emb"].shape
+    slots = (ids[:, :, None] * H + np.arange(H)).ravel()
+    grads["tok_emb"] = np.bincount(slots, weights=dx.ravel(), minlength=V * H).reshape(V, H)
+    grads["pos_emb"] = np.zeros_like(P["pos_emb"])
     grads["pos_emb"][:L] = dx.sum(0)
     return grads
 
@@ -419,18 +470,28 @@ def grad_check(
 
 
 def _adamw_step(params, grads, m, v, t, tcfg: TrainConfig):
+    """One AdamW update of ``params``, ``m`` and ``v``, each tensor in place."""
     lr, wd = tcfg.learning_rate, tcfg.weight_decay
     bc1 = 1.0 - _ADAM_BETA1**t
     bc2 = 1.0 - _ADAM_BETA2**t
     for name, p in params.items():
-        g = grads[name]
-        m[name] = _ADAM_BETA1 * m[name] + (1.0 - _ADAM_BETA1) * g
-        v[name] = _ADAM_BETA2 * v[name] + (1.0 - _ADAM_BETA2) * g * g
-        mhat = m[name] / bc1
-        vhat = v[name] / bc2
+        g, m_t, v_t = grads[name], m[name], v[name]
+        m_t *= _ADAM_BETA1
+        m_t += (1.0 - _ADAM_BETA1) * g
+        step = (1.0 - _ADAM_BETA2) * g
+        step *= g
+        v_t *= _ADAM_BETA2
+        v_t += step
+        # lr * mhat / (sqrt(vhat) + eps)
+        np.divide(m_t, bc1, out=step)
+        step *= lr
+        denom = v_t / bc2
+        np.sqrt(denom, out=denom)
+        denom += _ADAM_EPS
+        step /= denom
         if wd > 0 and p.ndim >= 2:  # decay decoupled; biases and LN params exempt
             p *= 1.0 - lr * wd
-        p -= lr * mhat / (np.sqrt(vhat) + _ADAM_EPS)
+        p -= step
         if not np.all(np.isfinite(p)):
             raise NumericError(f"non-finite values in {name} after optimizer step {t}")
 
@@ -506,10 +567,18 @@ def train(
 
 
 def predict(model: Model, data: EncodedDataset) -> np.ndarray:
-    """0/1 labels; vulnerable iff softmax probability of class 1 >= 0.5."""
-    logits = forward(model, data)
+    """0/1 labels; vulnerable iff softmax probability of class 1 >= 0.5.
+    ``forward`` runs over the samples in stable length order, so each batch
+    is trimmed close to the length of all its samples; labels come back in
+    input order."""
+    order = np.argsort(data.attention_mask.sum(1), kind="stable")
+    logits = forward(model, EncodedDataset(ids=data.ids[order],
+                                           attention_mask=data.attention_mask[order],
+                                           labels=data.labels[order]))
     e = np.exp(logits - logits.max(-1, keepdims=True))
-    return (e[:, 1] / e.sum(-1) >= _THRESHOLD).astype(np.int64)
+    labels = np.empty(len(data), dtype=np.int64)
+    labels[order] = e[:, 1] / e.sum(-1) >= _THRESHOLD
+    return labels
 
 
 def save_checkpoint(model: Model, path: str | Path, vocab_hash: str) -> Path:

@@ -46,7 +46,8 @@ DESK_COUNTS: dict[Kind, tuple[int, int]] = {
 def read_counts_manifest(path: str | Path) -> dict[Kind, tuple[int, int]]:
     """Per-kind counts from a JSON object mapping kind names to
     ``{"vulnerable": n, "non_vulnerable": n}`` with non-negative integer
-    counts; anything else is a DataError naming the file."""
+    counts, at least one of them positive; anything else is a DataError
+    naming the file."""
     try:
         payload = json.loads(read_utf8(path))
     except json.JSONDecodeError as e:
@@ -63,6 +64,8 @@ def read_counts_manifest(path: str | Path) -> dict[Kind, tuple[int, int]]:
             raise DataError(f"{path}: {name} needs non-negative integer 'vulnerable' "
                             f"and 'non_vulnerable' counts, got {cell!r}")
         counts[Kind(name)] = (cell["vulnerable"], cell["non_vulnerable"])
+    if not any(v + n for v, n in counts.values()):
+        raise DataError(f"{path}: a counts manifest needs at least one sample")
     return counts
 
 

@@ -209,10 +209,10 @@ def test_slice_jobs_reports_a_file_that_fails_to_lex(tmp_path):
 
 def test_slice_non_utf8_file_is_data_error(tmp_path, capsys):
     src = tmp_path / "latin1.c"
-    src.write_bytes("int caf\u00e9;\n".encode("latin-1"))
+    src.write_bytes("int a;\nint b;\nint caf\u00e9;\n".encode("latin-1"))
     assert main(["slice", "--in", str(src), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert f"{src}: 'utf-8' codec can't decode" in err and "Traceback" not in err
+    assert f"{src}:3: not UTF-8 (byte 0xe9" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("expected,sources", [
@@ -254,7 +254,10 @@ def test_non_utf8_vocab_or_api_list_is_data_error(tmp_path, small_corpus_path, c
     ('{"AU": {"vulnerable": -1, "non_vulnerable": 3}}', "AU needs non-negative integer"),
     ("[1]", "a counts manifest holds one JSON object"),
     ('{"API": [1, 2]}', "API needs non-negative integer"),
-], ids=["missing-key", "negative", "not-an-object", "cell-not-an-object"])
+    ("{}", "a counts manifest needs at least one sample"),
+    ('{"API": {"vulnerable": 0, "non_vulnerable": 0}, "AE": {"vulnerable": 0, '
+     '"non_vulnerable": 0}}', "a counts manifest needs at least one sample"),
+], ids=["missing-key", "negative", "not-an-object", "cell-not-an-object", "empty", "all-zero"])
 def test_bad_counts_manifest_is_data_error(tmp_path, capsys, text, named):
     counts = tmp_path / "counts.json"
     counts.write_text(text)

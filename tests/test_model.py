@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from slicevuln import (
     predict,
     train,
 )
-from slicevuln.model import _loss_and_grad, load_checkpoint, save_checkpoint
+from slicevuln.model import (_backward_core, _forward_core, _loss_and_grad, _trim,
+                             load_checkpoint, save_checkpoint)
 from slicevuln.tokenizer import EncodedDataset, Encoding
 
 from conftest import random_batch, random_dataset
@@ -134,8 +136,6 @@ def test_grad_check_deterministic(tiny_cfg):
 
 
 def test_unused_embedding_rows_get_zero_gradient(tiny_cfg):
-    from slicevuln.model import _backward_core, _forward_core, _loss_and_grad
-
     net = init(tiny_cfg, seed=7)
     data = random_dataset(tiny_cfg, 4, seed=3)
     logits, cache = _forward_core(net, data.ids, data.attention_mask, need_cache=True)
@@ -145,6 +145,54 @@ def test_unused_embedding_rows_get_zero_gradient(tiny_cfg):
     unused = [i for i in range(tiny_cfg.vocab_size) if i not in used]
     assert unused, "test premise: some vocabulary rows are untouched"
     assert np.all(grads["tok_emb"][unused] == 0.0)
+
+
+STEP_FIXTURE = Path(__file__).parent / "fixtures" / "train_step.npz"
+
+
+def _step_cases(tiny_cfg):
+    """name -> (config, batch size, dropout seed or None, trim to length 1)."""
+    desk = desk_cfg(hidden_dim=16, ff_dim=32, max_len=12, vocab_size=40)
+    return {
+        "tiny": (tiny_cfg, 4, None, False),
+        "tiny-dropout": (dataclasses.replace(tiny_cfg, dropout=0.2), 4, 5, False),
+        "desk-dropout": (desk, 6, 5, False),
+        "desk-eval": (desk, 6, None, False),
+        "desk-one-sample": (desk, 1, 5, False),
+        "desk-length-one": (desk, 3, 5, True),
+    }
+
+
+def _train_step(cfg, n, dropout_seed, length_one):
+    """Logits, every gradient and, with dropout, the generator's next draw
+    for one training step of a seeded model on a padded batch."""
+    net = init(cfg, seed=7)
+    data = random_dataset(cfg, n, seed=3)
+    mask = data.attention_mask.copy()
+    if length_one:
+        mask[:, 1:] = 0
+    ids, mask = _trim(data.ids, mask)
+    rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
+    logits, cache = _forward_core(net, ids, mask, rng, need_cache=True)
+    _, dlogits = _loss_and_grad(logits, data.labels)
+    out = {"logits": logits}
+    out.update((f"grad.{name}", g) for name, g in _backward_core(net, cache, dlogits).items())
+    if rng is not None:
+        out["next_draw"] = rng.random(1)  # where the dropout stream stopped
+    return out
+
+
+@pytest.mark.parametrize("case", ["tiny", "tiny-dropout", "desk-dropout", "desk-eval",
+                                  "desk-one-sample", "desk-length-one"])
+def test_train_step_matches_the_pinned_step(tiny_cfg, case):
+    # the fixture is _train_step's output on the model that ran every block
+    # on all rows; cutting the last block to the CLS row may move roundoff only
+    with np.load(STEP_FIXTURE) as blob:
+        want = {k.split("/", 1)[1]: blob[k] for k in blob.files if k.startswith(case + "/")}
+    got = _train_step(*_step_cases(tiny_cfg)[case])
+    assert want and got.keys() == want.keys()
+    for name, value in want.items():
+        np.testing.assert_allclose(got[name], value, rtol=0, atol=1e-12, err_msg=name)
 
 
 def make_separable_dataset(cfg, n=64):
