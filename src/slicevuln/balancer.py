@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,7 @@ def _pools(corpus: SampleSet) -> dict[tuple[Kind, Label], list[Sample]]:
     for s in corpus:
         pools.setdefault((s.kind, s.label), []).append(s)
     for pool in pools.values():
-        pool.sort(key=lambda s: s.id)
+        pool.sort(key=attrgetter("id"))
     return pools
 
 

@@ -19,6 +19,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -59,18 +60,14 @@ class SampleSet:
     """Ordered, immutable collection of samples with per-(kind, label) counts.
 
     Iteration order is insertion order.  Duplicate ids and empty code are
-    rejected at construction time.
+    rejected at construction time, naming the first offender in set order.
     """
 
     def __init__(self, samples: Iterable[Sample]):
         self.samples: list[Sample] = list(samples)
-        seen: set[str] = set()
-        for s in self.samples:
-            if s.id in seen:
-                raise DataError(f"duplicate sample id {s.id!r}")
-            seen.add(s.id)
-            if not s.code:
-                raise DataError(f"sample {s.id!r} has empty code")
+        if (len({s.id for s in self.samples}) < len(self.samples)
+                or not all(s.code for s in self.samples)):
+            _raise_first_offender(self.samples)
         self.manifest: Counter[tuple[Kind, Label]] = Counter(
             (s.kind, s.label) for s in self.samples
         )
@@ -88,70 +85,108 @@ class SampleSet:
         return {s.id for s in self.samples}
 
 
+class _DuplicateId(DataError):
+    """A repeated id, with the positions of its first and second sample, so
+    that a reader can name the lines they came from."""
+
+    def __init__(self, sample_id: str, first: int, second: int):
+        super().__init__(f"duplicate sample id {sample_id!r}")
+        self.sample_id, self.first, self.second = sample_id, first, second
+
+
+def _raise_first_offender(samples: list[Sample]) -> None:
+    first: dict[str, int] = {}
+    for i, s in enumerate(samples):
+        if s.id in first:
+            raise _DuplicateId(s.id, first[s.id], i)
+        first[s.id] = i
+        if not s.code:
+            raise DataError(f"sample {s.id!r} has empty code")
+
+
 _KIND_NAMES = {k.value: k for k in Kind}
+_LABELS = {0: Label.NON_VULNERABLE, 1: Label.VULNERABLE}
+_FIELDS = ("id", "kind", "label", "code")
+_scan_once = json.JSONDecoder().scan_once
+_encode = json.JSONEncoder(ensure_ascii=False).encode
 _GADGET_DELIM = re.compile(r"^-{5,}\s*$")
 # VulDeePecker CGD header: "<number> <path> <functype-or-name> <line>"
 _GADGET_HEADER = re.compile(r"^\d+\s+\S+\s+\S+\s+\d+\s*$")
 
 
-def _parse_jsonl_record(obj: dict, where: str) -> Sample:
-    for field in ("id", "kind", "label", "code"):
-        if field not in obj:
-            raise DataError(f"{where}: missing field {field!r}")
-    kind = _KIND_NAMES.get(obj["kind"])
+def _decode(line: str) -> object:
+    """``json.loads(line)``.  A value that starts the line and runs to its
+    end or newline takes one C scan; any other line, valid or not, goes
+    through ``json.loads`` itself, so the lines accepted and every error
+    message are json.loads's own."""
+    try:
+        obj, end = _scan_once(line, 0)
+    except (StopIteration, json.JSONDecodeError):
+        return json.loads(line)
+    return obj if line[end:] in ("\n", "") else json.loads(line)
+
+
+def _parse_jsonl_record(obj: object, path: Path, lineno: int) -> Sample:
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}:{lineno}: record is not an object")
+    try:
+        sample_id, kind_name, label, code = obj["id"], obj["kind"], obj["label"], obj["code"]
+    except KeyError:
+        missing = next(f for f in _FIELDS if f not in obj)
+        raise DataError(f"{path}:{lineno}: missing field {missing!r}") from None
+    kind = _KIND_NAMES.get(kind_name)
     if kind is None:
-        raise DataError(f"{where}: unknown kind {obj['kind']!r}")
-    if obj["label"] not in (0, 1):
-        raise DataError(f"{where}: label must be 0 or 1, got {obj['label']!r}")
-    code = obj["code"]
+        raise DataError(f"{path}:{lineno}: unknown kind {kind_name!r}")
+    if label not in (0, 1):
+        raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {label!r}")
     if not isinstance(code, str) or not code:
-        raise DataError(f"{where}: code must be a non-empty string")
-    return Sample(
-        id=str(obj["id"]),
-        kind=kind,
-        label=Label(obj["label"]),
-        code=code,
-        source=obj.get("source"),
-    )
+        raise DataError(f"{path}:{lineno}: code must be a non-empty string")
+    return Sample(str(sample_id), kind, _LABELS[label], code, obj.get("source"))
 
 
 def _load_jsonlines(path: Path) -> list[Sample]:
     samples = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
             try:
-                obj = json.loads(line)
+                obj = _decode(line)
             except json.JSONDecodeError as e:
+                if not line.strip():
+                    continue
                 raise DataError(f"{path}:{lineno}: malformed JSON record ({e.msg})") from e
-            if not isinstance(obj, dict):
-                raise DataError(f"{path}:{lineno}: record is not an object")
-            samples.append(_parse_jsonl_record(obj, f"{path}:{lineno}"))
+            samples.append(_parse_jsonl_record(obj, path, lineno))
     return samples
 
 
-def _load_gadget_text(path: Path, default_kind: Kind) -> list[Sample]:
-    samples = []
-    record: list[tuple[int, str]] = []  # (lineno, text)
+def _jsonl_record_lines(path: Path) -> Iterator[int]:
+    """The line of each record of a JSON-lines file: every non-blank line."""
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                yield lineno
+
+
+def _gadget_records(path: Path) -> Iterator[list[tuple[int, str]]]:
+    """The non-blank (lineno, text) lines of each gadget-text record.  Lines
+    break at "\n" only, after universal-newline decoding, so a form feed or
+    U+2028 inside a code line neither splits it nor shifts a line number."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
     lines.append("-----")  # sentinel so the last record is flushed
 
+    record: list[tuple[int, str]] = []
     for lineno, line in enumerate(lines, start=1):
         if _GADGET_DELIM.match(line):
-            if any(text.strip() for _, text in record):
-                samples.append(_gadget_record(record, default_kind, path, len(samples)))
+            if record:
+                yield record
             record = []
-        else:
+        elif line.strip():
             record.append((lineno, line))
-    return samples
 
 
 def _gadget_record(
-    record: list[tuple[int, str]], kind: Kind, path: Path, index: int
+    body: list[tuple[int, str]], kind: Kind, path: Path, index: int
 ) -> Sample:
-    body = [(n, t) for n, t in record if t.strip()]
     label_lineno, label_text = body[-1]
     if label_text.strip() not in ("0", "1"):
         raise DataError(
@@ -182,9 +217,18 @@ def load(
         if format == "jsonlines":
             return SampleSet(_load_jsonlines(path))
         if format == "gadget-text":
-            return SampleSet(_load_gadget_text(path, default_kind))
+            return SampleSet(_gadget_record(body, default_kind, path, i)
+                             for i, body in enumerate(_gadget_records(path)))
     except UnicodeDecodeError as e:
         raise not_utf8(path) from e
+    except _DuplicateId as e:
+        if format == "jsonlines":
+            record_lines = _jsonl_record_lines(path)
+        else:  # a gadget-text record's first non-blank line
+            record_lines = (body[0][0] for body in _gadget_records(path))
+        first, *_, second = islice(record_lines, e.first, e.second + 1)
+        raise DataError(f"{path}:{second}: duplicate sample id {e.sample_id!r} "
+                        f"(first on line {first})") from None
     raise DataError(f"unknown format {format!r} (expected jsonlines or gadget-text)")
 
 
@@ -196,7 +240,7 @@ def save(sset: SampleSet, path: str | Path) -> Path:
             obj = {"id": s.id, "kind": s.kind.value, "label": int(s.label), "code": s.code}
             if s.source is not None:
                 obj["source"] = s.source
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            fh.write(_encode(obj) + "\n")
     return path
 
 

@@ -1,9 +1,15 @@
 import json
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slicevuln import DataError, Kind, Label, Sample, SampleSet, load, save, split
 from slicevuln.synth import REFERENCE_COUNTS, reference_corpus
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def make_set(cells):
@@ -34,27 +40,111 @@ def test_load_single_record(tmp_path):
     assert sset.samples[0].code == "*p = 0;"
 
 
-def test_load_reports_line_number(tmp_path):
+GOOD = {"id": "a", "kind": "PU", "label": 1, "code": "*p = 0;"}
+
+
+def record(**fields) -> str:
+    """GOOD as one JSON line with ``fields`` changed; a field set to ... is dropped."""
+    obj = {**GOOD, **fields}
+    return json.dumps({k: v for k, v in obj.items() if v is not ...})
+
+
+# (id, file text, the line the error names, the rest of the error message)
+REJECTED = [
+    ("not-json", record() + "\nnot json\n", 2, "malformed JSON record (Expecting value)"),
+    ("extra-data", record() + " " + record() + "\n", 1, "malformed JSON record (Extra data)"),
+    ("truncated", '{"id": "a"\n', 1, "malformed JSON record (Expecting ',' delimiter)"),
+    ("bom", "\ufeff" + record() + "\n", 1,
+     "malformed JSON record (Unexpected UTF-8 BOM (decode using utf-8-sig))"),
+    ("not-object", record() + "\n[1, 2]\n", 2, "record is not an object"),
+    ("missing-id", record(id=...) + "\n", 1, "missing field 'id'"),
+    ("missing-kind", record(kind=...) + "\n", 1, "missing field 'kind'"),
+    ("missing-label", record(label=...) + "\n", 1, "missing field 'label'"),
+    ("missing-code", record(code=...) + "\n", 1, "missing field 'code'"),
+    ("missing-all", "{}\n", 1, "missing field 'id'"),
+    ("unknown-kind", record(kind="XX") + "\n", 1, "unknown kind 'XX'"),
+    ("label-2", record(label=2) + "\n", 1, "label must be 0 or 1, got 2"),
+    ("label-str", record(label="1") + "\n", 1, "label must be 0 or 1, got '1'"),
+    ("label-list", record(label=[1]) + "\n", 1, "label must be 0 or 1, got [1]"),
+    ("empty-code", record(code="") + "\n", 1, "code must be a non-empty string"),
+    ("int-code", record(code=5) + "\n", 1, "code must be a non-empty string"),
+    ("after-blank-lines", "\n \t\n" + record(kind="XX") + "\n", 3, "unknown kind 'XX'"),
+    ("crlf", record() + "\r\nnot json\r\n", 2, "malformed JSON record (Expecting value)"),
+    ("no-final-newline", record() + "\nnot json", 2, "malformed JSON record (Expecting value)"),
+]
+
+
+@pytest.mark.parametrize("text,lineno,message", [r[1:] for r in REJECTED],
+                         ids=[r[0] for r in REJECTED])
+def test_load_rejection_names_its_line(tmp_path, text, lineno, message):
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"id":"a","kind":"PU","label":1,"code":"x;"}\nnot json\n')
-    with pytest.raises(DataError, match=":2"):
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(DataError) as err:
         load(path)
+    assert str(err.value) == f"{path}:{lineno}: {message}"
 
 
-def test_load_unknown_kind_and_label(tmp_path):
-    path = tmp_path / "weird.jsonl"
-    path.write_text('{"id":"a","kind":"XX","label":1,"code":"x;"}\n')
-    with pytest.raises(DataError, match="unknown kind"):
-        load(path)
-    path.write_text('{"id":"a","kind":"PU","label":2,"code":"x;"}\n')
-    with pytest.raises(DataError, match="label"):
-        load(path)
+PU_VUL = Sample("a", Kind.PU, Label.VULNERABLE, "*p = 0;")
+PU_NON = replace(PU_VUL, label=Label.NON_VULNERABLE)
+
+# (id, file text, the samples it loads as)
+ACCEPTED = [
+    ("label-true", record(label=True) + "\n", [PU_VUL]),
+    ("label-float", record(label=1.0) + "\n", [PU_VUL]),
+    ("label-false", record(label=False) + "\n", [PU_NON]),
+    ("label-zero-float", record(label=0.0) + "\n", [PU_NON]),
+    ("int-id", record(id=7) + "\n", [replace(PU_VUL, id="7")]),
+    ("source", record(source="f.c:3") + "\n", [replace(PU_VUL, source="f.c:3")]),
+    ("padded", "  " + record() + " \t\n", [PU_VUL]),
+    ("blank-lines", "\n" + record() + "\n\n \t\n\x0c\n" + record(id="b") + "\n",
+     [PU_VUL, replace(PU_VUL, id="b")]),
+    ("crlf", record() + "\r\n" + record(id="b") + "\r\n", [PU_VUL, replace(PU_VUL, id="b")]),
+    ("no-final-newline", record() + "\n" + record(id="b"), [PU_VUL, replace(PU_VUL, id="b")]),
+]
+
+
+@pytest.mark.parametrize("text,samples", [r[1:] for r in ACCEPTED],
+                         ids=[r[0] for r in ACCEPTED])
+def test_load_accepts(tmp_path, text, samples):
+    path = tmp_path / "ok.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    loaded = load(path).samples
+    assert loaded == samples
+    assert [type(s.label) for s in loaded] == [Label] * len(samples)
+
+
+@pytest.mark.parametrize("format,text,message", [
+    pytest.param("jsonlines",
+                 record() + "\n" + record(id="b") + "\n\n" + record(kind="AU") + "\n",
+                 "4: duplicate sample id 'a' (first on line 1)", id="jsonlines"),
+    pytest.param("gadget-text",
+                 "12 f.c f 3\nx = 1;\n1\n-----\ny = 2;\n0\n-----\n\n12 g.c g 9\nz = 3;\n0\n",
+                 "9: duplicate sample id 'g12' (first on line 1)", id="gadget-text"),
+])
+def test_load_duplicate_id_names_both_lines(tmp_path, format, text, message):
+    path = tmp_path / "dup.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        load(path, format=format)
+    assert str(err.value) == f"{path}:{message}"
 
 
 def test_duplicate_ids_rejected():
     s = Sample("dup", Kind.API, Label.VULNERABLE, "gets(s);")
     with pytest.raises(DataError, match="duplicate"):
         SampleSet([s, s])
+
+
+@pytest.mark.parametrize("ids_and_code,message", [
+    ([("a", "x;"), ("b", ""), ("a", "y;")], "sample 'b' has empty code"),
+    ([("a", "x;"), ("a", "y;"), ("b", "")], "duplicate sample id 'a'"),
+    ([("a", "x;"), ("b", "y;"), ("b", ""), ("a", "z;")], "duplicate sample id 'b'"),
+])
+def test_sample_set_names_its_first_offender(ids_and_code, message):
+    samples = [Sample(i, Kind.AU, Label.VULNERABLE, code) for i, code in ids_and_code]
+    with pytest.raises(DataError) as err:
+        SampleSet(samples)
+    assert str(err.value) == message
 
 
 def test_manifest_matches_recount():
@@ -77,6 +167,45 @@ def test_save_load_round_trip(tmp_path):
     assert [(s.id, s.kind, s.label, s.code, s.source) for s in back] == [
         (s.id, s.kind, s.label, s.code, s.source) for s in sset
     ]
+
+
+# Characters JSON must escape, and ones that str.splitlines (but not a JSON-lines
+# reader) breaks lines at: NEL, LS, PS, form feed.
+AWKWARD_CHARS = '"\\\x00\x01\x0b\x0c\x1c\x1f\x7f\x85\u2028\u2029\ufeff\xe9\U0001d518\U0001f600'
+
+# fixtures/awkward.jsonl holds exactly these samples as `save` writes them.
+AWKWARD = [
+    Sample('q"uote', Kind.API, Label.VULNERABLE, 'puts("a\\"b");', source="f.c:1"),
+    Sample("back\\slash", Kind.AU, Label.NON_VULNERABLE, "s[0] = '\\\\';\n\tt[1] = 0;"),
+    Sample("ctl\x00\x1f\x7f", Kind.PU, Label.VULNERABLE, "*p = 0;\r\n\x0c*q = 1;\x0b\x1c"),
+    Sample("nel\x85", Kind.AE, Label.NON_VULNERABLE, "x = a\x85+ b;\u2028y = c\u2029;",
+           source="\u2028"),
+    Sample("astral\U0001f600", Kind.API, Label.NON_VULNERABLE,
+           "/* \U0001d518\U0001f600 caf\xe9 */ gets(s);", source=""),
+    Sample("bom\ufeff", Kind.AU, Label.VULNERABLE, "\ufeffb[i] = 0;  "),
+]
+
+
+def test_save_matches_frozen_awkward_fixture(tmp_path):
+    path = save(SampleSet(AWKWARD), tmp_path / "awkward.jsonl")
+    assert path.read_bytes() == (FIXTURES / "awkward.jsonl").read_bytes()
+    assert load(path).samples == AWKWARD
+
+
+_awkward_text = st.text(
+    st.sampled_from(AWKWARD_CHARS) | st.characters(exclude_categories=["Cs"]), max_size=12)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.builds(Sample, id=_awkward_text, kind=st.sampled_from(Kind),
+                          label=st.sampled_from(Label),
+                          code=_awkward_text.filter(bool),
+                          source=st.none() | _awkward_text),
+                max_size=6, unique_by=lambda s: s.id))
+def test_save_then_load_round_trips(samples):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = save(SampleSet(samples), Path(tmp) / "out.jsonl")
+        assert load(path).samples == samples
 
 
 def test_gadget_text_reader(tmp_path):
@@ -106,6 +235,20 @@ def test_gadget_text_bad_label(tmp_path):
     path.write_text("some code\nmore code\n-----\n")
     with pytest.raises(DataError, match="label"):
         load(path, format="gadget-text")
+
+
+def test_gadget_text_breaks_lines_at_newline_only(tmp_path):
+    # a form feed stays inside its code line; U+2028 shifts no line number
+    path = tmp_path / "gadgets.txt"
+    path.write_text("foo();\x0cbar();\n1\n-----\nx = 1; /* \u2028 */\n0\n-----\n",
+                    encoding="utf-8")
+    first, second = load(path, format="gadget-text").samples
+    assert first.code == "foo();\x0cbar();"
+    assert second.code == "x = 1; /* \u2028 */"
+    path.write_text("foo();\n1\n-----\nx = 1; /* \u2028 */\n2\n-----\n", encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        load(path, format="gadget-text")
+    assert str(err.value) == f"{path}:5: expected 0/1 label line, got '2'"
 
 
 @pytest.mark.parametrize("format,data", [
