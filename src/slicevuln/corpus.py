@@ -109,6 +109,7 @@ _LABELS = {0: Label.NON_VULNERABLE, 1: Label.VULNERABLE}
 _FIELDS = ("id", "kind", "label", "code")
 _scan_once = json.JSONDecoder().scan_once
 _encode = json.JSONEncoder(ensure_ascii=False).encode
+_SURROGATE = re.compile("[\ud800-\udfff]")
 _GADGET_DELIM = re.compile(r"^-{5,}\s*$")
 # VulDeePecker CGD header: "<number> <path> <functype-or-name> <line>"
 _GADGET_HEADER = re.compile(r"^\d+\s+\S+\s+\S+\s+\d+\s*$")
@@ -134,7 +135,7 @@ def _parse_jsonl_record(obj: object, path: Path, lineno: int) -> Sample:
     except KeyError:
         missing = next(f for f in _FIELDS if f not in obj)
         raise DataError(f"{path}:{lineno}: missing field {missing!r}") from None
-    kind = _KIND_NAMES.get(kind_name)
+    kind = _KIND_NAMES.get(kind_name) if isinstance(kind_name, str) else None
     if kind is None:
         raise DataError(f"{path}:{lineno}: unknown kind {kind_name!r}")
     if label not in (0, 1):
@@ -142,6 +143,18 @@ def _parse_jsonl_record(obj: object, path: Path, lineno: int) -> Sample:
     if not isinstance(code, str) or not code:
         raise DataError(f"{path}:{lineno}: code must be a non-empty string")
     return Sample(str(sample_id), kind, _LABELS[label], code, obj.get("source"))
+
+
+def _reject_lone_surrogates(sample: Sample, path: Path, lineno: int) -> None:
+    """A ``\\ud800``-style escape decodes to a lone surrogate, which no UTF-8
+    file can hold; the only way in is such an escape, so callers check only
+    lines that hold one."""
+    for name in ("id", "code", "source"):
+        value = getattr(sample, name)
+        found = _SURROGATE.search(value) if isinstance(value, str) else None
+        if found:
+            raise DataError(f"{path}:{lineno}: {name} holds a lone surrogate "
+                            f"(U+{ord(found.group()):04X})")
 
 
 def _load_jsonlines(path: Path) -> list[Sample]:
@@ -154,7 +167,10 @@ def _load_jsonlines(path: Path) -> list[Sample]:
                 if not line.strip():
                     continue
                 raise DataError(f"{path}:{lineno}: malformed JSON record ({e.msg})") from e
-            samples.append(_parse_jsonl_record(obj, path, lineno))
+            sample = _parse_jsonl_record(obj, path, lineno)
+            if "\\u" in line:
+                _reject_lone_surrogates(sample, path, lineno)
+            samples.append(sample)
     return samples
 
 

@@ -8,7 +8,9 @@ gradients can be verified against central finite differences.
 
 Attention masking is exact: masked key columns get -inf before the
 softmax, so PAD positions receive zero attention weight and the logits are
-bitwise independent of token ids at masked positions.
+bitwise independent of token ids at masked positions.  Token-wise layers
+therefore run over the packed live rows of a batch only; attention alone
+uses the padded layout.
 
 Training uses decoupled-weight-decay Adam (weight decay applied directly
 to matrix-shaped parameters, not through the gradient), shuffling keyed by
@@ -196,9 +198,8 @@ def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
 def _layer_norm_grad(dy: np.ndarray, g: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), in place."""
     xhat, inv_std = cache
-    axes = tuple(range(dy.ndim - 1))
-    dg = (dy * xhat).sum(axis=axes)
-    db = dy.sum(axis=axes)
+    dg = (dy * xhat).sum(0)
+    db = dy.sum(0)
     dxhat = dy * g
     t = dxhat * xhat
     m = t.mean(-1, keepdims=True)
@@ -209,15 +210,14 @@ def _layer_norm_grad(dy: np.ndarray, g: np.ndarray, cache) -> tuple[np.ndarray, 
     return dxhat, dg, db
 
 
-def _dropout(x: np.ndarray, p: float, rng: np.random.Generator, shape: tuple[int, ...]):
-    """Inverted dropout whose mask is drawn at ``shape``, the block's
-    [B, L, H].  A CLS-row input [B, H] keeps row 0 of that draw, so every
-    later draw comes from the same place in the stream as if all rows ran."""
+def _dropout(x: np.ndarray, p: float, rng: np.random.Generator, shape: tuple[int, ...],
+             at: tuple[np.ndarray, np.ndarray]):
+    """Inverted dropout on packed rows.  The mask is drawn at ``shape``, the
+    batch's full [B, L, H], and keeps the rows at ``at``, so every later
+    draw comes from the same place in the stream as if all rows ran."""
     if p <= 0.0:
         return x, None
-    keep = rng.random(shape) >= p
-    if x.ndim == 2:
-        keep = keep[:, 0]
+    keep = rng.random(shape)[at] >= p
     y = x * keep
     y /= 1.0 - p
     return y, keep
@@ -231,22 +231,29 @@ def _dropout_grad(dy: np.ndarray, p: float, keep) -> np.ndarray:
     return dx
 
 
-def _split_heads(x: np.ndarray, nh: int, dh: int) -> np.ndarray:
-    """[B, L, H] or CLS rows [B, H] -> [B, nh, L or 1, dh]."""
-    B = x.shape[0]
-    return x.reshape(B, -1, nh, dh).transpose(0, 2, 1, 3)
+def _pad(x: np.ndarray, at: tuple[np.ndarray, np.ndarray], B: int, L: int) -> np.ndarray:
+    """Packed rows [T, D] at the (sample, position) pairs ``at`` -> [B, L, D],
+    zero at every other position."""
+    out = np.zeros((B, L, x.shape[1]))
+    out[at] = x
+    return out
 
 
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    B, nh, L, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(B, L, nh * dh)
+def _to_heads(x: np.ndarray, at: tuple[np.ndarray, np.ndarray], B: int, L: int,
+              nh: int) -> np.ndarray:
+    """Packed rows [T, H] -> the padded attention layout [B, nh, L, dh]."""
+    return _pad(x, at, B, L).reshape(B, L, nh, -1).transpose(0, 2, 1, 3)
+
+
+def _from_heads(t: np.ndarray, at: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The inverse of ``_to_heads``: [B, nh, L, dh] -> packed rows [T, H]."""
+    return t.transpose(0, 2, 1, 3)[at].reshape(len(at[0]), -1)
 
 
 def _linear_grads(x: np.ndarray, dz: np.ndarray, W: np.ndarray):
-    """Grads for z = x @ W + b with x [..., I], dz [..., O]."""
-    I, O = W.shape
-    dW = x.reshape(-1, I).T @ dz.reshape(-1, O)
-    db = dz.sum(tuple(range(dz.ndim - 1)))
+    """Grads for z = x @ W + b with x [T, I], dz [T, O]."""
+    dW = x.T @ dz
+    db = dz.sum(0)
     dx = dz @ W.T
     return dx, dW, db
 
@@ -261,13 +268,17 @@ def _forward_core(
     """Array-level forward pass; ids/mask are [B, L] with L <= max_len.
     Dropout applies only when a generator is given (training).
 
+    Token-wise ops (embedding, layer norms, projections, FFN, dropout) run
+    over the packed live rows only: the positions ``mask`` keeps, plus each
+    CLS row, as [T, H] arrays.  PAD rows would get zero attention as keys
+    and the head never reads them, so they carry nothing.  Attention alone
+    uses the padded [B, nh, L, L] layout, with the packed rows scattered
+    into zero-filled buffers and gathered back.
+
     The head reads only the CLS position, so the last block computes its
-    keys and values from every position but everything on its query side
-    (attention, output projection, FFN, final layer norm) for the CLS row
-    alone, as [B, H] arrays.  Those go through 2D GEMMs over B rows, which
-    round each row as the all-rows GEMM does; the attention products of a
-    single query row do not, so logits move from the all-rows result by
-    roundoff only."""
+    keys and values from every live row but everything on its query side
+    (attention, output projection, FFN, final layer norm) for the CLS rows
+    alone, a [B, 1] query grid."""
     cfg = model.config
     P = model.params
     p_drop = cfg.dropout if rng is not None else 0.0
@@ -276,37 +287,46 @@ def _forward_core(
     scale = 1.0 / np.sqrt(dh)
 
     amask = np.where(mask[:, None, None, :] == 1, 0.0, -np.inf)
+    live = mask == 1
+    live[:, 0] = True  # the head reads the CLS row
+    at = live.nonzero()  # (sample, position) of each packed row, in batch order
+    cls_rows = np.flatnonzero(at[1] == 0)  # packed index of each sample's CLS row
+    full = (B, L, cfg.hidden_dim)
 
-    x = P["tok_emb"][ids] + P["pos_emb"][:L][None, :, :]
-    full = x.shape
-    x, keep_emb = _dropout(x, p_drop, rng, full)
+    tok = ids[at]
+    x = P["tok_emb"][tok] + P["pos_emb"][at[1]]
+    x, keep_emb = _dropout(x, p_drop, rng, full, at)
 
     layer_caches = []
     for l in range(cfg.num_layers):
         p = f"layers.{l}."
-        rows = np.s_[:, 0] if l == cfg.num_layers - 1 else np.s_[...]
+        # query side: every packed row, or in the last block the CLS rows,
+        # which sit at position 0 of both the [B, 1] query grid and [B, L]
+        if l == cfg.num_layers - 1:
+            rows, q_at, Lq = cls_rows, (np.arange(B), np.zeros(B, np.intp)), 1
+        else:
+            rows, q_at, Lq = np.s_[:], at, L
         h, ln1_cache = _layer_norm(x, P[p + "ln1_g"], P[p + "ln1_b"])
-        q = h[rows] @ P[p + "Wq"] + P[p + "bq"]
-        k = h @ P[p + "Wk"] + P[p + "bk"]
-        v = h @ P[p + "Wv"] + P[p + "bv"]
-        qh, kh, vh = (_split_heads(t, nh, dh) for t in (q, k, v))
+        qh = _to_heads(h[rows] @ P[p + "Wq"] + P[p + "bq"], q_at, B, Lq, nh)
+        kh = _to_heads(h @ P[p + "Wk"] + P[p + "bk"], at, B, L, nh)
+        vh = _to_heads(h @ P[p + "Wv"] + P[p + "bv"], at, B, L, nh)
         attn = _masked_softmax(qh @ kh.transpose(0, 1, 3, 2), scale, amask)
-        ctx = _merge_heads(attn @ vh).reshape(q.shape)
+        ctx = _from_heads(attn @ vh, q_at)
         ao = ctx @ P[p + "Wo"] + P[p + "bo"]
-        ao, keep_attn = _dropout(ao, p_drop, rng, full)
+        ao, keep_attn = _dropout(ao, p_drop, rng, full, q_at)
         x_attn = x[rows] + ao
 
         h2, ln2_cache = _layer_norm(x_attn, P[p + "ln2_g"], P[p + "ln2_b"])
         z1 = h2 @ P[p + "W1"] + P[p + "b1"]
         a1, gelu_t = _gelu(z1)
         z2 = a1 @ P[p + "W2"] + P[p + "b2"]
-        z2, keep_ff = _dropout(z2, p_drop, rng, full)
+        z2, keep_ff = _dropout(z2, p_drop, rng, full, q_at)
         x_out = x_attn + z2
 
         if need_cache:
             layer_caches.append(
-                dict(rows=rows, h=h, ln1=ln1_cache, qh=qh, kh=kh, vh=vh, attn=attn,
-                     ctx=ctx, keep_attn=keep_attn, h2=h2, ln2=ln2_cache,
+                dict(rows=rows, q_at=q_at, h=h, ln1=ln1_cache, qh=qh, kh=kh, vh=vh,
+                     attn=attn, ctx=ctx, keep_attn=keep_attn, h2=h2, ln2=ln2_cache,
                      z1=z1, a1=a1, gelu_t=gelu_t, keep_ff=keep_ff)
             )
         x = x_out
@@ -316,18 +336,19 @@ def _forward_core(
 
     cache = None
     if need_cache:
-        cache = dict(ids=ids, L=L, keep_emb=keep_emb, p_drop=p_drop,
+        cache = dict(tok=tok, at=at, B=B, L=L, keep_emb=keep_emb, p_drop=p_drop,
                      layers=layer_caches, lnf=lnf_cache, cls=cls, scale=scale)
     return logits, cache
 
 
 def _backward_core(model: Model, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of every parameter, each assigned once.  Through the last
-    block only the CLS row carries a gradient, as in ``_forward_core``."""
+    """Gradients of every parameter, each assigned once, over the packed
+    rows of ``_forward_core``.  Through the last block only the CLS rows
+    carry a gradient."""
     cfg = model.config
     P = model.params
-    ids, L, p_drop = cache["ids"], cache["L"], cache["p_drop"]
-    nh, dh = cfg.num_heads, cfg.head_dim
+    at, B, L, p_drop = cache["at"], cache["B"], cache["L"], cache["p_drop"]
+    nh = cfg.num_heads
 
     grads = {"head_W": cache["cls"].T @ dlogits, "head_b": dlogits.sum(0)}
     dcls = dlogits @ P["head_W"].T
@@ -336,7 +357,7 @@ def _backward_core(model: Model, cache: dict, dlogits: np.ndarray) -> dict[str, 
     for l in range(cfg.num_layers - 1, -1, -1):
         p = f"layers.{l}."
         c = cache["layers"][l]
-        rows = c["rows"]
+        rows, q_at = c["rows"], c["q_at"]
 
         # feed-forward branch
         dz2 = _dropout_grad(dx, p_drop, c["keep_ff"])
@@ -351,16 +372,16 @@ def _backward_core(model: Model, cache: dict, dlogits: np.ndarray) -> dict[str, 
         # attention branch
         dao = _dropout_grad(dx_attn, p_drop, c["keep_attn"])
         dctx, grads[p + "Wo"], grads[p + "bo"] = _linear_grads(c["ctx"], dao, P[p + "Wo"])
-        dctx_h = _split_heads(dctx, nh, dh)
         attn = c["attn"]
+        dctx_h = _to_heads(dctx, q_at, B, attn.shape[2], nh)
         dvh = attn.transpose(0, 1, 3, 2) @ dctx_h
         # softmax backward; masked columns carry attn == 0, hence zero grad
         ds = dctx_h @ c["vh"].transpose(0, 1, 3, 2)
         ds -= (ds * attn).sum(-1, keepdims=True)
         ds *= attn
         ds *= cache["scale"]
-        dq = _merge_heads(ds @ c["kh"]).reshape(dctx.shape)
-        dk, dv = (_merge_heads(t) for t in (ds.transpose(0, 1, 3, 2) @ c["qh"], dvh))
+        dq = _from_heads(ds @ c["kh"], q_at)
+        dk, dv = (_from_heads(t, at) for t in (ds.transpose(0, 1, 3, 2) @ c["qh"], dvh))
         h = c["h"]
         dh_q, grads[p + "Wq"], grads[p + "bq"] = _linear_grads(h[rows], dq, P[p + "Wq"])
         dh_sum, grads[p + "Wk"], grads[p + "bk"] = _linear_grads(h, dk, P[p + "Wk"])
@@ -373,10 +394,10 @@ def _backward_core(model: Model, cache: dict, dlogits: np.ndarray) -> dict[str, 
 
     dx = _dropout_grad(dx, p_drop, cache["keep_emb"])
     V, H = P["tok_emb"].shape
-    slots = (ids[:, :, None] * H + np.arange(H)).ravel()
+    slots = (cache["tok"][:, None] * H + np.arange(H)).ravel()
     grads["tok_emb"] = np.bincount(slots, weights=dx.ravel(), minlength=V * H).reshape(V, H)
     grads["pos_emb"] = np.zeros_like(P["pos_emb"])
-    grads["pos_emb"][:L] = dx.sum(0)
+    grads["pos_emb"][:L] = _pad(dx, at, B, L).sum(0)
     return grads
 
 

@@ -310,6 +310,16 @@ def test_balance_non_utf8_corpus_is_data_error(tmp_path, capsys):
     assert f"{bad}:2: not UTF-8 (byte 0xe9" in err and "Traceback" not in err
 
 
+def test_balance_lone_surrogate_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "sur.jsonl"
+    bad.write_text('{"id": "a", "kind": "API", "label": 1, "code": "x\\ud800"}\n'
+                   '{"id": "b", "kind": "API", "label": 0, "code": "y = 1;"}\n')
+    assert main(["balance", "--in", str(bad), "--hypothesis", "h1",
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:1: code holds a lone surrogate (U+D800)" in err and "Traceback" not in err
+
+
 def test_balance_h1_reference_manifest_total(tmp_path):
     # the reference distribution balances to 112,790 under H1
     corpus_path = tmp_path / "ref.jsonl"

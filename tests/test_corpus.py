@@ -63,10 +63,18 @@ REJECTED = [
     ("missing-code", record(code=...) + "\n", 1, "missing field 'code'"),
     ("missing-all", "{}\n", 1, "missing field 'id'"),
     ("unknown-kind", record(kind="XX") + "\n", 1, "unknown kind 'XX'"),
+    ("kind-array", record(kind=["API"]) + "\n", 1, "unknown kind ['API']"),
+    ("kind-object", record(kind={"API": 1}) + "\n", 1, "unknown kind {'API': 1}"),
     ("label-2", record(label=2) + "\n", 1, "label must be 0 or 1, got 2"),
     ("label-str", record(label="1") + "\n", 1, "label must be 0 or 1, got '1'"),
     ("label-list", record(label=[1]) + "\n", 1, "label must be 0 or 1, got [1]"),
     ("empty-code", record(code="") + "\n", 1, "code must be a non-empty string"),
+    # json.dumps writes each lone surrogate as a \\uXXXX escape
+    ("surrogate-code", record() + "\n" + record(id="b", code="x\ud800") + "\n", 2,
+     "code holds a lone surrogate (U+D800)"),
+    ("surrogate-id", record(id="\udfffx") + "\n", 1, "id holds a lone surrogate (U+DFFF)"),
+    ("surrogate-source", record(source="\ude00\ud83d") + "\n", 1,
+     "source holds a lone surrogate (U+DE00)"),
     ("int-code", record(code=5) + "\n", 1, "code must be a non-empty string"),
     ("after-blank-lines", "\n \t\n" + record(kind="XX") + "\n", 3, "unknown kind 'XX'"),
     ("crlf", record() + "\r\nnot json\r\n", 2, "malformed JSON record (Expecting value)"),
@@ -95,6 +103,7 @@ ACCEPTED = [
     ("label-zero-float", record(label=0.0) + "\n", [PU_NON]),
     ("int-id", record(id=7) + "\n", [replace(PU_VUL, id="7")]),
     ("source", record(source="f.c:3") + "\n", [replace(PU_VUL, source="f.c:3")]),
+    ("surrogate-pair", record(code="x\U0001f600") + "\n", [replace(PU_VUL, code="x\U0001f600")]),
     ("padded", "  " + record() + " \t\n", [PU_VUL]),
     ("blank-lines", "\n" + record() + "\n\n \t\n\x0c\n" + record(id="b") + "\n",
      [PU_VUL, replace(PU_VUL, id="b")]),

@@ -94,6 +94,45 @@ def test_pad_positions_do_not_affect_logits(tiny_cfg):
     changed = forward(net, EncodedDataset.from_encodings(mutated, labels))
     assert np.abs(base - changed).max() < 1e-9
 
+    # a training step with dropout on, through a block that is not the last:
+    # PAD rows carry nothing, so logits and every gradient stay bitwise equal
+    net = init(dataclasses.replace(tiny_cfg, num_layers=2, dropout=0.3), seed=3)
+
+    def step(encs):
+        data = EncodedDataset.from_encodings(encs, labels)
+        ids, mask = _trim(data.ids, data.attention_mask)
+        logits, cache = _forward_core(net, ids, mask, np.random.default_rng(11),
+                                      need_cache=True)
+        _, dlogits = _loss_and_grad(logits, data.labels)
+        return logits, _backward_core(net, cache, dlogits)
+
+    (base, base_grads), (changed, changed_grads) = step(encodings), step(mutated)
+    assert np.array_equal(base, changed)
+    for name, g in base_grads.items():
+        assert np.array_equal(g, changed_grads[name]), name
+
+
+def test_token_wise_layers_see_only_live_rows(monkeypatch):
+    import slicevuln.model as m
+
+    cfg = desk_cfg(hidden_dim=16, ff_dim=32, max_len=16, vocab_size=40)
+    lengths = np.array([3, 7, 12])
+    mask = (np.arange(cfg.max_len) < lengths[:, None]).astype(np.int64)
+    ids = np.random.default_rng(0).integers(3, cfg.vocab_size, mask.shape) * mask
+    ids, mask = _trim(ids, mask)
+    assert ids.shape == (3, 12)
+    rows = []
+    gelu = m._gelu
+
+    def counting_gelu(x):
+        rows.append(x.size // x.shape[-1])
+        return gelu(x)
+
+    monkeypatch.setattr(m, "_gelu", counting_gelu)
+    _forward_core(init(cfg, seed=0), ids, mask, np.random.default_rng(1))
+    # block 0 sees the 3 + 7 + 12 live rows, the last block the 3 CLS rows
+    assert rows == [22, 3]
+
 
 def loss(logits, labels):
     return _loss_and_grad(logits, np.asarray(labels))[0]
