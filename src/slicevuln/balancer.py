@@ -7,12 +7,14 @@ smallest per-kind vulnerable count.
 
 Selection uses a counter-based Philox generator keyed by (seed, kind), and
 pools are sorted by id before sampling, so results depend on neither load
-order nor the other kinds' pools.
+order nor the other kinds' pools.  A corpus is grouped and sorted into its
+pools once, on its first balance; the pools are freed with the corpus.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -34,8 +36,22 @@ class BalancedSet:
         return len(self.samples)
 
 
-def _pools(corpus: SampleSet) -> dict[tuple[Kind, Label], list[Sample]]:
-    pools: dict[tuple[Kind, Label], list[Sample]] = {}
+_Pools = dict[tuple[Kind, Label], list[Sample]]
+
+# weakly keyed: an entry must not keep its corpus alive into the next load
+_POOLS: weakref.WeakKeyDictionary[SampleSet, _Pools] = weakref.WeakKeyDictionary()
+
+
+def _pools(corpus: SampleSet) -> _Pools:
+    pools = _POOLS.get(corpus)
+    if pools is None:
+        pools = _POOLS[corpus] = _group(corpus)
+    return pools
+
+
+def _group(corpus: SampleSet) -> _Pools:
+    """The samples of each (kind, label) cell, sorted by id."""
+    pools: _Pools = {}
     for s in corpus:
         pools.setdefault((s.kind, s.label), []).append(s)
     for pool in pools.values():
@@ -73,7 +89,7 @@ def balance_h1(corpus: SampleSet, seed: int) -> BalancedSet:
         out.extend(vul)
         out.extend(picked)
         counts[kind] = (len(vul), len(picked))
-    return BalancedSet(SampleSet(out), "H1", seed, counts)
+    return BalancedSet(SampleSet._drawn(out), "H1", seed, counts)
 
 
 def balance_h2(corpus: SampleSet, seed: int) -> BalancedSet:
@@ -102,20 +118,20 @@ def balance_h2(corpus: SampleSet, seed: int) -> BalancedSet:
         out.extend(vul_pick)
         out.extend(non_pick)
         counts[kind] = (quota, quota)
-    return BalancedSet(SampleSet(out), "H2", seed, counts)
+    return BalancedSet(SampleSet._drawn(out), "H2", seed, counts)
 
 
 def remainder(corpus: SampleSet, balanced: BalancedSet) -> SampleSet:
     """The corpus minus the balanced selection, by id, in corpus order."""
-    corpus_ids = corpus.ids()
     taken = balanced.samples.ids()
-    missing = taken - corpus_ids
-    if missing:
+    rest = [s for s in corpus if s.id not in taken]
+    if len(corpus) - len(rest) != len(taken):
+        missing = taken - corpus.ids()
         raise DataError(
             f"balanced set contains {len(missing)} id(s) not present in the corpus, "
             f"e.g. {sorted(missing)[0]!r}"
         )
-    return SampleSet(s for s in corpus if s.id not in taken)
+    return SampleSet._drawn(rest)
 
 
 def save_balanced(bset: BalancedSet, out_dir: str | Path) -> tuple[Path, Path]:

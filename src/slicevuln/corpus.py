@@ -20,6 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from itertools import islice
+from json.encoder import encode_basestring as _json_str
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -61,15 +62,28 @@ class SampleSet:
 
     Iteration order is insertion order.  Duplicate ids and empty code are
     rejected at construction time, naming the first offender in set order.
+    The balancer keeps each set's pools, so ``samples`` must not change.
     """
 
     def __init__(self, samples: Iterable[Sample]):
-        self.samples: list[Sample] = list(samples)
-        if (len({s.id for s in self.samples}) < len(self.samples)
-                or not all(s.code for s in self.samples)):
-            _raise_first_offender(self.samples)
+        samples = list(samples)
+        if (len({s.id for s in samples}) < len(samples)
+                or not all(s.code for s in samples)):
+            _raise_first_offender(samples)
+        self._adopt(samples)
+
+    @classmethod
+    def _drawn(cls, samples: list[Sample]) -> SampleSet:
+        """A set of samples drawn from a set that is already valid, so the ids
+        are unique and no code is empty: only the manifest is built."""
+        sset = cls.__new__(cls)
+        sset._adopt(samples)
+        return sset
+
+    def _adopt(self, samples: list[Sample]) -> None:
+        self.samples: list[Sample] = samples
         self.manifest: Counter[tuple[Kind, Label]] = Counter(
-            (s.kind, s.label) for s in self.samples
+            (s.kind, s.label) for s in samples
         )
 
     def __len__(self) -> int:
@@ -108,7 +122,10 @@ _KIND_NAMES = {k.value: k for k in Kind}
 _LABELS = {0: Label.NON_VULNERABLE, 1: Label.VULNERABLE}
 _FIELDS = ("id", "kind", "label", "code")
 _scan_once = json.JSONDecoder().scan_once
-_encode = json.JSONEncoder(ensure_ascii=False).encode
+# save's row text is JSONEncoder(ensure_ascii=False)'s: strings through
+# encode_basestring, separators ", " and ": "
+_KIND_TEXT = {k: f'"{k.value}"' for k in Kind}
+_LABEL_TEXT = {lab: str(int(lab)) for lab in Label}
 _SURROGATE = re.compile("[\ud800-\udfff]")
 _GADGET_DELIM = re.compile(r"^-{5,}\s*$")
 # VulDeePecker CGD header: "<number> <path> <functype-or-name> <line>"
@@ -142,7 +159,10 @@ def _parse_jsonl_record(obj: object, path: Path, lineno: int) -> Sample:
         raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {label!r}")
     if not isinstance(code, str) or not code:
         raise DataError(f"{path}:{lineno}: code must be a non-empty string")
-    return Sample(str(sample_id), kind, _LABELS[label], code, obj.get("source"))
+    source = obj.get("source")
+    if source is not None and not isinstance(source, str):
+        raise DataError(f"{path}:{lineno}: source must be a string or null, got {source!r}")
+    return Sample(str(sample_id), kind, _LABELS[label], code, source)
 
 
 def _reject_lone_surrogates(sample: Sample, path: Path, lineno: int) -> None:
@@ -151,7 +171,7 @@ def _reject_lone_surrogates(sample: Sample, path: Path, lineno: int) -> None:
     lines that hold one."""
     for name in ("id", "code", "source"):
         value = getattr(sample, name)
-        found = _SURROGATE.search(value) if isinstance(value, str) else None
+        found = _SURROGATE.search(value) if value is not None else None
         if found:
             raise DataError(f"{path}:{lineno}: {name} holds a lone surrogate "
                             f"(U+{ord(found.group()):04X})")
@@ -252,11 +272,11 @@ def save(sset: SampleSet, path: str | Path) -> Path:
     """Write a dataset as JSON-lines, one record per sample, in set order."""
     path = Path(path)
     with open(path, "w", encoding="utf-8") as fh:
-        for s in sset:
-            obj = {"id": s.id, "kind": s.kind.value, "label": int(s.label), "code": s.code}
-            if s.source is not None:
-                obj["source"] = s.source
-            fh.write(_encode(obj) + "\n")
+        fh.writelines(
+            f'{{"id": {_json_str(s.id)}, "kind": {_KIND_TEXT[s.kind]}, '
+            f'"label": {_LABEL_TEXT[s.label]}, "code": {_json_str(s.code)}'
+            + ("}\n" if s.source is None else f', "source": {_json_str(s.source)}}}\n')
+            for s in sset)
     return path
 
 
@@ -296,4 +316,4 @@ def split(
     test_mask = set(test_idx)
     train = [s for i, s in enumerate(sset.samples) if i not in test_mask]
     test = [s for i, s in enumerate(sset.samples) if i in test_mask]
-    return SampleSet(train), SampleSet(test)
+    return SampleSet._drawn(train), SampleSet._drawn(test)

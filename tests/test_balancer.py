@@ -162,6 +162,44 @@ def test_remainder_foreign_id_rejected():
         remainder(corpus, foreign)
 
 
+def test_remainder_mixed_ids_names_the_foreign_one():
+    from slicevuln.balancer import BalancedSet
+
+    corpus = make_corpus(uniform_cells(3, 3))
+    mixed = BalancedSet(
+        SampleSet([corpus.samples[0], Sample("x", Kind.API, Label.VULNERABLE, "x;")]),
+        "H1", 0, {},
+    )
+    with pytest.raises(DataError) as err:
+        remainder(corpus, mixed)
+    assert str(err.value) == ("balanced set contains 1 id(s) not present in the corpus, "
+                              "e.g. 'x'")
+
+
+def test_pools_are_built_once_per_corpus_and_freed_with_it(monkeypatch):
+    import gc
+    import weakref
+
+    from slicevuln import balancer
+
+    grouped = []
+    group = balancer._group
+    monkeypatch.setattr(balancer, "_group", lambda c: grouped.append(len(c)) or group(c))
+    cached_before = len(balancer._POOLS)
+    corpus = make_corpus(uniform_cells(10, 40))
+    first = balance_h1(corpus, seed=0)
+    balance_h2(corpus, seed=0)
+    assert balance_h1(corpus, seed=0).samples.samples == first.samples.samples
+    assert grouped == [len(corpus)]
+    assert len(balancer._POOLS) == cached_before + 1
+
+    ref = weakref.ref(corpus)
+    del corpus
+    gc.collect()
+    assert ref() is None
+    assert len(balancer._POOLS) == cached_before
+
+
 def test_save_balanced_sidecar(tmp_path):
     import json
 

@@ -320,6 +320,17 @@ def test_balance_lone_surrogate_is_data_error(tmp_path, capsys):
     assert f"{bad}:1: code holds a lone surrogate (U+D800)" in err and "Traceback" not in err
 
 
+def test_balance_source_that_is_not_a_string_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "s.jsonl"
+    bad.write_text('{"id": "a", "kind": "API", "label": 1, "code": "x;", "source": ["f\\ud800"]}\n'
+                   '{"id": "b", "kind": "API", "label": 0, "code": "y = 1;"}\n')
+    assert main(["balance", "--hypothesis", "h1", "--in", str(bad),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert (f"{bad}:1: source must be a string or null, got ['f\\ud800']" in err
+            and "Traceback" not in err)
+
+
 def test_balance_h1_reference_manifest_total(tmp_path):
     # the reference distribution balances to 112,790 under H1
     corpus_path = tmp_path / "ref.jsonl"

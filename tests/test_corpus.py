@@ -76,6 +76,11 @@ REJECTED = [
     ("surrogate-source", record(source="\ude00\ud83d") + "\n", 1,
      "source holds a lone surrogate (U+DE00)"),
     ("int-code", record(code=5) + "\n", 1, "code must be a non-empty string"),
+    ("source-array", record(source=["f\ud800"]) + "\n", 1,
+     "source must be a string or null, got ['f\\ud800']"),
+    ("source-number", record(source=3) + "\n", 1, "source must be a string or null, got 3"),
+    ("source-object", record(source={"file": "f.c"}) + "\n", 1,
+     "source must be a string or null, got {'file': 'f.c'}"),
     ("after-blank-lines", "\n \t\n" + record(kind="XX") + "\n", 3, "unknown kind 'XX'"),
     ("crlf", record() + "\r\nnot json\r\n", 2, "malformed JSON record (Expecting value)"),
     ("no-final-newline", record() + "\nnot json", 2, "malformed JSON record (Expecting value)"),
@@ -103,6 +108,7 @@ ACCEPTED = [
     ("label-zero-float", record(label=0.0) + "\n", [PU_NON]),
     ("int-id", record(id=7) + "\n", [replace(PU_VUL, id="7")]),
     ("source", record(source="f.c:3") + "\n", [replace(PU_VUL, source="f.c:3")]),
+    ("source-null", record(source=None) + "\n", [PU_VUL]),
     ("surrogate-pair", record(code="x\U0001f600") + "\n", [replace(PU_VUL, code="x\U0001f600")]),
     ("padded", "  " + record() + " \t\n", [PU_VUL]),
     ("blank-lines", "\n" + record() + "\n\n \t\n\x0c\n" + record(id="b") + "\n",
@@ -215,6 +221,25 @@ def test_save_then_load_round_trips(samples):
     with tempfile.TemporaryDirectory() as tmp:
         path = save(SampleSet(samples), Path(tmp) / "out.jsonl")
         assert load(path).samples == samples
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.builds(Sample, id=_awkward_text, kind=st.sampled_from(Kind),
+                          label=st.sampled_from(Label),
+                          code=_awkward_text.filter(bool),
+                          source=st.none() | st.just("") | _awkward_text),
+                max_size=6, unique_by=lambda s: s.id))
+def test_save_writes_what_json_dumps_writes(samples):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = save(SampleSet(samples), Path(tmp) / "out.jsonl")
+        lines = path.read_bytes().decode("utf-8").split("\n")
+    want = []
+    for s in samples:
+        obj = {"id": s.id, "kind": s.kind.value, "label": int(s.label), "code": s.code}
+        if s.source is not None:
+            obj["source"] = s.source
+        want.append(json.dumps(obj, ensure_ascii=False))
+    assert lines == want + [""]
 
 
 def test_gadget_text_reader(tmp_path):
