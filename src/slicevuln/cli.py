@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 Progress goes to stderr; machine-readable output is written to files only.
-The seed defaults to --seed, then SLICEVULN_SEED, then 42.
+The commands that draw random numbers take --seed; it defaults to
+SLICEVULN_SEED, then 42.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from . import balancer, corpus, experiments, metrics, model, slicer, synth, tokenizer
+from . import balancer, corpus, experiments, metrics, model, slicer, synth
 from .errors import DataError, NumericError, read_utf8
 
 
@@ -54,9 +55,11 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=_seed, default=None,
-                   help="default: SLICEVULN_SEED env var, then 42")
+def _add_common(p: argparse.ArgumentParser, seed: bool = False) -> None:
+    """--out on every command; --seed on those that draw random numbers."""
+    if seed:
+        p.add_argument("--seed", type=_seed, default=None,
+                       help="default: SLICEVULN_SEED env var, then 42")
     p.add_argument("--out", type=Path, required=True, help="output file or directory")
     p.set_defaults(parser=p)
 
@@ -100,24 +103,24 @@ def _build_parser() -> _Parser:
     p.add_argument("--preset", choices=["reference", "desk"], default="desk")
     p.add_argument("--counts", type=Path, default=None,
                    help="per-kind counts manifest (overrides --preset)")
-    _add_common(p)
+    _add_common(p, seed=True)
 
     p = sub.add_parser("balance", help="downsample a corpus under H1 or H2")
     p.add_argument("--hypothesis", choices=["h1", "h2"], required=True)
     p.add_argument("--in", dest="input", type=Path, required=True)
-    _add_common(p)
+    _add_common(p, seed=True)
 
     p = sub.add_parser("train", help="train the classifier on a labeled corpus")
     p.add_argument("--in", dest="input", type=Path, required=True)
     p.add_argument("--train-fraction", type=float, default=0.8)
     _add_model_flags(p)
-    _add_common(p)
+    _add_common(p, seed=True)
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint on a labeled corpus")
-    p.add_argument("--model", dest="checkpoint", type=Path, required=True)
-    p.add_argument("--vocab", type=Path, required=True)
+    p.add_argument("--model", dest="checkpoint", type=Path, required=True,
+                   help="a checkpoint from train; it carries the vocabulary and "
+                        "normalization setting")
     p.add_argument("--in", dest="input", type=Path, required=True)
-    p.add_argument("--no-normalize", action="store_true")
     _add_common(p)
 
     p = sub.add_parser("run-strategy", help="run one strategy end to end",
@@ -127,7 +130,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--strategy", choices=["s1", "s2", "s3"], default="s2")
     p.add_argument("--in", dest="input", type=Path, required=True)
     _add_model_flags(p)
-    _add_common(p)
+    _add_common(p, seed=True)
 
     p = sub.add_parser("report", help="compare previously written JSON reports")
     p.add_argument("--in", dest="inputs", type=Path, nargs="+", required=True)
@@ -248,20 +251,18 @@ def _cmd_train(args) -> int:
     _log(f"training on {len(train_set)} samples, validating on {len(val_set)}")
     fitted = experiments.fit(train_set, val_set, mcfg, tcfg, not args.no_normalize)
     args.out.mkdir(parents=True, exist_ok=True)
-    vocab_path = fitted.vocab.save(args.out / "vocab.txt")
-    ckpt = model.save_checkpoint(fitted.net, args.out / "checkpoint.npz",
-                                 fitted.vocab.content_hash())
+    ckpt = model.save_checkpoint(fitted.net, args.out / "checkpoint.npz", fitted.vocab,
+                                 not args.no_normalize)
     (args.out / "history.json").write_text(
         json.dumps(dataclasses.asdict(fitted.history), indent=2) + "\n", encoding="utf-8")
-    _log(f"stopped at epoch {fitted.history.stopped_epoch}; wrote {ckpt} and {vocab_path}")
+    _log(f"stopped at epoch {fitted.history.stopped_epoch}; wrote {ckpt}")
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    vocab = tokenizer.Vocab.load(args.vocab)
-    net, _ = model.load_checkpoint(args.checkpoint, vocab.content_hash())
+    net, vocab, normalize_symbols = model.load_checkpoint(args.checkpoint)
     sset = corpus.load(args.input)
-    texts = experiments.model_texts(sset, not args.no_normalize)
+    texts = experiments.model_texts(sset, normalize_symbols)
     data = experiments.encode_set(sset, texts, vocab, net.config.max_len)
     _, per_kind, overall = experiments.score(net, sset, data)
     rows = metrics.kind_rows(per_kind, overall)

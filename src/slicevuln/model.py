@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, NumericError
-from .tokenizer import EncodedDataset
+from .tokenizer import EncodedDataset, Vocab
 
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
@@ -40,7 +40,7 @@ _LN_EPS = 1e-5
 _GELU_A = 0.044715
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 _THRESHOLD = 0.5  # vulnerable iff softmax probability of class 1 >= this
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -602,41 +602,59 @@ def predict(model: Model, data: EncodedDataset) -> np.ndarray:
     return labels
 
 
-def save_checkpoint(model: Model, path: str | Path, vocab_hash: str) -> Path:
-    """Single-file binary checkpoint: config, vocab hash, and parameters."""
+def save_checkpoint(model: Model, path: str | Path, vocab: Vocab,
+                    normalize_symbols: bool) -> Path:
+    """Single-file binary checkpoint: everything ``evaluate`` needs to read
+    a corpus the way the model was trained, namely the model config, the
+    vocabulary and the normalization setting, plus the parameters."""
     path = Path(path)
     if path.suffix != ".npz":
         path = Path(str(path) + ".npz")
     meta = {
         "version": CHECKPOINT_VERSION,
         "config": asdict(model.config),
-        "vocab_hash": vocab_hash,
-        "shapes": {name: list(p.shape) for name, p in model.params.items()},
+        "vocab": list(vocab.tokens),
+        "normalize_symbols": normalize_symbols,
     }
     np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
              **model.params)
     return path
 
 
-def load_checkpoint(path: str | Path, expected_vocab_hash: str) -> tuple[Model, str]:
-    """Load a checkpoint written by ``save_checkpoint``.  A file that is not
-    one, a version or vocabulary-hash mismatch, and parameters whose names or
-    shapes differ from what ``init`` gives for the stored config are each a
-    DataError naming the file."""
+def load_checkpoint(path: str | Path) -> tuple[Model, Vocab, bool]:
+    """The model, vocabulary and normalization setting ``save_checkpoint``
+    stored.  A file that is not such a checkpoint (an older version, a
+    stored vocabulary that is not a list of distinct strings or does not
+    fit the config's ``vocab_size``, parameters whose names or shapes
+    differ from what ``init`` gives for the stored config) is a DataError
+    naming the file."""
     try:
         with np.load(path) as blob:
             meta = json.loads(bytes(blob["__meta__"]).decode())
             arrays = {name: blob[name] for name in blob.files if name != "__meta__"}
         if meta.get("version") != CHECKPOINT_VERSION:
-            raise DataError(f"{path}: unsupported checkpoint version {meta.get('version')}")
-        if meta["vocab_hash"] != expected_vocab_hash:
             raise DataError(
-                f"{path}: vocabulary hash mismatch: the checkpoint was trained with a "
-                "different vocabulary"
+                f"{path}: unsupported checkpoint version {meta.get('version')} (this "
+                f"slicevuln reads version {CHECKPOINT_VERSION}); retrain the model with "
+                "`slicevuln train`"
             )
         cfg = ModelConfig(**meta["config"])
+        tokens, normalize_symbols = meta["vocab"], meta["normalize_symbols"]
     except (AttributeError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as e:
         raise DataError(f"{path}: not a checkpoint ({type(e).__name__}: {e})") from e
+    if not isinstance(normalize_symbols, bool):
+        raise DataError(f"{path}: normalize_symbols must be true or false, "
+                        f"got {normalize_symbols!r}")
+    if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+        raise DataError(f"{path}: the stored vocabulary is not a list of strings")
+    room = cfg.vocab_size - len(Vocab.RESERVED)
+    if len(tokens) > room:
+        raise DataError(f"{path}: the stored vocabulary holds {len(tokens)} tokens; "
+                        f"vocab_size {cfg.vocab_size} leaves room for {room}")
+    try:
+        vocab = Vocab(tokens)
+    except DataError as e:
+        raise DataError(f"{path}: the stored {e}") from e
     expected = {name: p.shape for name, p in init(cfg, 0).params.items()}
     if arrays.keys() != expected.keys():
         raise DataError(f"{path}: parameters missing {sorted(expected.keys() - arrays.keys())}, "
@@ -645,4 +663,5 @@ def load_checkpoint(path: str | Path, expected_vocab_hash: str) -> tuple[Model, 
         if arrays[name].shape != shape:
             raise DataError(f"{path}: parameter {name} has shape {arrays[name].shape}, "
                             f"the stored config gives {shape}")
-    return Model(cfg, {name: arrays[name].astype(np.float64) for name in expected}), meta["vocab_hash"]
+    net = Model(cfg, {name: arrays[name].astype(np.float64) for name in expected})
+    return net, vocab, normalize_symbols

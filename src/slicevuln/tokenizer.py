@@ -15,12 +15,11 @@ import hashlib
 import re
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError, read_utf8
+from .errors import DataError
 from .slicer import DEFAULT_API_LIST, TokenClass, lex, significant
 
 _PLACEHOLDER = re.compile(r"(VAR|FUN)(\d+)$")
@@ -72,53 +71,22 @@ class Vocab:
     RESERVED = ("[PAD]", "[UNK]", "[CLS]")
 
     def __init__(self, tokens: Sequence[str]):
-        self._tokens = list(tokens)
-        self._ids = {tok: i + len(self.RESERVED) for i, tok in enumerate(self._tokens)}
-        if len(self._ids) != len(self._tokens):
-            raise DataError("vocabulary contains duplicate tokens")
+        self.tokens = tuple(tokens)  # the ids from len(RESERVED) up, in order
+        self._ids = {tok: i + len(self.RESERVED) for i, tok in enumerate(self.tokens)}
+        if len(self._ids) != len(self.tokens):
+            dup = next(tok for tok, n in Counter(self.tokens).items() if n > 1)
+            raise DataError(f"vocabulary repeats the token {dup!r}")
 
     def __len__(self) -> int:
-        return len(self._tokens) + len(self.RESERVED)
+        return len(self.tokens) + len(self.RESERVED)
 
     def lookup(self, token: str) -> int:
         return self._ids.get(token, self.UNK)
 
-    def token_of(self, idx: int) -> str:
-        if idx < len(self.RESERVED):
-            return self.RESERVED[idx]
-        return self._tokens[idx - len(self.RESERVED)]
-
-    def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        with open(path, "w", encoding="utf-8") as fh:
-            for i in range(len(self)):
-                fh.write(f"{self.token_of(i)}\t{i}\n")
-        return path
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Vocab":
-        tokens = []
-        for lineno, line in enumerate(read_utf8(path).splitlines(), 1):
-            if not line:
-                continue
-            try:
-                token, idx = line.rsplit("\t", 1)
-                idx = int(idx)
-            except ValueError as e:
-                raise DataError(f"{path}:{lineno}: malformed vocab line") from e
-            if idx != lineno - 1:
-                raise DataError(f"{path}:{lineno}: non-contiguous vocab id {idx}")
-            if idx < len(cls.RESERVED):
-                if token != cls.RESERVED[idx]:
-                    raise DataError(f"{path}:{lineno}: reserved slot {idx} holds {token!r}")
-            else:
-                tokens.append(token)
-        return cls(tokens)
-
     def content_hash(self) -> str:
         h = hashlib.sha256()
-        for i in range(len(self)):
-            h.update(self.token_of(i).encode("utf-8"))
+        for tok in (*self.RESERVED, *self.tokens):
+            h.update(tok.encode("utf-8"))
             h.update(b"\0")
         return h.hexdigest()
 

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from slicevuln import Kind, balance_h1
-from slicevuln.cli import main
-from slicevuln.corpus import load, save
+from slicevuln.cli import _build_parser, main
+from slicevuln.corpus import load, save, split
 from slicevuln.synth import DESK_COUNTS, pattern_corpus, reference_corpus
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -145,6 +145,17 @@ def test_malformed_seed_is_usage_error(tmp_path, small_corpus_path, capsys, monk
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["slice", "evaluate", "report"])
+def test_seed_on_a_command_that_draws_no_random_numbers_is_usage_error(tmp_path, capsys,
+                                                                       command):
+    inputs = {"slice": ["--in", "a.c"], "evaluate": ["--model", "m.npz", "--in", "c.jsonl"],
+              "report": ["--in", "report.json"]}[command]
+    assert main([command, *inputs, "--seed", "1", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"usage: slicevuln {command}" in err and "unrecognized arguments: --seed 1" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numeric_blowup_is_exit_3(tmp_path, small_corpus_path):
     code = main(["train", "--in", str(small_corpus_path), "--seed", "1",
@@ -162,9 +173,9 @@ def test_evaluate_nonfinite_checkpoint_is_exit_3(tmp_path, small_corpus_path, ca
     net = init(ModelConfig(num_layers=1, hidden_dim=8, num_heads=2, ff_dim=16,
                            max_len=16, vocab_size=64), seed=0)
     net.params["head_b"][:] = np.nan
-    ckpt = save_checkpoint(net, tmp_path / "checkpoint.npz", vocab.content_hash())
-    code = main(["evaluate", "--model", str(ckpt), "--vocab", str(vocab.save(tmp_path / "v.txt")),
-                 "--in", str(small_corpus_path), "--out", str(tmp_path / "eval")])
+    ckpt = save_checkpoint(net, tmp_path / "checkpoint.npz", vocab, True)
+    code = main(["evaluate", "--model", str(ckpt), "--in", str(small_corpus_path),
+                 "--out", str(tmp_path / "eval")])
     assert code == 3
     assert "non-finite logits" in capsys.readouterr().err
     assert not (tmp_path / "eval" / "metrics.csv").exists()
@@ -233,18 +244,13 @@ def test_slice_output_is_frozen(tmp_path, monkeypatch, expected, sources):
 
 
 @pytest.mark.parametrize("command, flag", [
-    ("evaluate", "--vocab"),
     ("slice", "--api-list"),
 ])
-def test_non_utf8_vocab_or_api_list_is_data_error(tmp_path, small_corpus_path, capsys,
-                                                  command, flag):
+def test_non_utf8_vocab_or_api_list_is_data_error(tmp_path, capsys, command, flag):
     bad = tmp_path / "latin1.txt"
     bad.write_bytes(b"strcpy\t3\n# caf\xe9\n")
     (src,) = _write_sources(tmp_path, {"a.c": SLICE_SOURCES["a.c"]})
-    argv = {"evaluate": ["--model", str(tmp_path / "checkpoint.npz"),
-                         "--in", str(small_corpus_path)],
-            "slice": ["--in", src]}[command]
-    assert main([command, *argv, flag, str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert main([command, "--in", src, flag, str(bad), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert f"{bad}:2: not UTF-8 (byte 0xe9" in err and "Traceback" not in err
 
@@ -270,13 +276,9 @@ def test_bad_counts_manifest_is_data_error(tmp_path, capsys, text, named):
 
 def test_evaluate_on_a_file_that_is_not_a_checkpoint_is_data_error(tmp_path, small_corpus_path,
                                                                    capsys):
-    from slicevuln import build_vocab
-    from slicevuln.experiments import model_texts
-
-    vocab = build_vocab(model_texts(load(small_corpus_path)), 64).save(tmp_path / "v.txt")
     ckpt = tmp_path / "checkpoint.npz"
     ckpt.write_text("not an archive\n")
-    assert main(["evaluate", "--model", str(ckpt), "--vocab", str(vocab),
+    assert main(["evaluate", "--model", str(ckpt),
                  "--in", str(small_corpus_path), "--out", str(tmp_path / "eval")]) == 2
     err = capsys.readouterr().err
     assert f"{ckpt}: not a checkpoint" in err and "Traceback" not in err
@@ -351,18 +353,34 @@ def test_train_then_evaluate(tmp_path, small_corpus_path):
     model_dir = tmp_path / "model"
     assert main(["train", "--in", str(small_corpus_path), "--seed", "5",
                  *FAST_FLAGS, "--out", str(model_dir)]) == 0
-    assert (model_dir / "checkpoint.npz").exists()
-    assert (model_dir / "vocab.txt").exists()
+    assert sorted(p.name for p in model_dir.iterdir()) == ["checkpoint.npz", "history.json"]
     history = json.loads((model_dir / "history.json").read_text())
     assert len(history["train_loss"]) == history["stopped_epoch"]
 
     eval_dir = tmp_path / "eval"
     assert main(["evaluate", "--model", str(model_dir / "checkpoint.npz"),
-                 "--vocab", str(model_dir / "vocab.txt"),
                  "--in", str(small_corpus_path), "--out", str(eval_dir)]) == 0
     lines = (eval_dir / "metrics.csv").read_text().splitlines()
     assert lines[0].startswith("category,recall")
     assert any(l.startswith("Overall,") for l in lines)
+
+
+@pytest.mark.parametrize("mode", [[], ["--no-normalize"]], ids=["normalize", "no-normalize"])
+def test_evaluate_reads_its_settings_from_the_checkpoint(tmp_path, small_corpus_path, mode):
+    # train + evaluate on train's held-out side is run-strategy s2, split for split
+    bal, model_dir = tmp_path / "bal", tmp_path / "model"
+    assert main(["balance", "--hypothesis", "h2", "--in", str(small_corpus_path),
+                 "--seed", "42", "--out", str(bal)]) == 0
+    assert main(["train", "--in", str(bal / "balanced.jsonl"), "--seed", "42",
+                 *FAST_FLAGS, *mode, "--out", str(model_dir)]) == 0
+    _, heldout = split(load(bal / "balanced.jsonl"), 0.8, 42)
+    save(heldout, tmp_path / "heldout.jsonl")
+    assert main(["evaluate", "--model", str(model_dir / "checkpoint.npz"),
+                 "--in", str(tmp_path / "heldout.jsonl"), "--out", str(tmp_path / "eval")]) == 0
+    assert main(["run-strategy", "--strategy", "s2", "--in", str(small_corpus_path),
+                 "--seed", "42", *FAST_FLAGS, *mode, "--out", str(tmp_path / "runs")]) == 0
+    assert ((tmp_path / "eval" / "metrics.csv").read_bytes()
+            == (tmp_path / "runs" / "s2-seed42" / "metrics.csv").read_bytes())
 
 
 def test_train_on_a_corpus_too_small_to_split_is_data_error(tmp_path, small_corpus_path,
@@ -442,3 +460,24 @@ def test_report_comparison_is_frozen(tmp_path):
         "S1,98.77,50.00,12.35,117.7\n"
         "S3,,90.45,0.00,1.0\n"
     )
+
+
+def test_flag_inventory():
+    # every option each subcommand takes; a new knob shows up here as a diff
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    inventory = {name: [opt for action in p._actions for opt in action.option_strings]
+                 for name, p in sub.choices.items()}
+    model_flags = ["--layers", "--hidden", "--heads", "--ff", "--max-len", "--vocab-size",
+                   "--dropout", "--lr", "--batch-size", "--epochs", "--patience",
+                   "--weight-decay", "--no-normalize"]
+    assert inventory == {
+        "slice": ["-h", "--help", "--in", "--api-list", "--max-lines", "--hops", "--jobs",
+                  "--out"],
+        "build-dataset": ["-h", "--help", "--preset", "--counts", "--seed", "--out"],
+        "balance": ["-h", "--help", "--hypothesis", "--in", "--seed", "--out"],
+        "train": ["-h", "--help", "--in", "--train-fraction", *model_flags, "--seed", "--out"],
+        "evaluate": ["-h", "--help", "--model", "--in", "--out"],
+        "run-strategy": ["-h", "--help", "--strategy", "--in", *model_flags, "--seed",
+                         "--out"],
+        "report": ["-h", "--help", "--in", "--out"],
+    }

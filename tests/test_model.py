@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from slicevuln import (
+    DataError,
     ModelConfig,
     NumericError,
     TrainConfig,
@@ -19,7 +20,7 @@ from slicevuln import (
 )
 from slicevuln.model import (_backward_core, _forward_core, _loss_and_grad, _trim,
                              load_checkpoint, save_checkpoint)
-from slicevuln.tokenizer import EncodedDataset, Encoding
+from slicevuln.tokenizer import EncodedDataset, Encoding, Vocab, build_vocab
 
 from conftest import random_batch, random_dataset
 
@@ -376,61 +377,92 @@ def test_optimizer_step_rejects_nonfinite_update(tiny_cfg):
         _adamw_step(net.params, grads, m, v, 1, TrainConfig())
 
 
+def _vocab(n=5):
+    return Vocab([f"t{i}" for i in range(n)])
+
+
 def test_checkpoint_round_trip(tmp_path, tiny_cfg):
-    net = init(tiny_cfg, seed=4)
-    path = save_checkpoint(net, tmp_path / "model.npz", vocab_hash="abc123")
-    back, vocab_hash = load_checkpoint(path, expected_vocab_hash="abc123")
-    assert vocab_hash == "abc123"
-    assert back.config == tiny_cfg
-    for name in net.params:
-        assert np.array_equal(back.params[name], net.params[name])
+    net, vocab = init(tiny_cfg, seed=4), build_vocab(["alpha beta beta gamma"], max_size=10)
     data = random_dataset(tiny_cfg, 4, seed=6)
-    assert np.array_equal(forward(net, data), forward(back, data))
+    for normalize_symbols in (True, False):
+        path = save_checkpoint(net, tmp_path / "model.npz", vocab, normalize_symbols)
+        back, back_vocab, back_normalize = load_checkpoint(path)
+        assert back.config == tiny_cfg
+        for name in net.params:
+            assert np.array_equal(back.params[name], net.params[name])
+        assert np.array_equal(forward(net, data), forward(back, data))
+        assert back_vocab.content_hash() == vocab.content_hash()
+        for token in ("alpha", "beta", "gamma", "delta", "[PAD]"):
+            assert back_vocab.lookup(token) == vocab.lookup(token)
+        assert back_normalize is normalize_symbols
 
 
-def test_checkpoint_vocab_hash_mismatch(tmp_path, tiny_cfg):
-    from slicevuln import DataError
-
-    net = init(tiny_cfg, seed=4)
-    path = save_checkpoint(net, tmp_path / "model.npz", vocab_hash="abc123")
-    with pytest.raises(DataError, match="vocab"):
-        load_checkpoint(path, expected_vocab_hash="zzz")
-
-
-def _rewrite_checkpoint(path, drop=(), **config):
-    """Rewrite a saved checkpoint without the ``drop`` arrays and with
-    ``config`` merged into its stored model config."""
+def _rewrite_checkpoint(path, drop=(), meta=None, **config):
+    """Rewrite a saved checkpoint without the ``drop`` arrays and metadata
+    fields, with the ``meta`` fields set and ``config`` merged into its
+    stored model config."""
     with np.load(path) as blob:
-        arrays = {name: blob[name] for name in blob.files}
-    meta = json.loads(bytes(arrays["__meta__"]).decode())
-    meta["config"].update(config)
-    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    np.savez(path, **{name: a for name, a in arrays.items() if name not in drop})
+        arrays = {name: blob[name] for name in blob.files if name not in drop}
+    stored = json.loads(bytes(arrays.pop("__meta__")).decode())
+    stored.update(meta or {})
+    stored["config"].update(config)
+    stored = {key: value for key, value in stored.items() if key not in drop}
+    np.savez(path, __meta__=np.frombuffer(json.dumps(stored).encode(), dtype=np.uint8),
+             **arrays)
 
 
 def test_checkpoint_that_is_not_an_archive_is_data_error(tmp_path):
-    from slicevuln import DataError
-
     path = tmp_path / "model.npz"
     path.write_text("not an archive\n")
     with pytest.raises(DataError, match=re.escape(f"{path}: not a checkpoint")):
-        load_checkpoint(path, expected_vocab_hash="abc123")
+        load_checkpoint(path)
 
 
 def test_checkpoint_missing_a_parameter_is_data_error(tmp_path, tiny_cfg):
-    from slicevuln import DataError
-
-    path = save_checkpoint(init(tiny_cfg, seed=4), tmp_path / "model.npz", "abc123")
+    path = save_checkpoint(init(tiny_cfg, seed=4), tmp_path / "model.npz", _vocab(), True)
     _rewrite_checkpoint(path, drop=("layers.0.Wq",))
     with pytest.raises(DataError, match=re.escape(f"{path}: parameters missing ['layers.0.Wq']")):
-        load_checkpoint(path, expected_vocab_hash="abc123")
+        load_checkpoint(path)
 
 
 def test_checkpoint_config_disagreeing_with_its_arrays_is_data_error(tmp_path, tiny_cfg):
-    from slicevuln import DataError
-
     net = init(dataclasses.replace(tiny_cfg, vocab_size=16), seed=4)
-    path = save_checkpoint(net, tmp_path / "model.npz", "abc123")
+    path = save_checkpoint(net, tmp_path / "model.npz", _vocab(), True)
     _rewrite_checkpoint(path, vocab_size=99)
     with pytest.raises(DataError, match=re.escape(f"{path}: parameter tok_emb has shape (16, 8)")):
-        load_checkpoint(path, expected_vocab_hash="abc123")
+        load_checkpoint(path)
+
+
+def test_version_1_checkpoint_is_data_error_that_says_to_retrain(tmp_path, tiny_cfg):
+    # the earlier format: the vocabulary lived in vocab.txt, and the archive
+    # held its hash and the parameter shapes but no normalization setting
+    net, vocab = init(tiny_cfg, seed=4), _vocab()
+    path = save_checkpoint(net, tmp_path / "model.npz", vocab, True)
+    _rewrite_checkpoint(path, drop=("vocab", "normalize_symbols"), meta={
+        "version": 1, "vocab_hash": vocab.content_hash(),
+        "shapes": {name: list(p.shape) for name, p in net.params.items()}})
+    with pytest.raises(DataError, match=re.escape(
+            f"{path}: unsupported checkpoint version 1 (this slicevuln reads version 2); "
+            "retrain the model")):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("meta, named", [
+    ({"vocab": "t0 t1"}, "the stored vocabulary is not a list of strings"),
+    ({"vocab": ["t0", 1]}, "the stored vocabulary is not a list of strings"),
+    ({"vocab": ["t0", "t1", "t0"]}, "the stored vocabulary repeats the token 't0'"),
+    ({"vocab": [f"t{i}" for i in range(30)]},
+     "the stored vocabulary holds 30 tokens; vocab_size 32 leaves room for 29"),
+    ({"normalize_symbols": "yes"}, "normalize_symbols must be true or false, got 'yes'"),
+], ids=["not-a-list", "not-strings", "repeated-token", "too-many-tokens", "normalize-not-bool"])
+def test_checkpoint_with_a_bad_stored_setting_is_data_error(tmp_path, tiny_cfg, meta, named):
+    path = save_checkpoint(init(tiny_cfg, seed=4), tmp_path / "model.npz", _vocab(), True)
+    _rewrite_checkpoint(path, meta=meta)
+    with pytest.raises(DataError, match=re.escape(f"{path}: {named}")):
+        load_checkpoint(path)
+
+
+def test_checkpoint_vocabulary_may_fill_the_embedding_table(tmp_path, tiny_cfg):
+    vocab = _vocab(tiny_cfg.vocab_size - len(Vocab.RESERVED))
+    path = save_checkpoint(init(tiny_cfg, seed=4), tmp_path / "model.npz", vocab, False)
+    assert len(load_checkpoint(path)[1]) == tiny_cfg.vocab_size

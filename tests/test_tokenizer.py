@@ -129,16 +129,6 @@ def test_encode_min_len():
         encode("a", v, max_len=1)
 
 
-def test_vocab_save_load_round_trip(tmp_path):
-    v = build_vocab(["alpha beta beta gamma"], max_size=10)
-    path = v.save(tmp_path / "vocab.txt")
-    text = path.read_text()
-    assert text.startswith("[PAD]\t0\n[UNK]\t1\n[CLS]\t2\n")
-    back = Vocab.load(path)
-    assert back.content_hash() == v.content_hash()
-    assert back.lookup("beta") == v.lookup("beta")
-
-
 def test_encoded_dataset_shapes():
     v = build_vocab(["a b"], max_size=8)
     encs = [encode("a", v, 6), encode("b a", v, 6)]
