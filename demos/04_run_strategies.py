@@ -35,9 +35,7 @@ for sid in ("S1", "S2", "S3"):
         f"F1 {percent(report.overall.f1)}%  "
         f"({report.resources.wall_time:.1f}s)"
     )
-    for fmt, name in (("table", "metrics.txt"), ("csv", "metrics.csv"),
-                      ("json", "report.json")):
-        emit(report, fmt, out_dir / sid.lower() / name)
+    emit(report, out_dir / sid.lower())  # metrics.txt, metrics.csv, report.json
 
 # The same comparison.csv that `slicevuln report` writes.
 print()

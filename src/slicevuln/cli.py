@@ -95,8 +95,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--api-list", type=Path, default=None)
     p.add_argument("--max-lines", type=int, default=30)
     p.add_argument("--hops", type=int, default=2)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes across input files; never changes results")
     _add_common(p)
 
     p = sub.add_parser("build-dataset", help="generate a synthetic labeled corpus")
@@ -173,14 +171,14 @@ def _configs_from_args(args, seed: int) -> tuple[model.ModelConfig, model.TrainC
     return model.ModelConfig(**model_kw), model.TrainConfig(**train_kw, seed=seed)
 
 
-def _slice_one_file(job: tuple[str, slicer.SliceConfig]) -> list[dict]:
-    """Candidate records of one file; a DataError names the file."""
-    path, cfg = job
-    name = Path(path).name
+def _slice_one_file(path: str, cfg: slicer.SliceConfig) -> list[dict]:
+    """Candidate records of one file; a DataError names the file.  Each id is
+    the path as given plus the candidate's index, so ids stay unique across
+    files that share a name."""
     source = read_utf8(path)
     try:
         return [{
-            "id": f"{name}#{j}",
+            "id": f"{path}#{j}",
             "kind": cand.kind.value,
             "focus": cand.focus,
             "line": cand.line,
@@ -197,24 +195,13 @@ def _cmd_slice(args) -> int:
     with _flag_values(args):
         cfg = slicer.SliceConfig(api_list=api, max_slice_lines=args.max_lines,
                                  def_use_hops=args.hops)
-    jobs = [(str(p), cfg) for p in args.inputs]
-    if args.jobs > 1 and len(jobs) > 1:
-        # pool.map preserves input order, so worker count cannot change output
-        from multiprocessing import Pool
-
-        with Pool(min(args.jobs, len(jobs))) as pool:
-            per_file = pool.map(_slice_one_file, jobs)
-    else:
-        per_file = [_slice_one_file(job) for job in jobs]
+    # every file is sliced before anything is written, so a bad file leaves no output
+    records = [record for p in args.inputs for record in _slice_one_file(str(p), cfg)]
     args.out.mkdir(parents=True, exist_ok=True)
     out_path = args.out / "slices.jsonl"
-    count = 0
     with open(out_path, "w", encoding="utf-8") as fh:
-        for records in per_file:
-            for record in records:
-                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-                count += 1
-    _log(f"wrote {count} candidate slices to {out_path}")
+        fh.writelines(json.dumps(record, ensure_ascii=False) + "\n" for record in records)
+    _log(f"wrote {len(records)} candidate slices to {out_path}")
     return 0
 
 
@@ -265,11 +252,7 @@ def _cmd_evaluate(args) -> int:
     texts = experiments.model_texts(sset, normalize_symbols)
     data = experiments.encode_set(sset, texts, vocab, net.config.max_len)
     _, per_kind, overall = experiments.score(net, sset, data)
-    rows = metrics.kind_rows(per_kind, overall)
-    args.out.mkdir(parents=True, exist_ok=True)
-    (args.out / "metrics.txt").write_text(
-        metrics.format_metric_table(rows) + "\n", encoding="utf-8")
-    (args.out / "metrics.csv").write_text(experiments.metrics_csv(rows), encoding="utf-8")
+    experiments.write_metrics(args.out, metrics.kind_rows(per_kind, overall))
     _log(f"evaluated {len(sset)} samples; wrote metrics under {args.out}")
     return 0
 
@@ -285,10 +268,7 @@ def _cmd_run_strategy(args) -> int:
     sset = corpus.load(args.input)
     _log(f"running {spec.id} ({spec.hypothesis}) on {len(sset)} samples, seed {seed}")
     report = experiments.run(spec, sset)
-    run_dir = args.out / f"{spec.id.lower()}-seed{seed}"
-    for fmt, name in (("table", "metrics.txt"), ("csv", "metrics.csv"),
-                      ("json", "report.json")):
-        experiments.emit(report, fmt, run_dir / name)
+    run_dir = experiments.emit(report, args.out / f"{spec.id.lower()}-seed{seed}")
     _log(f"overall F1 {metrics.percent(report.overall.f1)}%; reports under {run_dir}")
     return 0
 

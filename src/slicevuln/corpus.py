@@ -1,15 +1,9 @@
 """Sample data model, dataset I/O, and seeded stratified splits.
 
-Two on-disk formats are supported:
-
-* ``jsonlines`` -- one JSON object per line with fields
-  ``id`` / ``kind`` / ``label`` / ``code`` and optional ``source``.
-  Labels are integers (1 = vulnerable), kinds are the four canonical
-  strings ``API`` / ``AU`` / ``PU`` / ``AE``.
-* ``gadget-text`` -- legacy block format: the lines of one slice, then a
-  line holding the 0/1 label, then a delimiter line of five or more
-  ``-`` characters.  The format carries no kind field, so the reader
-  assigns a caller-supplied default kind.
+A dataset on disk is JSON-lines: one JSON object per line with fields
+``id`` / ``kind`` / ``label`` / ``code`` and optional ``source``.  Labels
+are integers (1 = vulnerable), kinds are the four canonical strings
+``API`` / ``AU`` / ``PU`` / ``AE``.
 """
 
 from __future__ import annotations
@@ -127,9 +121,6 @@ _scan_once = json.JSONDecoder().scan_once
 _KIND_TEXT = {k: f'"{k.value}"' for k in Kind}
 _LABEL_TEXT = {lab: str(int(lab)) for lab in Label}
 _SURROGATE = re.compile("[\ud800-\udfff]")
-_GADGET_DELIM = re.compile(r"^-{5,}\s*$")
-# VulDeePecker CGD header: "<number> <path> <functype-or-name> <line>"
-_GADGET_HEADER = re.compile(r"^\d+\s+\S+\s+\S+\s+\d+\s*$")
 
 
 def _decode(line: str) -> object:
@@ -202,70 +193,18 @@ def _jsonl_record_lines(path: Path) -> Iterator[int]:
                 yield lineno
 
 
-def _gadget_records(path: Path) -> Iterator[list[tuple[int, str]]]:
-    """The non-blank (lineno, text) lines of each gadget-text record.  Lines
-    break at "\n" only, after universal-newline decoding, so a form feed or
-    U+2028 inside a code line neither splits it nor shifts a line number."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    lines.append("-----")  # sentinel so the last record is flushed
-
-    record: list[tuple[int, str]] = []
-    for lineno, line in enumerate(lines, start=1):
-        if _GADGET_DELIM.match(line):
-            if record:
-                yield record
-            record = []
-        elif line.strip():
-            record.append((lineno, line))
-
-
-def _gadget_record(
-    body: list[tuple[int, str]], kind: Kind, path: Path, index: int
-) -> Sample:
-    label_lineno, label_text = body[-1]
-    if label_text.strip() not in ("0", "1"):
-        raise DataError(
-            f"{path}:{label_lineno}: expected 0/1 label line, got {label_text.strip()!r}"
-        )
-    label = Label(int(label_text.strip()))
-    body = body[:-1]
-    source = None
-    sample_id = f"g{index + 1}"
-    if body and _GADGET_HEADER.match(body[0][1].strip()):
-        source = body[0][1].strip()
-        sample_id = f"g{source.split()[0]}"
-        body = body[1:]
-    if not body:
-        raise DataError(f"{path}:{label_lineno}: record has a label but no code lines")
-    code = "\n".join(t for _, t in body)
-    return Sample(id=sample_id, kind=kind, label=label, code=code, source=source)
-
-
-def load(
-    path: str | Path,
-    format: str = "jsonlines",
-    default_kind: Kind = Kind.API,
-) -> SampleSet:
-    """Load a dataset from disk. ``default_kind`` applies to gadget-text only."""
+def load(path: str | Path) -> SampleSet:
+    """Load a JSON-lines dataset.  Every rejected record names ``path:LINE``;
+    a duplicate id names both lines."""
     path = Path(path)
     try:
-        if format == "jsonlines":
-            return SampleSet(_load_jsonlines(path))
-        if format == "gadget-text":
-            return SampleSet(_gadget_record(body, default_kind, path, i)
-                             for i, body in enumerate(_gadget_records(path)))
+        return SampleSet(_load_jsonlines(path))
     except UnicodeDecodeError as e:
         raise not_utf8(path) from e
     except _DuplicateId as e:
-        if format == "jsonlines":
-            record_lines = _jsonl_record_lines(path)
-        else:  # a gadget-text record's first non-blank line
-            record_lines = (body[0][0] for body in _gadget_records(path))
-        first, *_, second = islice(record_lines, e.first, e.second + 1)
+        first, *_, second = islice(_jsonl_record_lines(path), e.first, e.second + 1)
         raise DataError(f"{path}:{second}: duplicate sample id {e.sample_id!r} "
                         f"(first on line {first})") from None
-    raise DataError(f"unknown format {format!r} (expected jsonlines or gadget-text)")
 
 
 def save(sset: SampleSet, path: str | Path) -> Path:

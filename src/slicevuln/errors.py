@@ -22,9 +22,6 @@ class LexError(DataError):
         self.message = message
         self.line = line
 
-    def __reduce__(self):  # rebuilt from its own arguments, e.g. across a process pool
-        return type(self), (self.message, self.line)
-
 
 class NumericError(SliceVulnError):
     """Non-finite loss or gradients during training or verification."""

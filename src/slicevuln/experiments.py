@@ -246,45 +246,44 @@ def run(spec: StrategySpec, full_corpus: SampleSet) -> Report:
     )
 
 
-def metrics_csv(rows: dict[str, metrics.MetricSet]) -> str:
-    """One CSV line per metric row; percentages, undefined cells empty."""
+def write_metrics(run_dir: Path, rows: dict[str, metrics.MetricSet], heading: str = "") -> None:
+    """The deterministic metric views: ``metrics.txt``, the table under
+    ``heading``, and ``metrics.csv``, one line per row in percent with
+    undefined cells empty."""
+    run_dir.mkdir(parents=True, exist_ok=True)
+    (run_dir / "metrics.txt").write_text(
+        heading + metrics.format_metric_table(rows) + "\n", encoding="utf-8")
     lines = ["category," + ",".join(m.lower() for m in metrics.METRIC_NAMES)]
     lines += [f"{name}," + metrics.csv_row(ms) for name, ms in rows.items()]
-    return "\n".join(lines) + "\n"
+    (run_dir / "metrics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def emit(report: Report, format: str, path: str | Path) -> Path:
-    """Write a report file: 'table' and 'csv' are deterministic metric views,
-    'json' additionally carries resources, history, and fingerprints."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+def emit(report: Report, run_dir: str | Path) -> Path:
+    """Write a run directory: the metric views of ``write_metrics`` and
+    ``report.json``, which also carries resources, history and fingerprints."""
+    run_dir = Path(run_dir)
     rows = metrics.kind_rows(report.per_kind, report.overall)
-    if format == "table":
-        body = f"Strategy {report.strategy.id} ({report.strategy.hypothesis})\n"
-        path.write_text(body + metrics.format_metric_table(rows) + "\n", encoding="utf-8")
-    elif format == "csv":
-        path.write_text(metrics_csv(rows), encoding="utf-8")
-    elif format == "json":
-        payload = {
-            "strategy": report.strategy.id,
-            "hypothesis": report.strategy.hypothesis,
-            "seed": report.strategy.seed,
-            "metrics": {name: ms.as_dict() for name, ms in rows.items()},
-            "confusion": {
-                k.value: {"tp": cm.tp, "fp": cm.fp, "tn": cm.tn, "fn": cm.fn}
-                for k, cm in report.per_kind_confusion.items()
-            },
-            "resources": {
-                "wall_time_seconds": report.resources.wall_time,
-                "peak_resident_memory_bytes": report.resources.peak_resident_memory,
-            },
-            "history": asdict(report.history),
-            "fingerprints": report.fingerprints,
-        }
-        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    else:
-        raise ValueError(f"unknown report format {format!r}")
-    return path
+    write_metrics(run_dir, rows,
+                  f"Strategy {report.strategy.id} ({report.strategy.hypothesis})\n")
+    payload = {
+        "strategy": report.strategy.id,
+        "hypothesis": report.strategy.hypothesis,
+        "seed": report.strategy.seed,
+        "metrics": {name: ms.as_dict() for name, ms in rows.items()},
+        "confusion": {
+            k.value: {"tp": cm.tp, "fp": cm.fp, "tn": cm.tn, "fn": cm.fn}
+            for k, cm in report.per_kind_confusion.items()
+        },
+        "resources": {
+            "wall_time_seconds": report.resources.wall_time,
+            "peak_resident_memory_bytes": report.resources.peak_resident_memory,
+        },
+        "history": asdict(report.history),
+        "fingerprints": report.fingerprints,
+    }
+    (run_dir / "report.json").write_text(json.dumps(payload, indent=2) + "\n",
+                                         encoding="utf-8")
+    return run_dir
 
 
 def compare(payloads: Sequence[dict]) -> str:

@@ -174,10 +174,8 @@ def test_criterion_08_determinism(strategy_reports, tmp_path):
     a, b = strategy_reports["S2"], strategy_reports["S2_repeat"]
     files = {}
     for tag, report in (("a", a), ("b", b)):
-        files[tag] = [
-            emit(report, "csv", tmp_path / tag / "metrics.csv"),
-            emit(report, "table", tmp_path / tag / "metrics.txt"),
-        ]
+        run_dir = emit(report, tmp_path / tag)
+        files[tag] = [run_dir / "metrics.csv", run_dir / "metrics.txt"]
     for fa, fb in zip(files["a"], files["b"]):
         assert fa.read_bytes() == fb.read_bytes(), f"{fa.name} differs between runs"
 

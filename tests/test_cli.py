@@ -198,24 +198,30 @@ def test_slice_writes_candidates(tmp_path):
     assert all(r["focus"] in r["code"] for r in rows)
 
 
-def test_slice_jobs_flag_never_changes_results(tmp_path):
-    sources = _write_sources(tmp_path, {n: SLICE_SOURCES[n] for n in ("s0.c", "s1.c", "s2.c", "s3.c")})
-    out1, out2 = tmp_path / "j1", tmp_path / "j2"
-    assert main(["slice", "--in", *sources, "--jobs", "1", "--out", str(out1)]) == 0
-    assert main(["slice", "--in", *sources, "--jobs", "4", "--out", str(out2)]) == 0
-    assert (out1 / "slices.jsonl").read_bytes() == (out2 / "slices.jsonl").read_bytes()
+def test_slice_ids_are_unique_across_files_with_one_name(tmp_path):
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        _write_sources(tmp_path / sub, {"x.c": SLICE_SOURCES["a.c"]})
+    inputs = [str(tmp_path / "a" / "x.c"), str(tmp_path / "b" / "x.c")]
+    out = tmp_path / "slices"
+    assert main(["slice", "--in", *inputs, "--out", str(out)]) == 0
+    rows = [json.loads(l) for l in (out / "slices.jsonl").read_text().splitlines()]
+    assert len(rows) == 6 and len({r["id"] for r in rows}) == 6
+    assert all(r["id"].startswith(f"{r['source']}#") for r in rows)
+    # the slices, labelled, load as one corpus
+    labelled = tmp_path / "labelled.jsonl"
+    labelled.write_text("".join(json.dumps({**r, "label": 0}) + "\n" for r in rows))
+    assert len(load(labelled)) == 6
 
 
-def test_slice_jobs_reports_a_file_that_fails_to_lex(tmp_path):
-    # a worker's error has to come back through the pool, not hang it
+def test_slice_names_the_file_that_fails_to_lex(tmp_path, capsys):
     (good,) = _write_sources(tmp_path, {"ok.c": SLICE_SOURCES["ok.c"]})
     bad = tmp_path / "bad.c"
     bad.write_text("int f() {\n  int $x;\n}\n")
-    result = _run_python(
-        "-c", "import sys; from slicevuln.cli import main; sys.exit(main(sys.argv[1:]))",
-        "slice", "--in", good, str(bad), "--jobs", "2", "--out", str(tmp_path / "o"))
-    assert result.returncode == 2
-    assert f"{bad}: line 2: unexpected character '$'" in result.stderr
+    out = tmp_path / "o"
+    assert main(["slice", "--in", good, str(bad), "--out", str(out)]) == 2
+    assert f"{bad}: line 2: unexpected character '$'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_slice_non_utf8_file_is_data_error(tmp_path, capsys):
@@ -471,8 +477,7 @@ def test_flag_inventory():
                    "--dropout", "--lr", "--batch-size", "--epochs", "--patience",
                    "--weight-decay", "--no-normalize"]
     assert inventory == {
-        "slice": ["-h", "--help", "--in", "--api-list", "--max-lines", "--hops", "--jobs",
-                  "--out"],
+        "slice": ["-h", "--help", "--in", "--api-list", "--max-lines", "--hops", "--out"],
         "build-dataset": ["-h", "--help", "--preset", "--counts", "--seed", "--out"],
         "balance": ["-h", "--help", "--hypothesis", "--in", "--seed", "--out"],
         "train": ["-h", "--help", "--in", "--train-fraction", *model_flags, "--seed", "--out"],

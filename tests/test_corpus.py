@@ -128,19 +128,15 @@ def test_load_accepts(tmp_path, text, samples):
     assert [type(s.label) for s in loaded] == [Label] * len(samples)
 
 
-@pytest.mark.parametrize("format,text,message", [
-    pytest.param("jsonlines",
-                 record() + "\n" + record(id="b") + "\n\n" + record(kind="AU") + "\n",
+@pytest.mark.parametrize("text,message", [
+    pytest.param(record() + "\n" + record(id="b") + "\n\n" + record(kind="AU") + "\n",
                  "4: duplicate sample id 'a' (first on line 1)", id="jsonlines"),
-    pytest.param("gadget-text",
-                 "12 f.c f 3\nx = 1;\n1\n-----\ny = 2;\n0\n-----\n\n12 g.c g 9\nz = 3;\n0\n",
-                 "9: duplicate sample id 'g12' (first on line 1)", id="gadget-text"),
 ])
-def test_load_duplicate_id_names_both_lines(tmp_path, format, text, message):
+def test_load_duplicate_id_names_both_lines(tmp_path, text, message):
     path = tmp_path / "dup.txt"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(DataError) as err:
-        load(path, format=format)
+        load(path)
     assert str(err.value) == f"{path}:{message}"
 
 
@@ -242,66 +238,16 @@ def test_save_writes_what_json_dumps_writes(samples):
     assert lines == want + [""]
 
 
-def test_gadget_text_reader(tmp_path):
-    path = tmp_path / "gadgets.txt"
-    path.write_text(
-        "1 src/foo.c func 12\n"
-        "char buf[8];\n"
-        "strcpy(buf, input);\n"
-        "1\n"
-        "---------------\n"
-        "int x = a + b;\n"
-        "0\n"
-        "---------------\n"
-    )
-    sset = load(path, format="gadget-text", default_kind=Kind.API)
-    assert len(sset) == 2
-    first, second = sset.samples
-    assert first.label == Label.VULNERABLE
-    assert first.source == "1 src/foo.c func 12"
-    assert "strcpy" in first.code
-    assert second.label == Label.NON_VULNERABLE
-    assert second.kind == Kind.API
-
-
-def test_gadget_text_bad_label(tmp_path):
-    path = tmp_path / "gadgets.txt"
-    path.write_text("some code\nmore code\n-----\n")
-    with pytest.raises(DataError, match="label"):
-        load(path, format="gadget-text")
-
-
-def test_gadget_text_breaks_lines_at_newline_only(tmp_path):
-    # a form feed stays inside its code line; U+2028 shifts no line number
-    path = tmp_path / "gadgets.txt"
-    path.write_text("foo();\x0cbar();\n1\n-----\nx = 1; /* \u2028 */\n0\n-----\n",
-                    encoding="utf-8")
-    first, second = load(path, format="gadget-text").samples
-    assert first.code == "foo();\x0cbar();"
-    assert second.code == "x = 1; /* \u2028 */"
-    path.write_text("foo();\n1\n-----\nx = 1; /* \u2028 */\n2\n-----\n", encoding="utf-8")
-    with pytest.raises(DataError) as err:
-        load(path, format="gadget-text")
-    assert str(err.value) == f"{path}:5: expected 0/1 label line, got '2'"
-
-
 @pytest.mark.parametrize("format,data", [
     ("jsonlines", b'{"id": "a", "kind": "AU", "label": 0, "code": "b[i] = 0;"}\n\n\n'
                   b'{"id": "b", "kind": "AU", "label": 1, "code": "caf\xe9"}\n'),
-    ("gadget-text", b"char *s = 0;\n1\n-----\n/* caf\xe9 */\n0\n-----\n"),
 ])
 def test_load_non_utf8_names_file_and_line(tmp_path, format, data):
+    # JSON-lines is the one format; the parameter only names the case
     path = tmp_path / "latin1.txt"
     path.write_bytes(data)
     with pytest.raises(DataError, match=r"latin1\.txt:4: not UTF-8 \(byte 0xe9: "):
-        load(path, format=format)
-
-
-def test_unknown_format(tmp_path):
-    path = tmp_path / "x.jsonl"
-    path.write_text("")
-    with pytest.raises(DataError, match="format"):
-        load(path, format="csv")
+        load(path)
 
 
 def test_split_8_2():

@@ -60,8 +60,8 @@ def fake_report(sid, f1, accuracy=0.9, wall=1.0, mem=2**20):
 
 
 def fake_payload(tmp_path, sid, f1, **kwargs):
-    path = emit(fake_report(sid, f1, **kwargs), "json", tmp_path / f"{sid}.json")
-    return json.loads(path.read_text())
+    run_dir = emit(fake_report(sid, f1, **kwargs), tmp_path / sid)
+    return json.loads((run_dir / "report.json").read_text())
 
 
 def test_s2_sizes_match_hypothesis(small_corpus):
@@ -152,8 +152,7 @@ def test_emit_table_perfect_classifier(tmp_path):
         per_kind_confusion={k: cm for k in Kind}, resources=report.resources,
         fingerprints=report.fingerprints, history=report.history,
     )
-    path = emit(report, "table", tmp_path / "metrics.txt")
-    body = path.read_text()
+    body = (emit(report, tmp_path) / "metrics.txt").read_text()
     cells = [c for line in body.splitlines()[2:] for c in line.split()[1:]]
     assert cells and all(c == "100.00" for c in cells)
     assert body.splitlines()[2].split()[0] == "API"
@@ -161,8 +160,7 @@ def test_emit_table_perfect_classifier(tmp_path):
 
 def test_emit_csv_round_trip(tmp_path, small_corpus):
     report = run(small_spec("S2"), small_corpus)
-    path = emit(report, "csv", tmp_path / "metrics.csv")
-    lines = path.read_text().strip().splitlines()
+    lines = (emit(report, tmp_path) / "metrics.csv").read_text().strip().splitlines()
     header = lines[0].split(",")
     assert header == ["category", "recall", "specificity", "precision", "f1", "mcc", "accuracy"]
     overall_row = [l for l in lines if l.startswith("Overall,")][0].split(",")
@@ -183,31 +181,25 @@ def test_emit_table_derived_confusion_row(tmp_path):
         per_kind_confusion={Kind.PU: cm}, resources=base.resources,
         fingerprints=base.fingerprints, history=base.history,
     )
-    path = emit(report, "table", tmp_path / "t.txt")
-    row = [l for l in path.read_text().splitlines() if l.startswith("PU")][0]
+    body = (emit(report, tmp_path) / "metrics.txt").read_text()
+    row = [l for l in body.splitlines() if l.startswith("PU")][0]
     assert row.split()[1:] == ["80.00", "70.00", "72.73", "76.19", "50.25", "75.00"]
 
 
 def test_emit_json_carries_resources_and_fingerprints(tmp_path, small_corpus):
     report = run(small_spec("S2"), small_corpus)
-    path = emit(report, "json", tmp_path / "report.json")
-    payload = json.loads(path.read_text())
+    payload = json.loads((emit(report, tmp_path) / "report.json").read_text())
     assert payload["strategy"] == "S2"
     assert payload["resources"]["wall_time_seconds"] >= 0
     assert payload["fingerprints"]["balanced_total"] == 120
     assert payload["metrics"]["Overall"]["accuracy"] is not None
 
 
-def test_emit_unknown_format(tmp_path):
-    with pytest.raises(ValueError):
-        emit(fake_report("S1", 0.9), "xml", tmp_path / "x")
-
-
 def test_emit_unwritable_path(tmp_path):
     target = tmp_path / "x"
     target.write_text("")
     with pytest.raises(OSError):
-        emit(fake_report("S1", 0.9), "csv", target / "impossible" / "y.csv")
+        emit(fake_report("S1", 0.9), target / "impossible")
 
 
 def test_compare_identical_reports(tmp_path):

@@ -1,0 +1,49 @@
+import inspect
+
+import slicevuln
+
+
+def test_public_surface():
+    # every public name, and each public function's parameters; a new name
+    # or parameter shows up here as a diff
+    assert slicevuln.__all__ == [
+        "Kind", "Label", "Sample", "SampleSet", "load", "save", "split",
+        "Candidate", "SliceConfig", "Token", "TokenClass", "build_slice",
+        "extract_candidates", "lex", "load_api_list",
+        "BalancedSet", "balance_h1", "balance_h2", "remainder",
+        "Encoding", "EncodedDataset", "Vocab", "build_vocab", "encode", "normalize",
+        "Model", "ModelConfig", "TrainConfig", "TrainHistory",
+        "forward", "grad_check", "init", "predict", "train",
+        "ConfusionMatrix", "MetricSet", "aggregate", "compute", "confusion",
+        "Report", "ResourceUsage", "StrategySpec", "compare", "emit", "run",
+        "DataError", "LexError", "NumericError", "SliceVulnError",
+    ]
+    functions = {name: list(inspect.signature(obj).parameters)
+                 for name in slicevuln.__all__
+                 if inspect.isfunction(obj := getattr(slicevuln, name))}
+    assert functions == {
+        "load": ["path"],
+        "save": ["sset", "path"],
+        "split": ["sset", "train_fraction", "seed"],
+        "build_slice": ["source", "candidate", "cfg"],
+        "extract_candidates": ["source", "cfg"],
+        "lex": ["source"],
+        "load_api_list": ["path"],
+        "balance_h1": ["corpus", "seed"],
+        "balance_h2": ["corpus", "seed"],
+        "remainder": ["corpus", "balanced"],
+        "build_vocab": ["corpus", "max_size"],
+        "encode": ["text", "vocab", "max_len"],
+        "normalize": ["slice_text"],
+        "forward": ["model", "data", "batch_size"],
+        "grad_check": ["model", "data", "labels", "epsilon", "num_samples", "seed"],
+        "init": ["cfg", "seed"],
+        "predict": ["model", "data"],
+        "train": ["model", "train_data", "val_data", "tcfg"],
+        "aggregate": ["per_kind"],
+        "compute": ["cm"],
+        "confusion": ["predictions", "truth"],
+        "compare": ["payloads"],
+        "emit": ["report", "run_dir"],
+        "run": ["spec", "full_corpus"],
+    }

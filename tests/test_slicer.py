@@ -1,4 +1,3 @@
-import pickle
 import string
 from pathlib import Path
 
@@ -73,14 +72,6 @@ def test_lex_unterminated_block_comment():
 def test_lex_unterminated_string():
     with pytest.raises(LexError, match="line 1"):
         lex('char *s = "oops')
-
-
-def test_lex_error_survives_pickling():
-    # slice --jobs N sends a worker's LexError back through a pickle
-    err = LexError("unexpected character '$'", 3)
-    back = pickle.loads(pickle.dumps(err))
-    assert type(back) is LexError
-    assert (back.line, str(back)) == (3, "line 3: unexpected character '$'")
 
 
 def test_lex_directive_single_token():
@@ -246,7 +237,7 @@ def test_slicing_a_file_lexes_it_once(monkeypatch):
     real_lex = slicer.lex
     monkeypatch.setattr(slicer, "lex", counting_lex)
     slicer._index.cache_clear()
-    records = cli._slice_one_file((str(FIXTURES / "multi_function.c"), SliceConfig()))
+    records = cli._slice_one_file(str(FIXTURES / "multi_function.c"), SliceConfig())
     assert len(records) > 100
     assert len(calls) == 1
 
