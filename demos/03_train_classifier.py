@@ -31,7 +31,7 @@ print(f"model: {fitted.net.num_parameters():,} parameters")
 # The backward pass agrees with finite differences (on a fresh tiny model).
 tiny = ModelConfig(num_layers=1, hidden_dim=8, num_heads=2, ff_dim=16,
                    max_len=48, vocab_size=512, dropout=0.0)
-err = grad_check(init(tiny, seed=0), fitted.heldout, fitted.heldout.labels, epsilon=1e-5)
+err = grad_check(init(tiny, seed=0), fitted.heldout, epsilon=1e-5)
 print(f"gradient check, max relative error: {err:.2e}")
 
 history = fitted.history

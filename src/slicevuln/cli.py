@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 Progress goes to stderr; machine-readable output is written to files only.
-The commands that draw random numbers take --seed; it defaults to
-SLICEVULN_SEED, then 42.
+The commands that draw random numbers take --seed; it defaults to 42.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import shlex
 import sys
 from contextlib import contextmanager
@@ -58,8 +56,7 @@ def _seed(text: str) -> int:
 def _add_common(p: argparse.ArgumentParser, seed: bool = False) -> None:
     """--out on every command; --seed on those that draw random numbers."""
     if seed:
-        p.add_argument("--seed", type=_seed, default=None,
-                       help="default: SLICEVULN_SEED env var, then 42")
+        p.add_argument("--seed", type=_seed, default=42, help="default: 42")
     p.add_argument("--out", type=Path, required=True, help="output file or directory")
     p.set_defaults(parser=p)
 
@@ -72,18 +69,6 @@ def _flag_values(args):
         yield
     except ValueError as e:
         args.parser.error(str(e))
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("SLICEVULN_SEED")
-    if not env:
-        return 42
-    try:
-        return _seed(env)
-    except argparse.ArgumentTypeError as e:
-        args.parser.error(f"SLICEVULN_SEED: {e}")
 
 
 def _build_parser() -> _Parser:
@@ -110,14 +95,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train the classifier on a labeled corpus")
     p.add_argument("--in", dest="input", type=Path, required=True)
-    p.add_argument("--train-fraction", type=float, default=0.8)
     _add_model_flags(p)
     _add_common(p, seed=True)
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint on a labeled corpus")
     p.add_argument("--model", dest="checkpoint", type=Path, required=True,
-                   help="a checkpoint from train; it carries the vocabulary and "
-                        "normalization setting")
+                   help="a checkpoint from train; it carries the vocabulary")
     p.add_argument("--in", dest="input", type=Path, required=True)
     _add_common(p)
 
@@ -149,7 +132,6 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--patience", type=int, default=None)
     p.add_argument("--weight-decay", type=float, default=None)
-    p.add_argument("--no-normalize", action="store_true")
 
 
 _MODEL_KEYS = {
@@ -163,12 +145,12 @@ _TRAIN_KEYS = {
 }
 
 
-def _configs_from_args(args, seed: int) -> tuple[model.ModelConfig, model.TrainConfig]:
+def _configs_from_args(args) -> tuple[model.ModelConfig, model.TrainConfig]:
     model_kw = {key: getattr(args, flag) for flag, key in _MODEL_KEYS.items()
                 if getattr(args, flag) is not None}
     train_kw = {key: getattr(args, flag) for flag, key in _TRAIN_KEYS.items()
                 if getattr(args, flag) is not None}
-    return model.ModelConfig(**model_kw), model.TrainConfig(**train_kw, seed=seed)
+    return model.ModelConfig(**model_kw), model.TrainConfig(**train_kw, seed=args.seed)
 
 
 def _slice_one_file(path: str, cfg: slicer.SliceConfig) -> list[dict]:
@@ -208,11 +190,11 @@ def _cmd_slice(args) -> int:
 def _cmd_build_dataset(args) -> int:
     if args.counts is not None:
         counts = synth.read_counts_manifest(args.counts)
-        sset = synth.pattern_corpus(counts, seed=_resolve_seed(args))
+        sset = synth.pattern_corpus(counts, seed=args.seed)
     elif args.preset == "reference":
         sset = synth.reference_corpus()
     else:
-        sset = synth.pattern_corpus(seed=_resolve_seed(args))
+        sset = synth.pattern_corpus(seed=args.seed)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     corpus.save(sset, args.out)
     _log(f"wrote {len(sset)} samples to {args.out}")
@@ -222,7 +204,7 @@ def _cmd_build_dataset(args) -> int:
 def _cmd_balance(args) -> int:
     sset = corpus.load(args.input)
     fn = balancer.balance_h1 if args.hypothesis == "h1" else balancer.balance_h2
-    bset = fn(sset, _resolve_seed(args))
+    bset = fn(sset, args.seed)
     data_path, manifest_path = balancer.save_balanced(bset, args.out)
     _log(f"balanced {len(sset)} -> {len(bset)} samples ({bset.hypothesis}); "
          f"wrote {data_path} and {manifest_path}")
@@ -230,16 +212,14 @@ def _cmd_balance(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    seed = _resolve_seed(args)
-    sset = corpus.load(args.input)
     with _flag_values(args):
-        mcfg, tcfg = _configs_from_args(args, seed)
-        train_set, val_set = corpus.split(sset, args.train_fraction, seed)
+        mcfg, tcfg = _configs_from_args(args)
+    sset = corpus.load(args.input)
+    train_set, val_set = corpus.split(sset, experiments.TRAIN_FRACTION, args.seed)
     _log(f"training on {len(train_set)} samples, validating on {len(val_set)}")
-    fitted = experiments.fit(train_set, val_set, mcfg, tcfg, not args.no_normalize)
+    fitted = experiments.fit(train_set, val_set, mcfg, tcfg)
     args.out.mkdir(parents=True, exist_ok=True)
-    ckpt = model.save_checkpoint(fitted.net, args.out / "checkpoint.npz", fitted.vocab,
-                                 not args.no_normalize)
+    ckpt = model.save_checkpoint(fitted.net, args.out / "checkpoint.npz", fitted.vocab)
     (args.out / "history.json").write_text(
         json.dumps(dataclasses.asdict(fitted.history), indent=2) + "\n", encoding="utf-8")
     _log(f"stopped at epoch {fitted.history.stopped_epoch}; wrote {ckpt}")
@@ -247,10 +227,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    net, vocab, normalize_symbols = model.load_checkpoint(args.checkpoint)
+    net, vocab = model.load_checkpoint(args.checkpoint)
     sset = corpus.load(args.input)
-    texts = experiments.model_texts(sset, normalize_symbols)
-    data = experiments.encode_set(sset, texts, vocab, net.config.max_len)
+    data = experiments.encode_test_set(sset, vocab, net.config.max_len, str(args.input))
     _, per_kind, overall = experiments.score(net, sset, data)
     experiments.write_metrics(args.out, metrics.kind_rows(per_kind, overall))
     _log(f"evaluated {len(sset)} samples; wrote metrics under {args.out}")
@@ -258,17 +237,14 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_run_strategy(args) -> int:
-    seed = _resolve_seed(args)
     with _flag_values(args):
-        mcfg, tcfg = _configs_from_args(args, seed)
-        spec = experiments.StrategySpec(
-            id=args.strategy.upper(), model_config=mcfg, train_config=tcfg,
-            normalize_symbols=not args.no_normalize,
-        )
+        mcfg, tcfg = _configs_from_args(args)
+        spec = experiments.StrategySpec(id=args.strategy.upper(), model_config=mcfg,
+                                        train_config=tcfg)
     sset = corpus.load(args.input)
-    _log(f"running {spec.id} ({spec.hypothesis}) on {len(sset)} samples, seed {seed}")
+    _log(f"running {spec.id} ({spec.hypothesis}) on {len(sset)} samples, seed {spec.seed}")
     report = experiments.run(spec, sset)
-    run_dir = experiments.emit(report, args.out / f"{spec.id.lower()}-seed{seed}")
+    run_dir = experiments.emit(report, args.out / f"{spec.id.lower()}-seed{spec.seed}")
     _log(f"overall F1 {metrics.percent(report.overall.f1)}%; reports under {run_dir}")
     return 0
 

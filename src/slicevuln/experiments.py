@@ -32,7 +32,7 @@ from .corpus import KIND_ORDER, Kind, SampleSet
 from .errors import DataError
 
 STRATEGY_IDS = ("S1", "S2", "S3")
-_TRAIN_FRACTION = 0.8
+TRAIN_FRACTION = 0.8
 
 
 @dataclass
@@ -40,7 +40,6 @@ class StrategySpec:
     id: str
     model_config: model.ModelConfig = field(default_factory=model.ModelConfig)
     train_config: model.TrainConfig = field(default_factory=model.TrainConfig)
-    normalize_symbols: bool = True
 
     def __post_init__(self):
         if self.id not in STRATEGY_IDS:
@@ -104,10 +103,8 @@ class _Stage:
         return False
 
 
-def model_texts(sset: SampleSet, normalize_symbols: bool = True) -> list[str]:
-    """The text the model sees for each sample: normalized code, or the raw code."""
-    if not normalize_symbols:
-        return [s.code for s in sset]
+def model_texts(sset: SampleSet) -> list[str]:
+    """The text the model sees for each sample: its normalized code."""
     return [tokenizer.normalize(s.code) for s in sset]
 
 
@@ -119,6 +116,16 @@ def encode_set(
         [tokenizer.encode(text, vocab, max_len) for text in texts],
         [int(s.label) for s in sset],
     )
+
+
+def encode_test_set(
+    test_set: SampleSet, vocab: tokenizer.Vocab, max_len: int, name: str
+) -> tokenizer.EncodedDataset:
+    """Encode a set the model is scored on but did not validate on.  An
+    empty set is a DataError that names it as ``name``."""
+    if len(test_set) == 0:
+        raise DataError(f"{name} holds no samples to score")
+    return encode_set(test_set, model_texts(test_set), vocab, max_len)
 
 
 @dataclass
@@ -138,7 +145,6 @@ def fit(
     heldout: SampleSet,
     model_config: model.ModelConfig,
     train_config: model.TrainConfig,
-    normalize_symbols: bool = True,
 ) -> Fitted:
     """Normalize each sample once, build the vocabulary from the training
     texts, encode both sides, then initialize from ``train_config.seed`` and
@@ -146,13 +152,11 @@ def fit(
     if len(train_set) == 0 or len(heldout) == 0:
         raise DataError("training and validation sets must be non-empty")
     with _Stage("tokenize"):
-        train_texts = model_texts(train_set, normalize_symbols)
+        train_texts = model_texts(train_set)
         vocab = tokenizer.build_vocab(train_texts, model_config.vocab_size)
         train_data = encode_set(train_set, train_texts, vocab, model_config.max_len)
-        heldout_data = encode_set(
-            heldout, model_texts(heldout, normalize_symbols), vocab,
-            model_config.max_len,
-        )
+        heldout_data = encode_set(heldout, model_texts(heldout), vocab,
+                                  model_config.max_len)
 
     with _Stage("train"):
         net = model.init(model_config, train_config.seed)
@@ -194,19 +198,16 @@ def run(spec: StrategySpec, full_corpus: SampleSet) -> Report:
             balanced = balancer.balance_h2(full_corpus, spec.seed)
 
     with _Stage("split"):
-        train_set, heldout = corpus.split(balanced.samples, _TRAIN_FRACTION, spec.seed)
+        train_set, heldout = corpus.split(balanced.samples, TRAIN_FRACTION, spec.seed)
 
-    fitted = fit(train_set, heldout, spec.model_config, spec.train_config,
-                 spec.normalize_symbols)
+    fitted = fit(train_set, heldout, spec.model_config, spec.train_config)
 
     if spec.id == "S3":
         with _Stage("remainder"):
             test_set = balancer.remainder(full_corpus, balanced)
         with _Stage("tokenize"):
-            test_data = encode_set(
-                test_set, model_texts(test_set, spec.normalize_symbols),
-                fitted.vocab, spec.model_config.max_len,
-            )
+            test_data = encode_test_set(test_set, fitted.vocab, spec.model_config.max_len,
+                                        "the S3 remainder")
     else:
         test_set, test_data = heldout, fitted.heldout
 

@@ -26,7 +26,6 @@ import json
 import zipfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -40,7 +39,8 @@ _LN_EPS = 1e-5
 _GELU_A = 0.044715
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 _THRESHOLD = 0.5  # vulnerable iff softmax probability of class 1 >= this
-CHECKPOINT_VERSION = 2
+_NUM_CLASSES = 2  # non-vulnerable, vulnerable
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,6 @@ class ModelConfig:
     max_len: int = 512
     vocab_size: int = 4096
     dropout: float = 0.1
-    num_classes: int = 2
 
     def __post_init__(self):
         if min(self.num_layers, self.hidden_dim, self.num_heads, self.ff_dim,
@@ -64,8 +63,6 @@ class ModelConfig:
             )
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.num_classes != 2:
-            raise ValueError("binary classifier: num_classes is fixed at 2")
 
     @property
     def head_dim(self) -> int:
@@ -140,8 +137,8 @@ def init(cfg: ModelConfig, seed: int) -> Model:
         params[p + "b2"] = np.zeros(H)
     params["lnf_g"] = np.ones(H)
     params["lnf_b"] = np.zeros(H)
-    params["head_W"] = w(H, cfg.num_classes)
-    params["head_b"] = np.zeros(cfg.num_classes)
+    params["head_W"] = w(H, _NUM_CLASSES)
+    params["head_b"] = np.zeros(_NUM_CLASSES)
     return Model(cfg, params)
 
 
@@ -408,7 +405,7 @@ def forward(model: Model, data: EncodedDataset, batch_size: int = 64) -> np.ndar
         raise ValueError(
             f"encoding length {data.ids.shape[1]} != model max_len {model.config.max_len}"
         )
-    logits = np.empty((len(data), model.config.num_classes))
+    logits = np.empty((len(data), _NUM_CLASSES))
     for start in range(0, len(data), batch_size):
         ids, mask = _trim(data.ids[start:start + batch_size],
                           data.attention_mask[start:start + batch_size])
@@ -440,19 +437,18 @@ def _trim(ids: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def grad_check(
     model: Model,
     data: EncodedDataset,
-    labels: Sequence[int],
     epsilon: float = 1e-5,
     num_samples: int = 200,
     seed: int = 0,
 ) -> float:
     """Max relative error between analytic gradients and central differences.
 
-    Samples ``num_samples`` parameter coordinates across every tensor.  The
-    relative-error denominator is floored at 1e-6 so finite-difference
-    roundoff on near-zero coordinates does not dominate.
+    The loss is taken against ``data.labels``.  Samples ``num_samples``
+    parameter coordinates across every tensor.  The relative-error
+    denominator is floored at 1e-6 so finite-difference roundoff on
+    near-zero coordinates does not dominate.
     """
-    ids, mask = data.ids, data.attention_mask
-    y = np.asarray(labels, dtype=np.int64)
+    ids, mask, y = data.ids, data.attention_mask, data.labels
     logits, cache = _forward_core(model, ids, mask, need_cache=True)
     _, dlogits = _loss_and_grad(logits, y)
     grads = _backward_core(model, cache, dlogits)
@@ -602,11 +598,10 @@ def predict(model: Model, data: EncodedDataset) -> np.ndarray:
     return labels
 
 
-def save_checkpoint(model: Model, path: str | Path, vocab: Vocab,
-                    normalize_symbols: bool) -> Path:
+def save_checkpoint(model: Model, path: str | Path, vocab: Vocab) -> Path:
     """Single-file binary checkpoint: everything ``evaluate`` needs to read
-    a corpus the way the model was trained, namely the model config, the
-    vocabulary and the normalization setting, plus the parameters."""
+    a corpus the way the model was trained, namely the model config and the
+    vocabulary, plus the parameters."""
     path = Path(path)
     if path.suffix != ".npz":
         path = Path(str(path) + ".npz")
@@ -614,20 +609,18 @@ def save_checkpoint(model: Model, path: str | Path, vocab: Vocab,
         "version": CHECKPOINT_VERSION,
         "config": asdict(model.config),
         "vocab": list(vocab.tokens),
-        "normalize_symbols": normalize_symbols,
     }
     np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
              **model.params)
     return path
 
 
-def load_checkpoint(path: str | Path) -> tuple[Model, Vocab, bool]:
-    """The model, vocabulary and normalization setting ``save_checkpoint``
-    stored.  A file that is not such a checkpoint (an older version, a
-    stored vocabulary that is not a list of distinct strings or does not
-    fit the config's ``vocab_size``, parameters whose names or shapes
-    differ from what ``init`` gives for the stored config) is a DataError
-    naming the file."""
+def load_checkpoint(path: str | Path) -> tuple[Model, Vocab]:
+    """The model and vocabulary ``save_checkpoint`` stored.  A file that is
+    not such a checkpoint (an older version, a stored vocabulary that is not
+    a list of distinct strings or does not fit the config's ``vocab_size``,
+    parameters whose names or shapes differ from what ``init`` gives for the
+    stored config) is a DataError naming the file."""
     try:
         with np.load(path) as blob:
             meta = json.loads(bytes(blob["__meta__"]).decode())
@@ -639,12 +632,9 @@ def load_checkpoint(path: str | Path) -> tuple[Model, Vocab, bool]:
                 "`slicevuln train`"
             )
         cfg = ModelConfig(**meta["config"])
-        tokens, normalize_symbols = meta["vocab"], meta["normalize_symbols"]
+        tokens = meta["vocab"]
     except (AttributeError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as e:
         raise DataError(f"{path}: not a checkpoint ({type(e).__name__}: {e})") from e
-    if not isinstance(normalize_symbols, bool):
-        raise DataError(f"{path}: normalize_symbols must be true or false, "
-                        f"got {normalize_symbols!r}")
     if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
         raise DataError(f"{path}: the stored vocabulary is not a list of strings")
     room = cfg.vocab_size - len(Vocab.RESERVED)
@@ -664,4 +654,4 @@ def load_checkpoint(path: str | Path) -> tuple[Model, Vocab, bool]:
             raise DataError(f"{path}: parameter {name} has shape {arrays[name].shape}, "
                             f"the stored config gives {shape}")
     net = Model(cfg, {name: arrays[name].astype(np.float64) for name in expected})
-    return net, vocab, normalize_symbols
+    return net, vocab

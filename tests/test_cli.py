@@ -68,7 +68,7 @@ def test_unknown_flag_is_usage_error():
 @pytest.mark.parametrize("command, flags", [
     ("run-strategy", ["--strategy", "s2", "--heads", "3"]),
     ("run-strategy", ["--strategy", "s2", "--epochs", "0"]),
-    ("train", ["--train-fraction", "1.5"]),
+    ("train", ["--epochs", "0"]),
     ("slice", ["--max-lines", "0"]),
     # {text: named} stands for a flags file holding text; the error names named
     ("run-strategy", [{"--hiden 32": "--hiden"}]),
@@ -123,17 +123,11 @@ def test_unreadable_flags_file_is_usage_error(tmp_path, small_corpus_path, capsy
 
 
 @pytest.mark.parametrize("command", ["build-dataset", "balance", "train", "run-strategy"])
-@pytest.mark.parametrize("flags, env, named", [
-    (["--seed", "-1"], None, "argument --seed: expected a non-negative integer, got '-1'"),
-    ([], "abc", "SLICEVULN_SEED: expected a non-negative integer, got 'abc'"),
-    ([], "-3", "SLICEVULN_SEED: expected a non-negative integer, got '-3'"),
-], ids=["flag-negative", "env-not-a-number", "env-negative"])
-def test_malformed_seed_is_usage_error(tmp_path, small_corpus_path, capsys, monkeypatch,
-                                       command, flags, env, named):
-    if env is None:
-        monkeypatch.delenv("SLICEVULN_SEED", raising=False)
-    else:
-        monkeypatch.setenv("SLICEVULN_SEED", env)
+@pytest.mark.parametrize("flags, named", [
+    (["--seed", "-1"], "argument --seed: expected a non-negative integer, got '-1'"),
+], ids=["flag-negative"])
+def test_malformed_seed_is_usage_error(tmp_path, small_corpus_path, capsys, command, flags,
+                                       named):
     inputs = {"build-dataset": [], "balance": ["--hypothesis", "h1"], "train": FAST_FLAGS,
               "run-strategy": FAST_FLAGS}[command]
     if command != "build-dataset":
@@ -173,7 +167,7 @@ def test_evaluate_nonfinite_checkpoint_is_exit_3(tmp_path, small_corpus_path, ca
     net = init(ModelConfig(num_layers=1, hidden_dim=8, num_heads=2, ff_dim=16,
                            max_len=16, vocab_size=64), seed=0)
     net.params["head_b"][:] = np.nan
-    ckpt = save_checkpoint(net, tmp_path / "checkpoint.npz", vocab, True)
+    ckpt = save_checkpoint(net, tmp_path / "checkpoint.npz", vocab)
     code = main(["evaluate", "--model", str(ckpt), "--in", str(small_corpus_path),
                  "--out", str(tmp_path / "eval")])
     assert code == 3
@@ -290,13 +284,14 @@ def test_evaluate_on_a_file_that_is_not_a_checkpoint_is_data_error(tmp_path, sma
     assert f"{ckpt}: not a checkpoint" in err and "Traceback" not in err
 
 
-def test_seed_env_var_is_default_of_last_resort(tmp_path, small_corpus_path, monkeypatch):
+def test_seed_env_var_is_not_read(tmp_path, small_corpus_path, monkeypatch):
+    # --seed is the one source of the seed; without it the seed is 42
     monkeypatch.setenv("SLICEVULN_SEED", "7")
     out = tmp_path / "bal"
     assert main(["balance", "--hypothesis", "h1", "--in", str(small_corpus_path),
                  "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["seed"] == 7
+    assert manifest["seed"] == 42
 
 
 def test_balance_cli_matches_library(tmp_path, small_corpus_path):
@@ -371,22 +366,47 @@ def test_train_then_evaluate(tmp_path, small_corpus_path):
     assert any(l.startswith("Overall,") for l in lines)
 
 
-@pytest.mark.parametrize("mode", [[], ["--no-normalize"]], ids=["normalize", "no-normalize"])
-def test_evaluate_reads_its_settings_from_the_checkpoint(tmp_path, small_corpus_path, mode):
+def test_evaluate_reads_its_settings_from_the_checkpoint(tmp_path, small_corpus_path):
     # train + evaluate on train's held-out side is run-strategy s2, split for split
     bal, model_dir = tmp_path / "bal", tmp_path / "model"
     assert main(["balance", "--hypothesis", "h2", "--in", str(small_corpus_path),
                  "--seed", "42", "--out", str(bal)]) == 0
     assert main(["train", "--in", str(bal / "balanced.jsonl"), "--seed", "42",
-                 *FAST_FLAGS, *mode, "--out", str(model_dir)]) == 0
+                 *FAST_FLAGS, "--out", str(model_dir)]) == 0
     _, heldout = split(load(bal / "balanced.jsonl"), 0.8, 42)
     save(heldout, tmp_path / "heldout.jsonl")
     assert main(["evaluate", "--model", str(model_dir / "checkpoint.npz"),
                  "--in", str(tmp_path / "heldout.jsonl"), "--out", str(tmp_path / "eval")]) == 0
     assert main(["run-strategy", "--strategy", "s2", "--in", str(small_corpus_path),
-                 "--seed", "42", *FAST_FLAGS, *mode, "--out", str(tmp_path / "runs")]) == 0
+                 "--seed", "42", *FAST_FLAGS, "--out", str(tmp_path / "runs")]) == 0
     assert ((tmp_path / "eval" / "metrics.csv").read_bytes()
             == (tmp_path / "runs" / "s2-seed42" / "metrics.csv").read_bytes())
+
+
+def test_evaluate_on_an_empty_corpus_is_data_error(tmp_path, small_corpus_path, capsys):
+    model_dir, empty, out = tmp_path / "model", tmp_path / "empty.jsonl", tmp_path / "eval"
+    assert main(["train", "--in", str(small_corpus_path), *FAST_FLAGS,
+                 "--out", str(model_dir)]) == 0
+    empty.write_text("")
+    assert main(["evaluate", "--model", str(model_dir / "checkpoint.npz"),
+                 "--in", str(empty), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{empty} holds no samples to score" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_s3_with_an_empty_remainder_is_data_error(tmp_path, capsys):
+    # H2 keeps every sample of a corpus balanced per kind, so nothing remains
+    counts, corpus_path = tmp_path / "counts.json", tmp_path / "corpus.jsonl"
+    counts.write_text(json.dumps({kind: {"vulnerable": 10, "non_vulnerable": 10}
+                                  for kind in ("API", "AU")}))
+    assert main(["build-dataset", "--counts", str(counts), "--out", str(corpus_path)]) == 0
+    out = tmp_path / "runs"
+    assert main(["run-strategy", "--strategy", "s3", "--in", str(corpus_path), *FAST_FLAGS,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "the S3 remainder holds no samples to score" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_train_on_a_corpus_too_small_to_split_is_data_error(tmp_path, small_corpus_path,
@@ -475,12 +495,12 @@ def test_flag_inventory():
                  for name, p in sub.choices.items()}
     model_flags = ["--layers", "--hidden", "--heads", "--ff", "--max-len", "--vocab-size",
                    "--dropout", "--lr", "--batch-size", "--epochs", "--patience",
-                   "--weight-decay", "--no-normalize"]
+                   "--weight-decay"]
     assert inventory == {
         "slice": ["-h", "--help", "--in", "--api-list", "--max-lines", "--hops", "--out"],
         "build-dataset": ["-h", "--help", "--preset", "--counts", "--seed", "--out"],
         "balance": ["-h", "--help", "--hypothesis", "--in", "--seed", "--out"],
-        "train": ["-h", "--help", "--in", "--train-fraction", *model_flags, "--seed", "--out"],
+        "train": ["-h", "--help", "--in", *model_flags, "--seed", "--out"],
         "evaluate": ["-h", "--help", "--model", "--in", "--out"],
         "run-strategy": ["-h", "--help", "--strategy", "--in", *model_flags, "--seed",
                          "--out"],

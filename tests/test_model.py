@@ -37,8 +37,6 @@ def test_config_validation():
         ModelConfig(hidden_dim=10, num_heads=4)
     with pytest.raises(ValueError):
         ModelConfig(dropout=1.0)
-    with pytest.raises(ValueError):
-        ModelConfig(num_classes=3)
     assert ModelConfig(hidden_dim=64, num_heads=4).head_dim == 16
 
 
@@ -163,15 +161,15 @@ def test_loss_matches_per_sample_oracle():
 def test_grad_check_tiny_model(tiny_cfg):
     net = init(tiny_cfg, seed=7)
     data = random_dataset(tiny_cfg, 4, seed=3)
-    err = grad_check(net, data, data.labels, epsilon=1e-5, num_samples=250)
+    err = grad_check(net, data, epsilon=1e-5, num_samples=250)
     assert err < 1e-4
 
 
 def test_grad_check_deterministic(tiny_cfg):
     net = init(tiny_cfg, seed=7)
     data = random_dataset(tiny_cfg, 4, seed=3)
-    a = grad_check(net, data, data.labels, num_samples=60, seed=1)
-    b = grad_check(net, data, data.labels, num_samples=60, seed=1)
+    a = grad_check(net, data, num_samples=60, seed=1)
+    b = grad_check(net, data, num_samples=60, seed=1)
     assert a == b
 
 
@@ -384,17 +382,15 @@ def _vocab(n=5):
 def test_checkpoint_round_trip(tmp_path, tiny_cfg):
     net, vocab = init(tiny_cfg, seed=4), build_vocab(["alpha beta beta gamma"], max_size=10)
     data = random_dataset(tiny_cfg, 4, seed=6)
-    for normalize_symbols in (True, False):
-        path = save_checkpoint(net, tmp_path / "model.npz", vocab, normalize_symbols)
-        back, back_vocab, back_normalize = load_checkpoint(path)
-        assert back.config == tiny_cfg
-        for name in net.params:
-            assert np.array_equal(back.params[name], net.params[name])
-        assert np.array_equal(forward(net, data), forward(back, data))
-        assert back_vocab.content_hash() == vocab.content_hash()
-        for token in ("alpha", "beta", "gamma", "delta", "[PAD]"):
-            assert back_vocab.lookup(token) == vocab.lookup(token)
-        assert back_normalize is normalize_symbols
+    path = save_checkpoint(net, tmp_path / "model.npz", vocab)
+    back, back_vocab = load_checkpoint(path)
+    assert back.config == tiny_cfg
+    for name in net.params:
+        assert np.array_equal(back.params[name], net.params[name])
+    assert np.array_equal(forward(net, data), forward(back, data))
+    assert back_vocab.content_hash() == vocab.content_hash()
+    for token in ("alpha", "beta", "gamma", "delta", "[PAD]"):
+        assert back_vocab.lookup(token) == vocab.lookup(token)
 
 
 def _rewrite_checkpoint(path, drop=(), meta=None, **config):
@@ -419,7 +415,7 @@ def test_checkpoint_that_is_not_an_archive_is_data_error(tmp_path):
 
 
 def test_checkpoint_missing_a_parameter_is_data_error(tmp_path, tiny_cfg):
-    path = save_checkpoint(init(tiny_cfg, seed=4), tmp_path / "model.npz", _vocab(), True)
+    path = save_checkpoint(init(tiny_cfg, seed=4), tmp_path / "model.npz", _vocab())
     _rewrite_checkpoint(path, drop=("layers.0.Wq",))
     with pytest.raises(DataError, match=re.escape(f"{path}: parameters missing ['layers.0.Wq']")):
         load_checkpoint(path)
@@ -427,23 +423,30 @@ def test_checkpoint_missing_a_parameter_is_data_error(tmp_path, tiny_cfg):
 
 def test_checkpoint_config_disagreeing_with_its_arrays_is_data_error(tmp_path, tiny_cfg):
     net = init(dataclasses.replace(tiny_cfg, vocab_size=16), seed=4)
-    path = save_checkpoint(net, tmp_path / "model.npz", _vocab(), True)
+    path = save_checkpoint(net, tmp_path / "model.npz", _vocab())
     _rewrite_checkpoint(path, vocab_size=99)
     with pytest.raises(DataError, match=re.escape(f"{path}: parameter tok_emb has shape (16, 8)")):
         load_checkpoint(path)
 
 
-def test_version_1_checkpoint_is_data_error_that_says_to_retrain(tmp_path, tiny_cfg):
-    # the earlier format: the vocabulary lived in vocab.txt, and the archive
-    # held its hash and the parameter shapes but no normalization setting
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_checkpoint_version_is_data_error_that_says_to_retrain(tmp_path, tiny_cfg,
+                                                                   version):
+    # the earlier formats: version 1 kept the vocabulary in vocab.txt and held
+    # its hash and the parameter shapes; version 2 held the vocabulary, a
+    # normalization setting and num_classes in the stored model config
     net, vocab = init(tiny_cfg, seed=4), _vocab()
-    path = save_checkpoint(net, tmp_path / "model.npz", vocab, True)
-    _rewrite_checkpoint(path, drop=("vocab", "normalize_symbols"), meta={
-        "version": 1, "vocab_hash": vocab.content_hash(),
-        "shapes": {name: list(p.shape) for name, p in net.params.items()}})
+    path = save_checkpoint(net, tmp_path / "model.npz", vocab)
+    if version == 1:
+        _rewrite_checkpoint(path, drop=("vocab",), meta={
+            "version": 1, "vocab_hash": vocab.content_hash(),
+            "shapes": {name: list(p.shape) for name, p in net.params.items()}})
+    else:
+        _rewrite_checkpoint(path, meta={"version": 2, "normalize_symbols": True},
+                            num_classes=2)
     with pytest.raises(DataError, match=re.escape(
-            f"{path}: unsupported checkpoint version 1 (this slicevuln reads version 2); "
-            "retrain the model")):
+            f"{path}: unsupported checkpoint version {version} (this slicevuln reads "
+            "version 3); retrain the model")):
         load_checkpoint(path)
 
 
@@ -453,10 +456,9 @@ def test_version_1_checkpoint_is_data_error_that_says_to_retrain(tmp_path, tiny_
     ({"vocab": ["t0", "t1", "t0"]}, "the stored vocabulary repeats the token 't0'"),
     ({"vocab": [f"t{i}" for i in range(30)]},
      "the stored vocabulary holds 30 tokens; vocab_size 32 leaves room for 29"),
-    ({"normalize_symbols": "yes"}, "normalize_symbols must be true or false, got 'yes'"),
-], ids=["not-a-list", "not-strings", "repeated-token", "too-many-tokens", "normalize-not-bool"])
+], ids=["not-a-list", "not-strings", "repeated-token", "too-many-tokens"])
 def test_checkpoint_with_a_bad_stored_setting_is_data_error(tmp_path, tiny_cfg, meta, named):
-    path = save_checkpoint(init(tiny_cfg, seed=4), tmp_path / "model.npz", _vocab(), True)
+    path = save_checkpoint(init(tiny_cfg, seed=4), tmp_path / "model.npz", _vocab())
     _rewrite_checkpoint(path, meta=meta)
     with pytest.raises(DataError, match=re.escape(f"{path}: {named}")):
         load_checkpoint(path)
@@ -464,5 +466,5 @@ def test_checkpoint_with_a_bad_stored_setting_is_data_error(tmp_path, tiny_cfg, 
 
 def test_checkpoint_vocabulary_may_fill_the_embedding_table(tmp_path, tiny_cfg):
     vocab = _vocab(tiny_cfg.vocab_size - len(Vocab.RESERVED))
-    path = save_checkpoint(init(tiny_cfg, seed=4), tmp_path / "model.npz", vocab, False)
+    path = save_checkpoint(init(tiny_cfg, seed=4), tmp_path / "model.npz", vocab)
     assert len(load_checkpoint(path)[1]) == tiny_cfg.vocab_size

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import slicevuln
@@ -36,7 +37,7 @@ def test_public_surface():
         "encode": ["text", "vocab", "max_len"],
         "normalize": ["slice_text"],
         "forward": ["model", "data", "batch_size"],
-        "grad_check": ["model", "data", "labels", "epsilon", "num_samples", "seed"],
+        "grad_check": ["model", "data", "epsilon", "num_samples", "seed"],
         "init": ["cfg", "seed"],
         "predict": ["model", "data"],
         "train": ["model", "train_data", "val_data", "tcfg"],
@@ -46,4 +47,19 @@ def test_public_surface():
         "compare": ["payloads"],
         "emit": ["report", "run_dir"],
         "run": ["spec", "full_corpus"],
+    }
+
+
+def test_config_fields():
+    # every config field; a new setting shows up here as a diff
+    configs = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
+               for cls in (slicevuln.ModelConfig, slicevuln.TrainConfig,
+                           slicevuln.SliceConfig, slicevuln.StrategySpec)}
+    assert configs == {
+        "ModelConfig": ["num_layers", "hidden_dim", "num_heads", "ff_dim", "max_len",
+                        "vocab_size", "dropout"],
+        "TrainConfig": ["learning_rate", "batch_size", "epochs", "weight_decay",
+                        "early_stop_patience", "seed"],
+        "SliceConfig": ["api_list", "max_slice_lines", "def_use_hops"],
+        "StrategySpec": ["id", "model_config", "train_config"],
     }
