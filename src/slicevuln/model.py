@@ -3,8 +3,11 @@
 Architecture: learned token + position embeddings, pre-layer-norm residual
 blocks (masked multi-head self-attention, then a GELU feed-forward), a
 final layer norm, and a two-way classification head reading the CLS
-position.  Everything runs in float64 with hand-written backprop so the
-gradients can be verified against central finite differences.
+position, with hand-written backprop.  ``init`` gives float64 parameters and
+``train`` casts them to float32; every kernel follows the parameters' dtype,
+so a trained model trains, predicts and is checkpointed in float32, while
+``grad_check`` verifies the same kernels on a float64 copy against central
+finite differences.
 
 Attention masking is exact: masked key columns get -inf before the
 softmax, so PAD positions receive zero attention weight and the logits are
@@ -23,6 +26,7 @@ the one eval-mode pass, which refuses non-finite logits.
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -96,7 +100,8 @@ class TrainHistory:
 
 
 class Model:
-    """Configuration plus a flat name -> float64 ndarray parameter map."""
+    """Configuration plus a flat name -> ndarray parameter map, float64 from
+    ``init`` and float32 once trained."""
 
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray]):
         self.config = config
@@ -231,7 +236,7 @@ def _dropout_grad(dy: np.ndarray, p: float, keep) -> np.ndarray:
 def _pad(x: np.ndarray, at: tuple[np.ndarray, np.ndarray], B: int, L: int) -> np.ndarray:
     """Packed rows [T, D] at the (sample, position) pairs ``at`` -> [B, L, D],
     zero at every other position."""
-    out = np.zeros((B, L, x.shape[1]))
+    out = np.zeros((B, L, x.shape[1]), x.dtype)
     out[at] = x
     return out
 
@@ -281,9 +286,10 @@ def _forward_core(
     p_drop = cfg.dropout if rng is not None else 0.0
     B, L = ids.shape
     nh, dh = cfg.num_heads, cfg.head_dim
-    scale = 1.0 / np.sqrt(dh)
+    scale = 1.0 / math.sqrt(dh)  # a Python float keeps float32 arrays float32
+    dtype = P["tok_emb"].dtype.type
 
-    amask = np.where(mask[:, None, None, :] == 1, 0.0, -np.inf)
+    amask = np.where(mask[:, None, None, :] == 1, dtype(0.0), dtype(-np.inf))
     live = mask == 1
     live[:, 0] = True  # the head reads the CLS row
     at = live.nonzero()  # (sample, position) of each packed row, in batch order
@@ -392,7 +398,8 @@ def _backward_core(model: Model, cache: dict, dlogits: np.ndarray) -> dict[str, 
     dx = _dropout_grad(dx, p_drop, cache["keep_emb"])
     V, H = P["tok_emb"].shape
     slots = (cache["tok"][:, None] * H + np.arange(H)).ravel()
-    grads["tok_emb"] = np.bincount(slots, weights=dx.ravel(), minlength=V * H).reshape(V, H)
+    grads["tok_emb"] = np.bincount(slots, weights=dx.ravel(),  # always float64
+                                   minlength=V * H).reshape(V, H).astype(dx.dtype)
     grads["pos_emb"] = np.zeros_like(P["pos_emb"])
     grads["pos_emb"][:L] = _pad(dx, at, B, L).sum(0)
     return grads
@@ -405,7 +412,7 @@ def forward(model: Model, data: EncodedDataset, batch_size: int = 64) -> np.ndar
         raise ValueError(
             f"encoding length {data.ids.shape[1]} != model max_len {model.config.max_len}"
         )
-    logits = np.empty((len(data), _NUM_CLASSES))
+    logits = np.empty((len(data), _NUM_CLASSES), model.params["tok_emb"].dtype)
     for start in range(0, len(data), batch_size):
         ids, mask = _trim(data.ids[start:start + batch_size],
                           data.attention_mask[start:start + batch_size])
@@ -425,7 +432,7 @@ def _loss_and_grad(logits: np.ndarray, labels: np.ndarray):
     logz = np.log(np.exp(shifted).sum(-1, keepdims=True))
     logp = shifted - logz
     nll = -logp[np.arange(B), labels]
-    dlogits = (np.exp(logp) - np.eye(logits.shape[1])[labels]) / B
+    dlogits = (np.exp(logp) - np.eye(logits.shape[1], dtype=logits.dtype)[labels]) / B
     return float(nll.mean()), dlogits
 
 
@@ -443,11 +450,14 @@ def grad_check(
 ) -> float:
     """Max relative error between analytic gradients and central differences.
 
-    The loss is taken against ``data.labels``.  Samples ``num_samples``
-    parameter coordinates across every tensor.  The relative-error
-    denominator is floored at 1e-6 so finite-difference roundoff on
-    near-zero coordinates does not dominate.
+    The loss is taken against ``data.labels``.  Runs on a float64 copy of
+    the model, so the caller's parameters and their dtype stay as they are
+    and the bound means the same for a float32 model.  Samples
+    ``num_samples`` parameter coordinates across every tensor.  The
+    relative-error denominator is floored at 1e-6 so finite-difference
+    roundoff on near-zero coordinates does not dominate.
     """
+    model = Model(model.config, {n: p.astype(np.float64) for n, p in model.params.items()})
     ids, mask, y = data.ids, data.attention_mask, data.labels
     logits, cache = _forward_core(model, ids, mask, need_cache=True)
     _, dlogits = _loss_and_grad(logits, y)
@@ -532,11 +542,14 @@ def train(
 ) -> tuple[Model, TrainHistory]:
     """AdamW training loop with early stopping on validation loss.
 
-    Returns the model holding the best-validation-loss weights and the
-    per-epoch history.  Fully deterministic for a fixed TrainConfig.seed.
+    Casts the parameters to float32 on entry, so training and everything
+    after it run in single precision.  Returns the model holding the
+    best-validation-loss weights and the per-epoch history.  Fully
+    deterministic for a fixed TrainConfig.seed.
     """
     if len(train_data) == 0 or len(val_data) == 0:
         raise DataError("training and validation sets must be non-empty")
+    model.params = {n: p.astype(np.float32, copy=False) for n, p in model.params.items()}
     dropout_rng = np.random.default_rng([tcfg.seed, 0xD0])
     m = {n: np.zeros_like(p) for n, p in model.params.items()}
     v = {n: np.zeros_like(p) for n, p in model.params.items()}
@@ -620,7 +633,9 @@ def load_checkpoint(path: str | Path) -> tuple[Model, Vocab]:
     not such a checkpoint (an older version, a stored vocabulary that is not
     a list of distinct strings or does not fit the config's ``vocab_size``,
     parameters whose names or shapes differ from what ``init`` gives for the
-    stored config) is a DataError naming the file."""
+    stored config) is a DataError naming the file.  The parameters come back
+    in float32, the precision ``train`` runs in, whatever dtype the archive
+    stores."""
     try:
         with np.load(path) as blob:
             meta = json.loads(bytes(blob["__meta__"]).decode())
@@ -653,5 +668,5 @@ def load_checkpoint(path: str | Path) -> tuple[Model, Vocab]:
         if arrays[name].shape != shape:
             raise DataError(f"{path}: parameter {name} has shape {arrays[name].shape}, "
                             f"the stored config gives {shape}")
-    net = Model(cfg, {name: arrays[name].astype(np.float64) for name in expected})
+    net = Model(cfg, {name: arrays[name].astype(np.float32, copy=False) for name in expected})
     return net, vocab

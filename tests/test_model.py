@@ -18,7 +18,7 @@ from slicevuln import (
     predict,
     train,
 )
-from slicevuln.model import (_backward_core, _forward_core, _loss_and_grad, _trim,
+from slicevuln.model import (Model, _backward_core, _forward_core, _loss_and_grad, _trim,
                              load_checkpoint, save_checkpoint)
 from slicevuln.tokenizer import EncodedDataset, Encoding, Vocab, build_vocab
 
@@ -201,10 +201,12 @@ def _step_cases(tiny_cfg):
     }
 
 
-def _train_step(cfg, n, dropout_seed, length_one):
+def _train_step(cfg, n, dropout_seed, length_one, dtype=np.float64):
     """Logits, every gradient and, with dropout, the generator's next draw
-    for one training step of a seeded model on a padded batch."""
+    for one training step of a seeded model, its parameters cast to
+    ``dtype``, on a padded batch."""
     net = init(cfg, seed=7)
+    net.params = {name: p.astype(dtype) for name, p in net.params.items()}
     data = random_dataset(cfg, n, seed=3)
     mask = data.attention_mask.copy()
     if length_one:
@@ -220,17 +222,38 @@ def _train_step(cfg, n, dropout_seed, length_one):
     return out
 
 
+def _pinned_step(case):
+    with np.load(STEP_FIXTURE) as blob:
+        return {k.split("/", 1)[1]: blob[k] for k in blob.files if k.startswith(case + "/")}
+
+
 @pytest.mark.parametrize("case", ["tiny", "tiny-dropout", "desk-dropout", "desk-eval",
                                   "desk-one-sample", "desk-length-one"])
 def test_train_step_matches_the_pinned_step(tiny_cfg, case):
     # the fixture is _train_step's output on the model that ran every block
     # on all rows; cutting the last block to the CLS row may move roundoff only
-    with np.load(STEP_FIXTURE) as blob:
-        want = {k.split("/", 1)[1]: blob[k] for k in blob.files if k.startswith(case + "/")}
+    want = _pinned_step(case)
     got = _train_step(*_step_cases(tiny_cfg)[case])
     assert want and got.keys() == want.keys()
     for name, value in want.items():
         np.testing.assert_allclose(got[name], value, rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("case", ["tiny", "tiny-dropout", "desk-dropout", "desk-eval",
+                                  "desk-one-sample", "desk-length-one"])
+def test_train_step_in_float32_matches_the_pinned_step(tiny_cfg, case):
+    # the same float64 fixture: a float32 step stays within single-precision
+    # roundoff of it, makes no float64 logit or gradient, and draws the
+    # dropout stream exactly as far
+    want = _pinned_step(case)
+    got = _train_step(*_step_cases(tiny_cfg)[case], dtype=np.float32)
+    assert want and got.keys() == want.keys()
+    for name, value in want.items():
+        if name == "next_draw":
+            assert np.array_equal(got[name], value)
+            continue
+        assert got[name].dtype == np.float32, name
+        np.testing.assert_allclose(got[name], value, rtol=0, atol=1e-5, err_msg=name)
 
 
 def make_separable_dataset(cfg, n=64):
@@ -301,6 +324,33 @@ def test_train_restores_best_weights(tiny_cfg):
 
     final_loss, _ = _eval_loss_acc(net, data, tcfg.batch_size)
     assert final_loss == pytest.approx(min(history.val_loss), abs=1e-12)
+
+
+def test_train_runs_in_float32(tiny_cfg, monkeypatch):
+    # a rising validation loss stops training at epoch 2 and restores the
+    # weights kept after epoch 1, so the kept copy is float32 too
+    import slicevuln.model as m
+
+    losses = iter([1.0, 2.0])
+    monkeypatch.setattr(m, "_eval_loss_acc", lambda model, data, batch_size: (next(losses), 0.5))
+    data = random_dataset(tiny_cfg, 8, seed=0)
+    net, history = train(init(tiny_cfg, seed=0), data, data,
+                         TrainConfig(epochs=5, early_stop_patience=1))
+    assert history.stopped_epoch == 2
+    assert all(p.dtype == np.float32 for p in net.params.values())
+
+
+def _trained(cfg):
+    data = random_dataset(cfg, 16, seed=5)
+    net, _ = train(init(cfg, seed=0), data, data,
+                   TrainConfig(epochs=3, early_stop_patience=3, learning_rate=0.05))
+    return net, data
+
+
+def test_grad_check_on_a_trained_float32_model(tiny_cfg):
+    net, data = _trained(tiny_cfg)
+    assert grad_check(net, data, epsilon=1e-5, num_samples=250) < 1e-4
+    assert all(p.dtype == np.float32 for p in net.params.values())
 
 
 def test_predict_threshold_tie_is_vulnerable(tiny_cfg):
@@ -380,17 +430,30 @@ def _vocab(n=5):
 
 
 def test_checkpoint_round_trip(tmp_path, tiny_cfg):
+    # init's float64 parameters, as a checkpoint of an untrained model or
+    # one written before training ran in float32 stores them, load cast
     net, vocab = init(tiny_cfg, seed=4), build_vocab(["alpha beta beta gamma"], max_size=10)
     data = random_dataset(tiny_cfg, 4, seed=6)
     path = save_checkpoint(net, tmp_path / "model.npz", vocab)
     back, back_vocab = load_checkpoint(path)
     assert back.config == tiny_cfg
+    single = Model(tiny_cfg, {n: p.astype(np.float32) for n, p in net.params.items()})
     for name in net.params:
-        assert np.array_equal(back.params[name], net.params[name])
-    assert np.array_equal(forward(net, data), forward(back, data))
+        assert back.params[name].dtype == np.float32
+        assert np.array_equal(back.params[name], single.params[name])
+    assert np.array_equal(forward(single, data), forward(back, data))
     assert back_vocab.content_hash() == vocab.content_hash()
     for token in ("alpha", "beta", "gamma", "delta", "[PAD]"):
         assert back_vocab.lookup(token) == vocab.lookup(token)
+
+
+def test_trained_checkpoint_keeps_float32(tmp_path, tiny_cfg):
+    net, data = _trained(tiny_cfg)
+    path = save_checkpoint(net, tmp_path / "model.npz", _vocab())
+    with np.load(path) as blob:
+        assert all(blob[name].dtype == np.float32 for name in net.params)
+    back, _ = load_checkpoint(path)
+    assert np.array_equal(forward(back, data), forward(net, data))
 
 
 def _rewrite_checkpoint(path, drop=(), meta=None, **config):
