@@ -15,7 +15,7 @@ from .slicer import (
     load_api_list,
 )
 from .balancer import BalancedSet, balance_h1, balance_h2, remainder
-from .tokenizer import Encoding, EncodedDataset, Vocab, build_vocab, encode, normalize
+from .tokenizer import EncodedDataset, Vocab, build_vocab, encode, normalize
 from .model import (
     Model,
     ModelConfig,
@@ -36,7 +36,7 @@ __all__ = [
     "Candidate", "SliceConfig", "Token", "TokenClass", "build_slice",
     "extract_candidates", "lex", "load_api_list",
     "BalancedSet", "balance_h1", "balance_h2", "remainder",
-    "Encoding", "EncodedDataset", "Vocab", "build_vocab", "encode", "normalize",
+    "EncodedDataset", "Vocab", "build_vocab", "encode", "normalize",
     "Model", "ModelConfig", "TrainConfig", "TrainHistory",
     "forward", "grad_check", "init", "predict", "train",
     "ConfusionMatrix", "MetricSet", "aggregate", "compute", "confusion",

@@ -9,11 +9,11 @@ so a trained model trains, predicts and is checkpointed in float32, while
 ``grad_check`` verifies the same kernels on a float64 copy against central
 finite differences.
 
-Attention masking is exact: masked key columns get -inf before the
-softmax, so PAD positions receive zero attention weight and the logits are
-bitwise independent of token ids at masked positions.  Token-wise layers
-therefore run over the packed live rows of a batch only; attention alone
-uses the padded layout.
+The id rows are their own mask: a position is live iff its id is not
+PAD, which only padding is.  Attention masking is exact: PAD key columns
+get -inf before the softmax, so they receive zero attention weight.
+Token-wise layers therefore run over the packed live rows of a batch
+only; attention alone uses the padded layout.
 
 Training uses decoupled-weight-decay Adam (weight decay applied directly
 to matrix-shaped parameters, not through the gradient), shuffling keyed by
@@ -61,6 +61,11 @@ class ModelConfig:
         if min(self.num_layers, self.hidden_dim, self.num_heads, self.ff_dim,
                self.max_len, self.vocab_size) < 1:
             raise ValueError("all model dimensions must be positive")
+        if self.vocab_size <= len(Vocab.RESERVED):
+            raise ValueError(f"vocab_size must exceed the {len(Vocab.RESERVED)} reserved "
+                             f"ids, got {self.vocab_size}")
+        if self.max_len < 2:
+            raise ValueError(f"max_len must be >= 2 (CLS plus a token), got {self.max_len}")
         if self.hidden_dim % self.num_heads != 0:
             raise ValueError(
                 f"hidden_dim {self.hidden_dim} not divisible by num_heads {self.num_heads}"
@@ -83,6 +88,9 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
+        for name in ("learning_rate", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 1:
             raise ValueError("learning_rate, batch_size, and epochs must be positive")
         if self.weight_decay < 0:
@@ -263,16 +271,15 @@ def _linear_grads(x: np.ndarray, dz: np.ndarray, W: np.ndarray):
 def _forward_core(
     model: Model,
     ids: np.ndarray,
-    mask: np.ndarray,
     rng: np.random.Generator | None = None,
     need_cache: bool = False,
 ):
-    """Array-level forward pass; ids/mask are [B, L] with L <= max_len.
+    """Array-level forward pass; ids are [B, L] with L <= max_len.
     Dropout applies only when a generator is given (training).
 
     Token-wise ops (embedding, layer norms, projections, FFN, dropout) run
-    over the packed live rows only: the positions ``mask`` keeps, plus each
-    CLS row, as [T, H] arrays.  PAD rows would get zero attention as keys
+    over the packed live rows only: the non-PAD positions, plus each CLS
+    row, as [T, H] arrays.  PAD rows would get zero attention as keys
     and the head never reads them, so they carry nothing.  Attention alone
     uses the padded [B, nh, L, L] layout, with the packed rows scattered
     into zero-filled buffers and gathered back.
@@ -289,9 +296,9 @@ def _forward_core(
     scale = 1.0 / math.sqrt(dh)  # a Python float keeps float32 arrays float32
     dtype = P["tok_emb"].dtype.type
 
-    amask = np.where(mask[:, None, None, :] == 1, dtype(0.0), dtype(-np.inf))
-    live = mask == 1
+    live = ids != Vocab.PAD
     live[:, 0] = True  # the head reads the CLS row
+    amask = np.where(live[:, None, None, :], dtype(0.0), dtype(-np.inf))
     at = live.nonzero()  # (sample, position) of each packed row, in batch order
     cls_rows = np.flatnonzero(at[1] == 0)  # packed index of each sample's CLS row
     full = (B, L, cfg.hidden_dim)
@@ -378,7 +385,7 @@ def _backward_core(model: Model, cache: dict, dlogits: np.ndarray) -> dict[str, 
         attn = c["attn"]
         dctx_h = _to_heads(dctx, q_at, B, attn.shape[2], nh)
         dvh = attn.transpose(0, 1, 3, 2) @ dctx_h
-        # softmax backward; masked columns carry attn == 0, hence zero grad
+        # softmax backward; PAD columns carry attn == 0, hence zero grad
         ds = dctx_h @ c["vh"].transpose(0, 1, 3, 2)
         ds -= (ds * attn).sum(-1, keepdims=True)
         ds *= attn
@@ -414,9 +421,8 @@ def forward(model: Model, data: EncodedDataset, batch_size: int = 64) -> np.ndar
         )
     logits = np.empty((len(data), _NUM_CLASSES), model.params["tok_emb"].dtype)
     for start in range(0, len(data), batch_size):
-        ids, mask = _trim(data.ids[start:start + batch_size],
-                          data.attention_mask[start:start + batch_size])
-        logits[start:start + batch_size], _ = _forward_core(model, ids, mask)
+        ids = _trim(data.ids[start:start + batch_size])
+        logits[start:start + batch_size], _ = _forward_core(model, ids)
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite logits in forward pass")
     return logits
@@ -436,9 +442,9 @@ def _loss_and_grad(logits: np.ndarray, labels: np.ndarray):
     return float(nll.mean()), dlogits
 
 
-def _trim(ids: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    longest = max(int(mask.sum(1).max()), 1)
-    return ids[:, :longest], mask[:, :longest]
+def _trim(ids: np.ndarray) -> np.ndarray:
+    """The columns up to the batch's longest non-PAD prefix."""
+    return ids[:, :max(int((ids != Vocab.PAD).sum(1).max()), 1)]
 
 
 def grad_check(
@@ -458,8 +464,8 @@ def grad_check(
     roundoff on near-zero coordinates does not dominate.
     """
     model = Model(model.config, {n: p.astype(np.float64) for n, p in model.params.items()})
-    ids, mask, y = data.ids, data.attention_mask, data.labels
-    logits, cache = _forward_core(model, ids, mask, need_cache=True)
+    ids, y = data.ids, data.labels
+    logits, cache = _forward_core(model, ids, need_cache=True)
     _, dlogits = _loss_and_grad(logits, y)
     grads = _backward_core(model, cache, dlogits)
     for name, g in grads.items():
@@ -474,7 +480,7 @@ def grad_check(
     picks = rng.choice(total, size=min(num_samples, total), replace=False)
 
     def loss_at() -> float:
-        lg, _ = _forward_core(model, ids, mask)
+        lg, _ = _forward_core(model, ids)
         value, _ = _loss_and_grad(lg, y)
         return value
 
@@ -564,9 +570,9 @@ def train(
         epoch_nll = 0.0
         for start in range(0, len(order), tcfg.batch_size):
             sel = order[start:start + tcfg.batch_size]
-            ids, mask = _trim(train_data.ids[sel], train_data.attention_mask[sel])
+            ids = _trim(train_data.ids[sel])
             y = train_data.labels[sel]
-            logits, cache = _forward_core(model, ids, mask, dropout_rng, need_cache=True)
+            logits, cache = _forward_core(model, ids, dropout_rng, need_cache=True)
             nll, dlogits = _loss_and_grad(logits, y)
             if not np.isfinite(nll):
                 raise NumericError(
@@ -601,10 +607,8 @@ def predict(model: Model, data: EncodedDataset) -> np.ndarray:
     ``forward`` runs over the samples in stable length order, so each batch
     is trimmed close to the length of all its samples; labels come back in
     input order."""
-    order = np.argsort(data.attention_mask.sum(1), kind="stable")
-    logits = forward(model, EncodedDataset(ids=data.ids[order],
-                                           attention_mask=data.attention_mask[order],
-                                           labels=data.labels[order]))
+    order = np.argsort((data.ids != Vocab.PAD).sum(1), kind="stable")
+    logits = forward(model, EncodedDataset(ids=data.ids[order], labels=data.labels[order]))
     e = np.exp(logits - logits.max(-1, keepdims=True))
     labels = np.empty(len(data), dtype=np.int64)
     labels[order] = e[:, 1] / e.sum(-1) >= _THRESHOLD

@@ -7,6 +7,11 @@ risky-API names survive; string literals collapse to STR; numeric
 literals longer than four characters collapse to NUM.  The output is a
 single line of space-separated tokens and is idempotent under repeated
 normalization.
+
+Encoding maps a normalized slice to one fixed-length id row: CLS, then
+the token ids, truncated or padded with PAD.  Only padding is PAD (0):
+UNK is 1, CLS is 2 and vocabulary ids start at 3, so the row itself says
+where the sequence ends and no separate attention mask travels with it.
 """
 
 from __future__ import annotations
@@ -103,48 +108,31 @@ def build_vocab(corpus: Iterable[str], max_size: int = 4096) -> Vocab:
     return Vocab([tok for tok, _ in ranked[: max_size - len(Vocab.RESERVED)]])
 
 
-@dataclass(slots=True)
-class Encoding:
-    """Fixed-length id sequence with its attention mask."""
-
-    ids: np.ndarray
-    attention_mask: np.ndarray
-
-
-def encode(text: str, vocab: Vocab, max_len: int = 512) -> Encoding:
-    """[CLS] + token ids, truncated to max_len and padded with PAD."""
+def encode(text: str, vocab: Vocab, max_len: int = 512) -> np.ndarray:
+    """[CLS] + token ids, truncated to max_len and padded with PAD, as a
+    [max_len] int64 row."""
     if max_len < 2:
         raise ValueError(f"max_len must be >= 2, got {max_len}")
     ids = [Vocab.CLS] + [vocab.lookup(tok) for tok in text.split()]
     ids = ids[:max_len]
-    real = len(ids)
-    ids.extend([Vocab.PAD] * (max_len - real))
-    mask = [1] * real + [0] * (max_len - real)
-    return Encoding(
-        ids=np.asarray(ids, dtype=np.int64),
-        attention_mask=np.asarray(mask, dtype=np.int64),
-    )
+    ids.extend([Vocab.PAD] * (max_len - len(ids)))
+    return np.asarray(ids, dtype=np.int64)
 
 
 @dataclass(slots=True)
 class EncodedDataset:
-    """A batchable dataset: stacked encodings plus integer labels."""
+    """A batchable dataset: stacked id rows plus integer labels."""
 
-    ids: np.ndarray            # [n, max_len] int64
-    attention_mask: np.ndarray  # [n, max_len] int64
-    labels: np.ndarray          # [n] int64
+    ids: np.ndarray     # [n, max_len] int64
+    labels: np.ndarray  # [n] int64
 
     def __len__(self) -> int:
         return self.ids.shape[0]
 
     @classmethod
     def from_encodings(
-        cls, encodings: Sequence[Encoding], labels: Sequence[int]
+        cls, rows: Sequence[np.ndarray], labels: Sequence[int]
     ) -> "EncodedDataset":
-        if len(encodings) != len(labels):
+        if len(rows) != len(labels):
             raise ValueError("encodings and labels differ in length")
-        return cls(
-            ids=np.stack([e.ids for e in encodings]),
-            attention_mask=np.stack([e.attention_mask for e in encodings]),
-            labels=np.asarray(labels, dtype=np.int64),
-        )
+        return cls(ids=np.stack(rows), labels=np.asarray(labels, dtype=np.int64))

@@ -6,27 +6,26 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # golden_corpus import
 
-from slicevuln.tokenizer import EncodedDataset, Encoding
+from slicevuln.tokenizer import EncodedDataset
 
 
 def random_batch(cfg, n, seed):
-    """Random encodings for a given ModelConfig: CLS + tokens + PAD tail."""
+    """Random id rows for a given ModelConfig: CLS + tokens + PAD tail."""
     rng = np.random.default_rng(seed)
-    encodings = []
+    rows = []
     for _ in range(n):
         length = int(rng.integers(2, cfg.max_len))
         ids = np.zeros(cfg.max_len, dtype=np.int64)
         ids[0] = 2  # CLS
         ids[1:length] = rng.integers(3, cfg.vocab_size, size=length - 1)
-        mask = (np.arange(cfg.max_len) < length).astype(np.int64)
-        encodings.append(Encoding(ids=ids, attention_mask=mask))
+        rows.append(ids)
     labels = rng.integers(0, 2, size=n)
-    return encodings, labels
+    return rows, labels
 
 
 def random_dataset(cfg, n, seed):
-    encodings, labels = random_batch(cfg, n, seed)
-    return EncodedDataset.from_encodings(encodings, labels)
+    rows, labels = random_batch(cfg, n, seed)
+    return EncodedDataset.from_encodings(rows, labels)
 
 
 @pytest.fixture

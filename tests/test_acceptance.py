@@ -218,9 +218,12 @@ def test_criterion_09_tokenizer_properties(desk_corpus):
         max_len = int(rng.integers(8, 96))
         enc_a = encode(norm, vocab, max_len)
         enc_b = encode(normalize(renamed), vocab, max_len)
-        assert np.array_equal(enc_a.ids, enc_b.ids)
-        assert np.array_equal(enc_a.attention_mask, enc_b.attention_mask)
+        assert np.array_equal(enc_a, enc_b)
+        assert np.array_equal(enc_a != Vocab.PAD, enc_b != Vocab.PAD)
         # fixed-length contract
-        assert enc_a.ids.shape == (max_len,)
-        assert enc_a.attention_mask.shape == (max_len,)
-        assert np.array_equal(enc_a.attention_mask == 0, enc_a.ids == Vocab.PAD)
+        assert enc_a.shape == (max_len,)
+        assert (enc_a != Vocab.PAD).shape == (max_len,)
+        assert np.array_equal((enc_a != Vocab.PAD) == 0, enc_a == Vocab.PAD)
+        # only padding is PAD: the live ids are CLS plus the tokens, a prefix
+        live = min(len(norm.split()) + 1, max_len)
+        assert np.array_equal(enc_a != Vocab.PAD, np.arange(max_len) < live)

@@ -74,6 +74,12 @@ def test_unknown_flag_is_usage_error():
     ("run-strategy", [{"--hiden 32": "--hiden"}]),
     ("run-strategy", [{"--epochs six": "--epochs"}]),
     ("run-strategy", [{"--heads 3": "num_heads 3"}]),
+    ("train", ["--vocab-size", "3"]),
+    ("train", ["--max-len", "1"]),
+    ("run-strategy", [{"--vocab-size 3": "vocab_size must exceed the 3 reserved ids"}]),
+    ("run-strategy", [{"--max-len 1": "max_len must be >= 2"}]),
+    ("run-strategy", [{"--weight-decay nan": "weight_decay must be finite"}]),
+    ("run-strategy", [{"--lr nan": "learning_rate must be finite"}]),
 ])
 def test_invalid_flag_value_is_usage_error(tmp_path, small_corpus_path, capsys,
                                            command, flags):
@@ -97,6 +103,7 @@ def test_invalid_flag_value_is_usage_error(tmp_path, small_corpus_path, capsys,
     assert f"usage: slicevuln {command}" in err and "error:" in err
     assert "Traceback" not in err
     assert all(name in err for name in named)
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_input_is_data_error(tmp_path):

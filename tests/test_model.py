@@ -20,7 +20,7 @@ from slicevuln import (
 )
 from slicevuln.model import (Model, _backward_core, _forward_core, _loss_and_grad, _trim,
                              load_checkpoint, save_checkpoint)
-from slicevuln.tokenizer import EncodedDataset, Encoding, Vocab, build_vocab
+from slicevuln.tokenizer import EncodedDataset, Vocab, build_vocab
 
 from conftest import random_batch, random_dataset
 
@@ -37,6 +37,11 @@ def test_config_validation():
         ModelConfig(hidden_dim=10, num_heads=4)
     with pytest.raises(ValueError):
         ModelConfig(dropout=1.0)
+    with pytest.raises(ValueError, match="vocab_size must exceed the 3 reserved ids, got 3"):
+        ModelConfig(vocab_size=3)
+    with pytest.raises(ValueError, match="max_len must be >= 2"):
+        ModelConfig(max_len=1)
+    assert ModelConfig(vocab_size=4, max_len=2).vocab_size == 4
     assert ModelConfig(hidden_dim=64, num_heads=4).head_dim == 16
 
 
@@ -70,45 +75,11 @@ def test_forward_shape_and_softmax(tiny_cfg):
 
 def test_forward_rejects_wrong_length(tiny_cfg):
     net = init(tiny_cfg, seed=1)
-    enc = Encoding(ids=np.array([2, 3], dtype=np.int64),
-                   attention_mask=np.array([1, 1], dtype=np.int64))
-    data = EncodedDataset.from_encodings([enc], [0])
+    data = EncodedDataset.from_encodings([np.array([2, 3], dtype=np.int64)], [0])
     with pytest.raises(ValueError, match="max_len"):
         forward(net, data)
     with pytest.raises(ValueError, match="max_len"):
         predict(net, data)
-
-
-def test_pad_positions_do_not_affect_logits(tiny_cfg):
-    net = init(tiny_cfg, seed=3)
-    encodings, labels = random_batch(tiny_cfg, 4, seed=4)
-    base = forward(net, EncodedDataset.from_encodings(encodings, labels))
-    mutated = []
-    for e in encodings:
-        ids = e.ids.copy()
-        pad_positions = np.where(e.attention_mask == 0)[0]
-        if len(pad_positions):
-            ids[pad_positions] = (ids[pad_positions] + 7) % tiny_cfg.vocab_size
-        mutated.append(Encoding(ids=ids, attention_mask=e.attention_mask))
-    changed = forward(net, EncodedDataset.from_encodings(mutated, labels))
-    assert np.abs(base - changed).max() < 1e-9
-
-    # a training step with dropout on, through a block that is not the last:
-    # PAD rows carry nothing, so logits and every gradient stay bitwise equal
-    net = init(dataclasses.replace(tiny_cfg, num_layers=2, dropout=0.3), seed=3)
-
-    def step(encs):
-        data = EncodedDataset.from_encodings(encs, labels)
-        ids, mask = _trim(data.ids, data.attention_mask)
-        logits, cache = _forward_core(net, ids, mask, np.random.default_rng(11),
-                                      need_cache=True)
-        _, dlogits = _loss_and_grad(logits, data.labels)
-        return logits, _backward_core(net, cache, dlogits)
-
-    (base, base_grads), (changed, changed_grads) = step(encodings), step(mutated)
-    assert np.array_equal(base, changed)
-    for name, g in base_grads.items():
-        assert np.array_equal(g, changed_grads[name]), name
 
 
 def test_token_wise_layers_see_only_live_rows(monkeypatch):
@@ -116,9 +87,8 @@ def test_token_wise_layers_see_only_live_rows(monkeypatch):
 
     cfg = desk_cfg(hidden_dim=16, ff_dim=32, max_len=16, vocab_size=40)
     lengths = np.array([3, 7, 12])
-    mask = (np.arange(cfg.max_len) < lengths[:, None]).astype(np.int64)
-    ids = np.random.default_rng(0).integers(3, cfg.vocab_size, mask.shape) * mask
-    ids, mask = _trim(ids, mask)
+    live = np.arange(cfg.max_len) < lengths[:, None]
+    ids = _trim(np.random.default_rng(0).integers(3, cfg.vocab_size, live.shape) * live)
     assert ids.shape == (3, 12)
     rows = []
     gelu = m._gelu
@@ -128,7 +98,7 @@ def test_token_wise_layers_see_only_live_rows(monkeypatch):
         return gelu(x)
 
     monkeypatch.setattr(m, "_gelu", counting_gelu)
-    _forward_core(init(cfg, seed=0), ids, mask, np.random.default_rng(1))
+    _forward_core(init(cfg, seed=0), ids, np.random.default_rng(1))
     # block 0 sees the 3 + 7 + 12 live rows, the last block the 3 CLS rows
     assert rows == [22, 3]
 
@@ -176,13 +146,14 @@ def test_grad_check_deterministic(tiny_cfg):
 def test_unused_embedding_rows_get_zero_gradient(tiny_cfg):
     net = init(tiny_cfg, seed=7)
     data = random_dataset(tiny_cfg, 4, seed=3)
-    logits, cache = _forward_core(net, data.ids, data.attention_mask, need_cache=True)
+    logits, cache = _forward_core(net, data.ids, need_cache=True)
     _, dlogits = _loss_and_grad(logits, data.labels)
     grads = _backward_core(net, cache, dlogits)
-    used = set(np.unique(data.ids))
+    used = set(np.unique(data.ids[data.ids != Vocab.PAD]))
     unused = [i for i in range(tiny_cfg.vocab_size) if i not in used]
-    assert unused, "test premise: some vocabulary rows are untouched"
+    assert set(unused) - {Vocab.PAD}, "test premise: some token rows are untouched"
     assert np.all(grads["tok_emb"][unused] == 0.0)
+    assert np.all(grads["tok_emb"][Vocab.PAD] == 0.0)
 
 
 STEP_FIXTURE = Path(__file__).parent / "fixtures" / "train_step.npz"
@@ -208,12 +179,12 @@ def _train_step(cfg, n, dropout_seed, length_one, dtype=np.float64):
     net = init(cfg, seed=7)
     net.params = {name: p.astype(dtype) for name, p in net.params.items()}
     data = random_dataset(cfg, n, seed=3)
-    mask = data.attention_mask.copy()
+    ids = data.ids.copy()
     if length_one:
-        mask[:, 1:] = 0
-    ids, mask = _trim(data.ids, mask)
+        ids[:, 1:] = Vocab.PAD
+    ids = _trim(ids)
     rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
-    logits, cache = _forward_core(net, ids, mask, rng, need_cache=True)
+    logits, cache = _forward_core(net, ids, rng, need_cache=True)
     _, dlogits = _loss_and_grad(logits, data.labels)
     out = {"logits": logits}
     out.update((f"grad.{name}", g) for name, g in _backward_core(net, cache, dlogits).items())
@@ -259,7 +230,7 @@ def test_train_step_in_float32_matches_the_pinned_step(tiny_cfg, case):
 def make_separable_dataset(cfg, n=64):
     """Class 1 sequences contain token 5, class 0 contain token 6."""
     rng = np.random.default_rng(0)
-    encodings, labels = [], []
+    rows, labels = [], []
     for i in range(n):
         label = i % 2
         length = int(rng.integers(4, cfg.max_len))
@@ -268,10 +239,9 @@ def make_separable_dataset(cfg, n=64):
         filler = rng.integers(7, cfg.vocab_size, size=length - 1)
         ids[1:length] = filler
         ids[1 + int(rng.integers(0, length - 1))] = 5 if label else 6
-        mask = (np.arange(cfg.max_len) < length).astype(np.int64)
-        encodings.append(Encoding(ids=ids, attention_mask=mask))
+        rows.append(ids)
         labels.append(label)
-    return EncodedDataset.from_encodings(encodings, labels)
+    return EncodedDataset.from_encodings(rows, labels)
 
 
 def test_overfit_separable_set():
@@ -380,11 +350,11 @@ def test_predict_invariant_to_batch_partitioning(tiny_cfg):
 
 def test_prediction_permutation_consistency(tiny_cfg):
     net = init(tiny_cfg, seed=9)
-    encodings, labels = random_batch(tiny_cfg, 10, seed=3)
-    base = predict(net, EncodedDataset.from_encodings(encodings, labels))
+    rows, labels = random_batch(tiny_cfg, 10, seed=3)
+    base = predict(net, EncodedDataset.from_encodings(rows, labels))
     perm = np.random.default_rng(0).permutation(10)
-    shuffled = predict(net, EncodedDataset.from_encodings(
-        [encodings[i] for i in perm], labels[perm]))
+    shuffled = predict(net, EncodedDataset.from_encodings([rows[i] for i in perm],
+                                                          labels[perm]))
     assert np.array_equal(shuffled, base[perm])
 
 
@@ -403,6 +373,10 @@ def test_train_config_validation():
         TrainConfig(early_stop_patience=0)
     with pytest.raises(ValueError):
         TrainConfig(weight_decay=-0.1)
+    for name in ("learning_rate", "weight_decay"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                TrainConfig(**{name: value})
 
 
 def test_train_aborts_on_nonfinite_loss(tiny_cfg):

@@ -12,7 +12,7 @@ def test_public_surface():
         "Candidate", "SliceConfig", "Token", "TokenClass", "build_slice",
         "extract_candidates", "lex", "load_api_list",
         "BalancedSet", "balance_h1", "balance_h2", "remainder",
-        "Encoding", "EncodedDataset", "Vocab", "build_vocab", "encode", "normalize",
+        "EncodedDataset", "Vocab", "build_vocab", "encode", "normalize",
         "Model", "ModelConfig", "TrainConfig", "TrainHistory",
         "forward", "grad_check", "init", "predict", "train",
         "ConfusionMatrix", "MetricSet", "aggregate", "compute", "confusion",
@@ -51,10 +51,11 @@ def test_public_surface():
 
 
 def test_config_fields():
-    # every config field; a new setting shows up here as a diff
+    # every config field, and the dataset's; a new setting shows up here as a diff
     configs = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
                for cls in (slicevuln.ModelConfig, slicevuln.TrainConfig,
-                           slicevuln.SliceConfig, slicevuln.StrategySpec)}
+                           slicevuln.SliceConfig, slicevuln.StrategySpec,
+                           slicevuln.EncodedDataset)}
     assert configs == {
         "ModelConfig": ["num_layers", "hidden_dim", "num_heads", "ff_dim", "max_len",
                         "vocab_size", "dropout"],
@@ -62,4 +63,5 @@ def test_config_fields():
                         "early_stop_patience", "seed"],
         "SliceConfig": ["api_list", "max_slice_lines", "def_use_hops"],
         "StrategySpec": ["id", "model_config", "train_config"],
+        "EncodedDataset": ["ids", "labels"],
     }
