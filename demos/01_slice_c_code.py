@@ -4,7 +4,7 @@
 Run:  python demos/01_slice_c_code.py
 """
 
-from slicevuln import SliceConfig, build_slice, extract_candidates, lex
+from slicevuln import build_slice, extract_candidates, lex
 
 SOURCE = """\
 #include <string.h>
@@ -37,10 +37,9 @@ for c in candidates:
 print()
 
 # Each candidate expands to an intra-procedural slice: the candidate line
-# plus lines linked through shared identifiers, a bounded number of hops.
-cfg = SliceConfig(def_use_hops=2, max_slice_lines=30)
+# plus lines linked through shared identifiers, within 2 hops and 30 lines.
 api = [c for c in candidates if c.kind.value == "API" and c.focus == "strcpy"][0]
 print(f"slice around the strcpy call (line {api.line}):")
 print("-" * 50)
-print(build_slice(SOURCE, api, cfg))
+print(build_slice(SOURCE, api))
 print("-" * 50)

@@ -11,7 +11,7 @@ from slicevuln.tokenizer import normalize
 
 counts = {Kind.API: (60, 60), Kind.AU: (60, 60), Kind.PU: (60, 60), Kind.AE: (60, 60)}
 corpus = pattern_corpus(counts, seed=1)
-train_set, test_set = split(corpus, 0.8, seed=1)
+train_set, test_set = split(corpus, seed=1)  # 80/20
 print(f"{len(corpus)} slices -> {len(train_set)} train / {len(test_set)} test")
 
 # Symbol normalization hides naming, keeps structure:

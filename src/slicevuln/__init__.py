@@ -6,13 +6,11 @@ __version__ = "0.1.0"
 from .corpus import Kind, Label, Sample, SampleSet, load, save, split
 from .slicer import (
     Candidate,
-    SliceConfig,
     Token,
     TokenClass,
     build_slice,
     extract_candidates,
     lex,
-    load_api_list,
 )
 from .balancer import BalancedSet, balance_h1, balance_h2, remainder
 from .tokenizer import EncodedDataset, Vocab, build_vocab, encode, normalize
@@ -33,8 +31,7 @@ from .errors import DataError, LexError, NumericError, SliceVulnError
 
 __all__ = [
     "Kind", "Label", "Sample", "SampleSet", "load", "save", "split",
-    "Candidate", "SliceConfig", "Token", "TokenClass", "build_slice",
-    "extract_candidates", "lex", "load_api_list",
+    "Candidate", "Token", "TokenClass", "build_slice", "extract_candidates", "lex",
     "BalancedSet", "balance_h1", "balance_h2", "remainder",
     "EncodedDataset", "Vocab", "build_vocab", "encode", "normalize",
     "Model", "ModelConfig", "TrainConfig", "TrainHistory",

@@ -77,15 +77,13 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("slice", help="extract candidate slices from C/C++ sources")
     p.add_argument("--in", dest="inputs", type=Path, nargs="+", required=True)
-    p.add_argument("--api-list", type=Path, default=None)
-    p.add_argument("--max-lines", type=int, default=30)
-    p.add_argument("--hops", type=int, default=2)
     _add_common(p)
 
     p = sub.add_parser("build-dataset", help="generate a synthetic labeled corpus")
-    p.add_argument("--preset", choices=["reference", "desk"], default="desk")
-    p.add_argument("--counts", type=Path, default=None,
-                   help="per-kind counts manifest (overrides --preset)")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--preset", choices=["reference", "desk"], default=None,
+                        help="default: desk")
+    source.add_argument("--counts", type=Path, default=None, help="per-kind counts manifest")
     _add_common(p, seed=True)
 
     p = sub.add_parser("balance", help="downsample a corpus under H1 or H2")
@@ -153,7 +151,7 @@ def _configs_from_args(args) -> tuple[model.ModelConfig, model.TrainConfig]:
     return model.ModelConfig(**model_kw), model.TrainConfig(**train_kw, seed=args.seed)
 
 
-def _slice_one_file(path: str, cfg: slicer.SliceConfig) -> list[dict]:
+def _slice_one_file(path: str) -> list[dict]:
     """Candidate records of one file; a DataError names the file.  Each id is
     the path as given plus the candidate's index, so ids stay unique across
     files that share a name."""
@@ -165,20 +163,16 @@ def _slice_one_file(path: str, cfg: slicer.SliceConfig) -> list[dict]:
             "focus": cand.focus,
             "line": cand.line,
             "span": list(cand.span),
-            "code": slicer.build_slice(source, cand, cfg),
+            "code": slicer.build_slice(source, cand),
             "source": path,
-        } for j, cand in enumerate(slicer.extract_candidates(source, cfg))]
+        } for j, cand in enumerate(slicer.extract_candidates(source))]
     except DataError as e:
         raise DataError(f"{path}: {e}") from e
 
 
 def _cmd_slice(args) -> int:
-    api = slicer.load_api_list(args.api_list) if args.api_list else slicer.DEFAULT_API_LIST
-    with _flag_values(args):
-        cfg = slicer.SliceConfig(api_list=api, max_slice_lines=args.max_lines,
-                                 def_use_hops=args.hops)
     # every file is sliced before anything is written, so a bad file leaves no output
-    records = [record for p in args.inputs for record in _slice_one_file(str(p), cfg)]
+    records = [record for p in args.inputs for record in _slice_one_file(str(p))]
     args.out.mkdir(parents=True, exist_ok=True)
     out_path = args.out / "slices.jsonl"
     with open(out_path, "w", encoding="utf-8") as fh:
@@ -215,7 +209,7 @@ def _cmd_train(args) -> int:
     with _flag_values(args):
         mcfg, tcfg = _configs_from_args(args)
     sset = corpus.load(args.input)
-    train_set, val_set = corpus.split(sset, experiments.TRAIN_FRACTION, args.seed)
+    train_set, val_set = corpus.split(sset, args.seed)
     _log(f"training on {len(train_set)} samples, validating on {len(val_set)}")
     fitted = experiments.fit(train_set, val_set, mcfg, tcfg)
     args.out.mkdir(parents=True, exist_ok=True)

@@ -219,26 +219,14 @@ def save(sset: SampleSet, path: str | Path) -> Path:
     return path
 
 
-def _test_count(n: int, train_fraction: float) -> int:
-    # floor((1 - f) * n), nudged so exact integers survive float rounding
-    # (e.g. (1 - 0.8) * 10 is 1.9999... in IEEE arithmetic)
-    return int((1.0 - train_fraction) * n + 1e-9)
-
-
-def split(
-    sset: SampleSet,
-    train_fraction: float,
-    seed: int,
-) -> tuple[SampleSet, SampleSet]:
-    """Partition into (train, test) at ``train_fraction``, stratified.
+def split(sset: SampleSet, seed: int) -> tuple[SampleSet, SampleSet]:
+    """Partition 80/20 into (train, test), stratified.
 
     The partition is exact: disjoint, union equals the input.  Each
-    (kind, label) cell is split separately; the test side of a cell gets
-    floor((1 - fraction) * n), so rounding remainders land in train.  Output
+    (kind, label) cell is split separately; the test side of a cell of n
+    samples gets n // 5, so rounding remainders land in train.  Output
     order follows input order on both sides.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     if len(sset) == 0:
         raise DataError("cannot split an empty sample set")
 
@@ -250,7 +238,7 @@ def split(
     for key in sorted(cells, key=lambda kl: (KIND_ORDER.index(kl[0]), int(kl[1]))):
         idx = cells[key]
         perm = rng.permutation(len(idx))
-        test_idx.extend(idx[j] for j in perm[: _test_count(len(idx), train_fraction)])
+        test_idx.extend(idx[j] for j in perm[: len(idx) // 5])
 
     test_mask = set(test_idx)
     train = [s for i, s in enumerate(sset.samples) if i not in test_mask]

@@ -32,7 +32,6 @@ from .corpus import KIND_ORDER, Kind, SampleSet
 from .errors import DataError
 
 STRATEGY_IDS = ("S1", "S2", "S3")
-TRAIN_FRACTION = 0.8
 
 
 @dataclass
@@ -198,7 +197,7 @@ def run(spec: StrategySpec, full_corpus: SampleSet) -> Report:
             balanced = balancer.balance_h2(full_corpus, spec.seed)
 
     with _Stage("split"):
-        train_set, heldout = corpus.split(balanced.samples, TRAIN_FRACTION, spec.seed)
+        train_set, heldout = corpus.split(balanced.samples, spec.seed)
 
     fitted = fit(train_set, heldout, spec.model_config, spec.train_config)
 

@@ -24,10 +24,9 @@ import functools
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 
 from .corpus import Kind
-from .errors import LexError, read_utf8
+from .errors import LexError
 
 
 class TokenClass(str, Enum):
@@ -61,8 +60,8 @@ C_KEYWORDS = frozenset(
     """.split()
 )
 
-# Classic risky C library functions; the API candidate rule matches calls
-# to these names.  User-overridable via SliceConfig / load_api_list.
+# Classic risky C library functions.  The one risky-API list: the API
+# candidate rule matches calls to these names, and normalization keeps them.
 DEFAULT_API_LIST = frozenset(
     """
     strcpy strncpy strcat strncat sprintf vsprintf snprintf gets fgets
@@ -73,28 +72,9 @@ DEFAULT_API_LIST = frozenset(
     """.split()
 )
 
-
-def load_api_list(path: str | Path) -> frozenset[str]:
-    """Read a risky-function list: one name per line, '#' starts a comment."""
-    names = []
-    for raw in read_utf8(path).splitlines():
-        name = raw.split("#", 1)[0].strip()
-        if name:
-            names.append(name)
-    return frozenset(names)
-
-
-@dataclass(frozen=True)
-class SliceConfig:
-    api_list: frozenset[str] = DEFAULT_API_LIST
-    max_slice_lines: int = 30
-    def_use_hops: int = 2
-
-    def __post_init__(self):
-        if self.max_slice_lines < 1:
-            raise ValueError("max_slice_lines must be >= 1")
-        if self.def_use_hops < 0:
-            raise ValueError("def_use_hops must be >= 0")
+# a slice holds at most this many lines, reached in at most this many hops
+_MAX_SLICE_LINES = 30
+_DEF_USE_HOPS = 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -285,14 +265,13 @@ def _is_binary_position(prev: Token | None) -> bool:
     return prev.text in (")", "]", "++", "--")
 
 
-def extract_candidates(source: str, cfg: SliceConfig | None = None) -> list[Candidate]:
+def extract_candidates(source: str) -> list[Candidate]:
     """Detect API/AU/PU/AE candidate sites in the token stream.
 
     Each site yields at most one candidate; when two rules claim the same
     (line, column) the precedence API > AU > PU > AE wins.  Output is
     sorted by (line, column).
     """
-    cfg = cfg or SliceConfig()
     idx = _index(source)
     toks = idx.sig
     found: dict[tuple[int, int], Candidate] = {}
@@ -327,7 +306,7 @@ def extract_candidates(source: str, cfg: SliceConfig | None = None) -> list[Cand
             bracket_depth = max(0, bracket_depth - 1)
 
         if tok.cls is TokenClass.IDENTIFIER and nxt is not None:
-            if nxt.text == "(" and tok.text in cfg.api_list:
+            if nxt.text == "(" and tok.text in DEFAULT_API_LIST:
                 close = idx.closing[i + 1]
                 end_line = toks[close].line if close is not None else tok.line
                 claim(Kind.API, tok, tok.text, (tok.line, end_line))
@@ -369,15 +348,15 @@ def extract_candidates(source: str, cfg: SliceConfig | None = None) -> list[Cand
     return sorted(found.values(), key=lambda c: (c.line, c.column))
 
 
-def build_slice(source: str, candidate: Candidate, cfg: SliceConfig | None = None) -> str:
+def build_slice(source: str, candidate: Candidate) -> str:
     """Assemble the candidate line plus def-use-related lines, in order.
 
     Related lines are found by identifier sharing: hop 1 pulls in every
-    identifier on a line mentioning the focus, hop 2 expands once more,
-    and so on up to cfg.def_use_hops.  The result is truncated to
-    cfg.max_slice_lines lines centered on the candidate line.
+    line mentioning an identifier on the candidate line, hop 2 every line
+    mentioning an identifier hop 1 added, and so on up to _DEF_USE_HOPS.
+    The result is truncated to _MAX_SLICE_LINES lines centered on the
+    candidate line.
     """
-    cfg = cfg or SliceConfig()
     idx = _index(source)
     lines = idx.lines
     if not 1 <= candidate.line <= len(lines):
@@ -390,7 +369,7 @@ def build_slice(source: str, candidate: Candidate, cfg: SliceConfig | None = Non
     reachable = {candidate.focus} | idx.line_ids.get(candidate.line, set())
     selected = {candidate.line}
     added = reachable
-    for _ in range(cfg.def_use_hops):
+    for _ in range(_DEF_USE_HOPS):
         hit = {n for ident in added for n in uses.get(ident, ())} - selected
         if not hit:
             break
@@ -399,9 +378,9 @@ def build_slice(source: str, candidate: Candidate, cfg: SliceConfig | None = Non
         reachable |= added
 
     ordered = sorted(selected)
-    if len(ordered) > cfg.max_slice_lines:
+    if len(ordered) > _MAX_SLICE_LINES:
         center = ordered.index(candidate.line)
-        start = min(max(center - (cfg.max_slice_lines - 1) // 2, 0),
-                    len(ordered) - cfg.max_slice_lines)
-        ordered = ordered[start:start + cfg.max_slice_lines]
+        start = min(max(center - (_MAX_SLICE_LINES - 1) // 2, 0),
+                    len(ordered) - _MAX_SLICE_LINES)
+        ordered = ordered[start:start + _MAX_SLICE_LINES]
     return "\n".join(lines[n - 1] for n in ordered)

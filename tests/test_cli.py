@@ -69,7 +69,7 @@ def test_unknown_flag_is_usage_error():
     ("run-strategy", ["--strategy", "s2", "--heads", "3"]),
     ("run-strategy", ["--strategy", "s2", "--epochs", "0"]),
     ("train", ["--epochs", "0"]),
-    ("slice", ["--max-lines", "0"]),
+    ("slice", ["--seed", "1"]),
     # {text: named} stands for a flags file holding text; the error names named
     ("run-strategy", [{"--hiden 32": "--hiden"}]),
     ("run-strategy", [{"--epochs six": "--epochs"}]),
@@ -250,18 +250,6 @@ def test_slice_output_is_frozen(tmp_path, monkeypatch, expected, sources):
     assert (tmp_path / "out" / "slices.jsonl").read_bytes() == (FIXTURES / expected).read_bytes()
 
 
-@pytest.mark.parametrize("command, flag", [
-    ("slice", "--api-list"),
-])
-def test_non_utf8_vocab_or_api_list_is_data_error(tmp_path, capsys, command, flag):
-    bad = tmp_path / "latin1.txt"
-    bad.write_bytes(b"strcpy\t3\n# caf\xe9\n")
-    (src,) = _write_sources(tmp_path, {"a.c": SLICE_SOURCES["a.c"]})
-    assert main([command, "--in", src, flag, str(bad), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert f"{bad}:2: not UTF-8 (byte 0xe9" in err and "Traceback" not in err
-
-
 @pytest.mark.parametrize("text, named", [
     ('{"API": {"vul": 1}}', "API needs non-negative integer"),
     ('{"AU": {"vulnerable": -1, "non_vulnerable": 3}}', "AU needs non-negative integer"),
@@ -279,6 +267,18 @@ def test_bad_counts_manifest_is_data_error(tmp_path, capsys, text, named):
     err = capsys.readouterr().err
     assert f"{counts}: {named}" in err and "Traceback" not in err
     assert not (tmp_path / "c.jsonl").exists()
+
+
+@pytest.mark.parametrize("preset", ["desk", "reference"])
+def test_preset_and_counts_together_is_usage_error(tmp_path, capsys, preset):
+    counts = tmp_path / "counts.json"
+    counts.write_text('{"API": {"vulnerable": 2, "non_vulnerable": 3}}')
+    out = tmp_path / "data" / "c.jsonl"
+    assert main(["build-dataset", "--preset", preset, "--counts", str(counts),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "usage: slicevuln build-dataset" in err and "not allowed with" in err
+    assert not out.parent.exists()
 
 
 def test_evaluate_on_a_file_that_is_not_a_checkpoint_is_data_error(tmp_path, small_corpus_path,
@@ -380,7 +380,7 @@ def test_evaluate_reads_its_settings_from_the_checkpoint(tmp_path, small_corpus_
                  "--seed", "42", "--out", str(bal)]) == 0
     assert main(["train", "--in", str(bal / "balanced.jsonl"), "--seed", "42",
                  *FAST_FLAGS, "--out", str(model_dir)]) == 0
-    _, heldout = split(load(bal / "balanced.jsonl"), 0.8, 42)
+    _, heldout = split(load(bal / "balanced.jsonl"), 42)
     save(heldout, tmp_path / "heldout.jsonl")
     assert main(["evaluate", "--model", str(model_dir / "checkpoint.npz"),
                  "--in", str(tmp_path / "heldout.jsonl"), "--out", str(tmp_path / "eval")]) == 0
@@ -504,7 +504,7 @@ def test_flag_inventory():
                    "--dropout", "--lr", "--batch-size", "--epochs", "--patience",
                    "--weight-decay"]
     assert inventory == {
-        "slice": ["-h", "--help", "--in", "--api-list", "--max-lines", "--hops", "--out"],
+        "slice": ["-h", "--help", "--in", "--out"],
         "build-dataset": ["-h", "--help", "--preset", "--counts", "--seed", "--out"],
         "balance": ["-h", "--help", "--hypothesis", "--in", "--seed", "--out"],
         "train": ["-h", "--help", "--in", *model_flags, "--seed", "--out"],

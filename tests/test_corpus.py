@@ -252,7 +252,7 @@ def test_load_non_utf8_names_file_and_line(tmp_path, format, data):
 
 def test_split_8_2():
     sset = make_set({(Kind.API, Label.VULNERABLE): 10})
-    train, test = split(sset, 0.8, seed=1)
+    train, test = split(sset, seed=1)
     assert len(train) == 8 and len(test) == 2
 
 
@@ -260,7 +260,7 @@ def test_split_is_partition():
     sset = make_set(
         {(k, l): 13 for k in (Kind.API, Kind.PU) for l in (Label.VULNERABLE, Label.NON_VULNERABLE)}
     )
-    train, test = split(sset, 0.7, seed=5)
+    train, test = split(sset, seed=5)
     assert len(train) + len(test) == len(sset)
     assert train.ids() | test.ids() == sset.ids()
     assert not (train.ids() & test.ids())
@@ -268,8 +268,8 @@ def test_split_is_partition():
 
 def test_split_deterministic():
     sset = make_set({(Kind.AU, Label.VULNERABLE): 50, (Kind.AU, Label.NON_VULNERABLE): 50})
-    a = split(sset, 0.8, seed=9)
-    b = split(sset, 0.8, seed=9)
+    a = split(sset, seed=9)
+    b = split(sset, seed=9)
     assert [s.id for s in a[0]] == [s.id for s in b[0]]
     assert [s.id for s in a[1]] == [s.id for s in b[1]]
 
@@ -281,30 +281,23 @@ def test_split_stratified_exact_cells():
         for l in (Label.VULNERABLE, Label.NON_VULNERABLE)
     }
     sset = make_set(cells)
-    train, _ = split(sset, 0.8, seed=3)
+    train, _ = split(sset, seed=3)
     for key in cells:
         assert train.count(*key) == 80
 
 
 def test_split_stratified_within_one_sample_per_cell():
     sset = make_set({(Kind.API, Label.VULNERABLE): 7, (Kind.PU, Label.NON_VULNERABLE): 13})
-    train, test = split(sset, 0.8, seed=2)
+    train, test = split(sset, seed=2)
     for kind, label, n in ((Kind.API, Label.VULNERABLE, 7), (Kind.PU, Label.NON_VULNERABLE, 13)):
         want_train = 0.8 * n
         assert abs(train.count(kind, label) - want_train) <= 1
         assert train.count(kind, label) + test.count(kind, label) == n
 
 
-def test_split_bad_fraction():
-    sset = make_set({(Kind.API, Label.VULNERABLE): 4})
-    for frac in (0.0, 1.0, -0.5, 2.0):
-        with pytest.raises(ValueError):
-            split(sset, frac, seed=0)
-
-
 def test_split_empty_set_rejected():
     with pytest.raises(DataError):
-        split(SampleSet([]), 0.8, seed=0)
+        split(SampleSet([]), seed=0)
 
 
 def test_reference_corpus_matches_reference_counts():

@@ -86,7 +86,7 @@ def test_s3_tests_on_remainder_disjoint_from_training(small_corpus):
     balanced = balance_h2(small_corpus, 42)
     assert report.fingerprints["test_size"] == len(small_corpus) - len(balanced)
     # regenerate both sides from the fingerprinted seed: disjoint by id
-    train_set, _ = split(balanced.samples, 0.8, 42)
+    train_set, _ = split(balanced.samples, 42)
     test_set = remainder(small_corpus, balanced)
     assert not (train_set.ids() & test_set.ids())
     import hashlib

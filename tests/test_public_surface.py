@@ -9,8 +9,7 @@ def test_public_surface():
     # or parameter shows up here as a diff
     assert slicevuln.__all__ == [
         "Kind", "Label", "Sample", "SampleSet", "load", "save", "split",
-        "Candidate", "SliceConfig", "Token", "TokenClass", "build_slice",
-        "extract_candidates", "lex", "load_api_list",
+        "Candidate", "Token", "TokenClass", "build_slice", "extract_candidates", "lex",
         "BalancedSet", "balance_h1", "balance_h2", "remainder",
         "EncodedDataset", "Vocab", "build_vocab", "encode", "normalize",
         "Model", "ModelConfig", "TrainConfig", "TrainHistory",
@@ -25,11 +24,10 @@ def test_public_surface():
     assert functions == {
         "load": ["path"],
         "save": ["sset", "path"],
-        "split": ["sset", "train_fraction", "seed"],
-        "build_slice": ["source", "candidate", "cfg"],
-        "extract_candidates": ["source", "cfg"],
+        "split": ["sset", "seed"],
+        "build_slice": ["source", "candidate"],
+        "extract_candidates": ["source"],
         "lex": ["source"],
-        "load_api_list": ["path"],
         "balance_h1": ["corpus", "seed"],
         "balance_h2": ["corpus", "seed"],
         "remainder": ["corpus", "balanced"],
@@ -54,14 +52,13 @@ def test_config_fields():
     # every config field, and the dataset's; a new setting shows up here as a diff
     configs = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
                for cls in (slicevuln.ModelConfig, slicevuln.TrainConfig,
-                           slicevuln.SliceConfig, slicevuln.StrategySpec,
+                           slicevuln.StrategySpec,
                            slicevuln.EncodedDataset)}
     assert configs == {
         "ModelConfig": ["num_layers", "hidden_dim", "num_heads", "ff_dim", "max_len",
                         "vocab_size", "dropout"],
         "TrainConfig": ["learning_rate", "batch_size", "epochs", "weight_decay",
                         "early_stop_patience", "seed"],
-        "SliceConfig": ["api_list", "max_slice_lines", "def_use_hops"],
         "StrategySpec": ["id", "model_config", "train_config"],
         "EncodedDataset": ["ids", "labels"],
     }

@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 from slicevuln import (
     Kind,
     LexError,
-    SliceConfig,
     TokenClass,
     build_slice,
     extract_candidates,
     lex,
-    load_api_list,
+    normalize,
 )
+from slicevuln.slicer import DEFAULT_API_LIST
 from golden_corpus import GOLDEN
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -142,17 +142,15 @@ def test_api_call_span_covers_multiline_call():
     assert cand.span == (1, 3)
 
 
-def test_custom_api_list():
-    cfg = SliceConfig(api_list=frozenset({"my_alloc"}))
-    cands = extract_candidates("p = my_alloc(10); strcpy(a, b);", cfg)
-    api = [c for c in cands if c.kind == Kind.API]
-    assert [c.focus for c in api] == ["my_alloc"]
-
-
-def test_load_api_list(tmp_path):
-    path = tmp_path / "apis.txt"
-    path.write_text("# risky\nstrcpy\n  gets  # classic\n\nmemcpy\n")
-    assert load_api_list(path) == {"strcpy", "gets", "memcpy"}
+def test_one_api_list_decides_candidates_and_normalization():
+    # a listed name is an API site and keeps its name through normalization;
+    # a call to any other name is neither
+    for name in sorted(DEFAULT_API_LIST):
+        assert [c.focus for c in extract_candidates(f"{name}(x);")
+                if c.kind == Kind.API] == [name]
+        assert normalize(f"{name}(x);") == f"{name} ( VAR1 ) ;"
+    assert not [c for c in extract_candidates("my_alloc(x);") if c.kind == Kind.API]
+    assert normalize("my_alloc(x);") == "FUN1 ( VAR1 ) ;"
 
 
 def test_double_star_collapses_to_one_candidate():
@@ -169,16 +167,22 @@ def test_build_slice_single_line():
 def test_build_slice_def_use_example():
     src = "int n = 10;\nchar b[8];\nmemcpy(b, s, n);"
     cand = [c for c in extract_candidates(src) if c.kind == Kind.API][0]
-    cfg = SliceConfig(def_use_hops=1)
-    assert build_slice(src, cand, cfg) == src
+    assert build_slice(src, cand) == src
 
 
 def test_build_slice_excludes_unrelated_lines():
     src = "int n = 10;\nint other = 5;\nmemcpy(b, s, n);"
     cand = [c for c in extract_candidates(src) if c.kind == Kind.API][0]
-    out = build_slice(src, cand, SliceConfig(def_use_hops=1))
+    out = build_slice(src, cand)
     assert "other" not in out
     assert "memcpy" in out and "int n = 10;" in out
+
+
+def test_build_slice_reaches_two_hops_not_three():
+    # each line shares one identifier with the next: d -> c -> b -> the call
+    src = "void f(void) {\n    int d = 4;\n    int c = d;\n    int b = c;\n    strcpy(a, b);\n}"
+    cand = [c for c in extract_candidates(src) if c.kind == Kind.API][0]
+    assert build_slice(src, cand) == "    int c = d;\n    int b = c;\n    strcpy(a, b);"
 
 
 def test_build_slice_truncates_to_max_lines():
@@ -186,7 +190,7 @@ def test_build_slice_truncates_to_max_lines():
     src = f"void f(int x) {{\n{body}\n}}"
     cands = extract_candidates(src)
     cand = cands[len(cands) // 2]
-    out = build_slice(src, cand, SliceConfig(max_slice_lines=30))
+    out = build_slice(src, cand)
     lines = out.split("\n")
     assert len(lines) <= 30
     assert src.split("\n")[cand.line - 1] in lines
@@ -237,7 +241,7 @@ def test_slicing_a_file_lexes_it_once(monkeypatch):
     real_lex = slicer.lex
     monkeypatch.setattr(slicer, "lex", counting_lex)
     slicer._index.cache_clear()
-    records = cli._slice_one_file(str(FIXTURES / "multi_function.c"), SliceConfig())
+    records = cli._slice_one_file(str(FIXTURES / "multi_function.c"))
     assert len(records) > 100
     assert len(calls) == 1
 
@@ -254,10 +258,3 @@ def test_build_slice_line_out_of_range():
     bad = type(cand)(kind=cand.kind, line=99, focus=cand.focus, span=(99, 99))
     with pytest.raises(ValueError, match="out of range"):
         build_slice(src, bad)
-
-
-def test_slice_config_validation():
-    with pytest.raises(ValueError):
-        SliceConfig(max_slice_lines=0)
-    with pytest.raises(ValueError):
-        SliceConfig(def_use_hops=-1)
