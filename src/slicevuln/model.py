@@ -3,11 +3,11 @@
 Architecture: learned token + position embeddings, pre-layer-norm residual
 blocks (masked multi-head self-attention, then a GELU feed-forward), a
 final layer norm, and a two-way classification head reading the CLS
-position, with hand-written backprop.  ``init`` gives float64 parameters and
-``train`` casts them to float32; every kernel follows the parameters' dtype,
-so a trained model trains, predicts and is checkpointed in float32, while
-``grad_check`` verifies the same kernels on a float64 copy against central
-finite differences.
+position, with hand-written backprop.  The parameters are one vector whose
+views ``params`` names; ``init`` gives it in float64 and ``train`` casts it
+to float32.  Every kernel follows its dtype, so a trained model trains,
+predicts and is checkpointed in float32, while ``grad_check`` verifies the
+same kernels on a float64 copy against central finite differences.
 
 The id rows are their own mask: a position is live iff its id is not
 PAD, which only padding is.  Attention masking is exact: PAD key columns
@@ -15,8 +15,8 @@ get -inf before the softmax, so they receive zero attention weight.
 Token-wise layers therefore run over the packed live rows of a batch
 only; attention alone uses the padded layout.
 
-Training uses decoupled-weight-decay Adam (weight decay applied directly
-to matrix-shaped parameters, not through the gradient), shuffling keyed by
+Training uses decoupled-weight-decay Adam, one update of the vector (decay
+applied directly to the matrices, not through the gradient), shuffling keyed by
 (seed, epoch), and early stopping on validation loss with restoration of
 the best weights.  Dropout draws from a generator keyed by the training
 seed.  Validation and ``predict`` both take their logits from ``forward``,
@@ -107,52 +107,49 @@ class TrainHistory:
     stopped_epoch: int = 0
 
 
-class Model:
-    """Configuration plus a flat name -> ndarray parameter map, float64 from
-    ``init`` and float32 once trained."""
+def _shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """The parameter layout: each parameter's name and shape, in the order
+    its values sit in ``Model.flat``."""
+    H, F = cfg.hidden_dim, cfg.ff_dim
+    block = dict(ln1_g=(H,), ln1_b=(H,), Wq=(H, H), Wk=(H, H), Wv=(H, H), Wo=(H, H),
+                 bq=(H,), bk=(H,), bv=(H,), bo=(H,), ln2_g=(H,), ln2_b=(H,),
+                 W1=(H, F), b1=(F,), W2=(F, H), b2=(H,))
+    shapes = {"tok_emb": (cfg.vocab_size, H), "pos_emb": (cfg.max_len, H)}
+    for l in range(cfg.num_layers):
+        shapes.update({f"layers.{l}.{name}": shape for name, shape in block.items()})
+    shapes.update(lnf_g=(H,), lnf_b=(H,), head_W=(H, _NUM_CLASSES), head_b=(_NUM_CLASSES,))
+    return shapes
 
-    def __init__(self, config: ModelConfig, params: dict[str, np.ndarray]):
+
+class Model:
+    """Configuration plus one flat parameter vector, float64 from ``init``
+    and float32 once trained.  ``params`` maps each name of the layout to a
+    view of ``flat``, so a write through a name lands in the vector."""
+
+    def __init__(self, config: ModelConfig, flat: np.ndarray):
         self.config = config
-        self.params = params
+        self.flat = flat
+        shapes = _shapes(config)
+        bounds = np.cumsum([math.prod(shape) for shape in shapes.values()])[:-1]
+        # a vector of the wrong size leaves some part that cannot take its shape
+        self.params = {name: part.reshape(shape) for (name, shape), part
+                       in zip(shapes.items(), np.split(flat, bounds))}
 
     def num_parameters(self) -> int:
-        return sum(p.size for p in self.params.values())
-
-    def copy_params(self) -> dict[str, np.ndarray]:
-        return {name: p.copy() for name, p in self.params.items()}
+        return self.flat.size
 
 
 def init(cfg: ModelConfig, seed: int) -> Model:
-    """Deterministic initialization: N(0, 0.02) weights, zero biases, unit gains."""
+    """Deterministic initialization, in layout order: N(0, 0.02) matrices,
+    unit layer-norm gains, zero biases."""
     rng = np.random.default_rng(seed)
-    H, F = cfg.hidden_dim, cfg.ff_dim
-
-    def w(*shape):
-        return rng.normal(0.0, 0.02, shape)
-
-    params: dict[str, np.ndarray] = {
-        "tok_emb": w(cfg.vocab_size, H),
-        "pos_emb": w(cfg.max_len, H),
-    }
-    for l in range(cfg.num_layers):
-        p = f"layers.{l}."
-        params[p + "ln1_g"] = np.ones(H)
-        params[p + "ln1_b"] = np.zeros(H)
-        for name in ("Wq", "Wk", "Wv", "Wo"):
-            params[p + name] = w(H, H)
-        for name in ("bq", "bk", "bv", "bo"):
-            params[p + name] = np.zeros(H)
-        params[p + "ln2_g"] = np.ones(H)
-        params[p + "ln2_b"] = np.zeros(H)
-        params[p + "W1"] = w(H, F)
-        params[p + "b1"] = np.zeros(F)
-        params[p + "W2"] = w(F, H)
-        params[p + "b2"] = np.zeros(H)
-    params["lnf_g"] = np.ones(H)
-    params["lnf_b"] = np.zeros(H)
-    params["head_W"] = w(H, _NUM_CLASSES)
-    params["head_b"] = np.zeros(_NUM_CLASSES)
-    return Model(cfg, params)
+    net = Model(cfg, np.zeros(sum(math.prod(shape) for shape in _shapes(cfg).values())))
+    for name, p in net.params.items():
+        if p.ndim == 2:
+            p[:] = rng.normal(0.0, 0.02, p.shape)
+        elif name.endswith("_g"):
+            p[:] = 1.0
+    return net
 
 
 def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -294,7 +291,7 @@ def _forward_core(
     B, L = ids.shape
     nh, dh = cfg.num_heads, cfg.head_dim
     scale = 1.0 / math.sqrt(dh)  # a Python float keeps float32 arrays float32
-    dtype = P["tok_emb"].dtype.type
+    dtype = model.flat.dtype.type
 
     live = ids != Vocab.PAD
     live[:, 0] = True  # the head reads the CLS row
@@ -419,7 +416,7 @@ def forward(model: Model, data: EncodedDataset, batch_size: int = 64) -> np.ndar
         raise ValueError(
             f"encoding length {data.ids.shape[1]} != model max_len {model.config.max_len}"
         )
-    logits = np.empty((len(data), _NUM_CLASSES), model.params["tok_emb"].dtype)
+    logits = np.empty((len(data), _NUM_CLASSES), model.flat.dtype)
     for start in range(0, len(data), batch_size):
         ids = _trim(data.ids[start:start + batch_size])
         logits[start:start + batch_size], _ = _forward_core(model, ids)
@@ -459,25 +456,22 @@ def grad_check(
     The loss is taken against ``data.labels``.  Runs on a float64 copy of
     the model, so the caller's parameters and their dtype stay as they are
     and the bound means the same for a float32 model.  Samples
-    ``num_samples`` parameter coordinates across every tensor.  The
+    ``num_samples`` coordinates of the parameter vector.  The
     relative-error denominator is floored at 1e-6 so finite-difference
     roundoff on near-zero coordinates does not dominate.
     """
-    model = Model(model.config, {n: p.astype(np.float64) for n, p in model.params.items()})
+    model = Model(model.config, model.flat.astype(np.float64))
     ids, y = data.ids, data.labels
     logits, cache = _forward_core(model, ids, need_cache=True)
     _, dlogits = _loss_and_grad(logits, y)
     grads = _backward_core(model, cache, dlogits)
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient in {name}")
+    grad = np.concatenate([grads[name] for name in model.params], axis=None)
+    if not np.isfinite(grad).all():
+        name = next(name for name, g in grads.items() if not np.isfinite(g).all())
+        raise NumericError(f"non-finite gradient in {name}")
 
-    names = sorted(model.params)
-    sizes = np.array([model.params[n].size for n in names])
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    total = int(offsets[-1])
-    rng = np.random.default_rng(seed)
-    picks = rng.choice(total, size=min(num_samples, total), replace=False)
+    flat, n = model.flat, model.flat.size
+    picks = np.random.default_rng(seed).choice(n, size=min(num_samples, n), replace=False)
 
     def loss_at() -> float:
         lg, _ = _forward_core(model, ids)
@@ -485,48 +479,49 @@ def grad_check(
         return value
 
     max_rel = 0.0
-    for flat in sorted(int(i) for i in picks):
-        t = int(np.searchsorted(offsets, flat, side="right") - 1)
-        name = names[t]
-        idx = np.unravel_index(flat - offsets[t], model.params[name].shape)
-        original = model.params[name][idx]
-        model.params[name][idx] = original + epsilon
+    for i in np.sort(picks):
+        original = flat[i]
+        flat[i] = original + epsilon
         up = loss_at()
-        model.params[name][idx] = original - epsilon
+        flat[i] = original - epsilon
         down = loss_at()
-        model.params[name][idx] = original
+        flat[i] = original
         numeric = (up - down) / (2.0 * epsilon)
-        analytic = grads[name][idx]
+        analytic = grad[i]
         rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
         max_rel = max(max_rel, rel)
     return max_rel
 
 
-def _adamw_step(params, grads, m, v, t, tcfg: TrainConfig):
-    """One AdamW update of ``params``, ``m`` and ``v``, each tensor in place."""
-    lr, wd = tcfg.learning_rate, tcfg.weight_decay
+def _adamw_step(model: Model, grad, m, v, decay, t, tcfg: TrainConfig):
+    """One AdamW update of ``model.flat``, ``m`` and ``v`` in place; ``decay``
+    is the per-element weight-decay factor."""
     bc1 = 1.0 - _ADAM_BETA1**t
     bc2 = 1.0 - _ADAM_BETA2**t
-    for name, p in params.items():
-        g, m_t, v_t = grads[name], m[name], v[name]
-        m_t *= _ADAM_BETA1
-        m_t += (1.0 - _ADAM_BETA1) * g
-        step = (1.0 - _ADAM_BETA2) * g
-        step *= g
-        v_t *= _ADAM_BETA2
-        v_t += step
-        # lr * mhat / (sqrt(vhat) + eps)
-        np.divide(m_t, bc1, out=step)
-        step *= lr
-        denom = v_t / bc2
-        np.sqrt(denom, out=denom)
-        denom += _ADAM_EPS
-        step /= denom
-        if wd > 0 and p.ndim >= 2:  # decay decoupled; biases and LN params exempt
-            p *= 1.0 - lr * wd
-        p -= step
-        if not np.all(np.isfinite(p)):
-            raise NumericError(f"non-finite values in {name} after optimizer step {t}")
+    m *= _ADAM_BETA1
+    m += (1.0 - _ADAM_BETA1) * grad
+    step = (1.0 - _ADAM_BETA2) * grad
+    step *= grad
+    v *= _ADAM_BETA2
+    v += step
+    # lr * mhat / (sqrt(vhat) + eps)
+    np.divide(m, bc1, out=step)
+    step *= tcfg.learning_rate
+    denom = v / bc2
+    np.sqrt(denom, out=denom)
+    denom += _ADAM_EPS
+    step /= denom
+    model.flat *= decay
+    model.flat -= step
+    if not np.isfinite(model.flat).all():
+        name = next(name for name, p in model.params.items() if not np.isfinite(p).all())
+        raise NumericError(f"non-finite values in {name} after optimizer step {t}")
+
+
+def _decide(logits: np.ndarray) -> np.ndarray:
+    """True iff vulnerable: p(class 1) >= 0.5, so an exact tie is vulnerable."""
+    e = np.exp(logits - logits.max(-1, keepdims=True))
+    return e[:, 1] / e.sum(-1) >= _THRESHOLD
 
 
 def _eval_loss_acc(model: Model, data: EncodedDataset, batch_size: int) -> tuple[float, float]:
@@ -536,7 +531,7 @@ def _eval_loss_acc(model: Model, data: EncodedDataset, batch_size: int) -> tuple
         y = data.labels[start:start + batch_size]
         nll, _ = _loss_and_grad(logits[start:start + batch_size], y)
         total_nll += nll * len(y)
-    correct = int((logits.argmax(-1) == data.labels).sum())
+    correct = int((_decide(logits) == data.labels).sum())
     return total_nll / len(data), correct / len(data)
 
 
@@ -555,13 +550,15 @@ def train(
     """
     if len(train_data) == 0 or len(val_data) == 0:
         raise DataError("training and validation sets must be non-empty")
-    model.params = {n: p.astype(np.float32, copy=False) for n, p in model.params.items()}
+    model = Model(model.config, model.flat.astype(np.float32, copy=False))
+    decay = np.ones_like(model.flat)  # decoupled weight decay, on matrices only
+    for p in Model(model.config, decay).params.values():
+        p[:] = 1.0 - tcfg.learning_rate * tcfg.weight_decay if p.ndim == 2 else 1.0
     dropout_rng = np.random.default_rng([tcfg.seed, 0xD0])
-    m = {n: np.zeros_like(p) for n, p in model.params.items()}
-    v = {n: np.zeros_like(p) for n, p in model.params.items()}
+    m, v, grad = np.zeros_like(model.flat), np.zeros_like(model.flat), np.empty_like(model.flat)
     history = TrainHistory()
     best_loss = np.inf
-    best_params = model.copy_params()
+    best = model.flat.copy()
     epochs_since_best = 0
     step = 0
 
@@ -579,8 +576,9 @@ def train(
                     f"non-finite training loss at epoch {epoch}, step {step}"
                 )
             grads = _backward_core(model, cache, dlogits)
+            np.concatenate([grads[name] for name in model.params], axis=None, out=grad)
             step += 1
-            _adamw_step(model.params, grads, m, v, step, tcfg)
+            _adamw_step(model, grad, m, v, decay, step, tcfg)
             epoch_nll += nll * len(sel)
 
         val_loss, val_acc = _eval_loss_acc(model, val_data, tcfg.batch_size)
@@ -591,14 +589,14 @@ def train(
 
         if val_loss < best_loss:
             best_loss = val_loss
-            best_params = model.copy_params()
+            best[:] = model.flat
             epochs_since_best = 0
         else:
             epochs_since_best += 1
             if epochs_since_best >= tcfg.early_stop_patience:
                 break
 
-    model.params = best_params
+    model.flat[:] = best
     return model, history
 
 
@@ -609,9 +607,8 @@ def predict(model: Model, data: EncodedDataset) -> np.ndarray:
     input order."""
     order = np.argsort((data.ids != Vocab.PAD).sum(1), kind="stable")
     logits = forward(model, EncodedDataset(ids=data.ids[order], labels=data.labels[order]))
-    e = np.exp(logits - logits.max(-1, keepdims=True))
     labels = np.empty(len(data), dtype=np.int64)
-    labels[order] = e[:, 1] / e.sum(-1) >= _THRESHOLD
+    labels[order] = _decide(logits)
     return labels
 
 
@@ -636,10 +633,10 @@ def load_checkpoint(path: str | Path) -> tuple[Model, Vocab]:
     """The model and vocabulary ``save_checkpoint`` stored.  A file that is
     not such a checkpoint (an older version, a stored vocabulary that is not
     a list of distinct strings or does not fit the config's ``vocab_size``,
-    parameters whose names or shapes differ from what ``init`` gives for the
-    stored config) is a DataError naming the file.  The parameters come back
-    in float32, the precision ``train`` runs in, whatever dtype the archive
-    stores."""
+    parameters that are not numbers or whose names or shapes differ from the
+    layout of the stored config) is a DataError naming the file.  The
+    parameters come back as one float32 vector, the precision ``train`` runs
+    in, whatever dtype the archive stores."""
     try:
         with np.load(path) as blob:
             meta = json.loads(bytes(blob["__meta__"]).decode())
@@ -664,13 +661,15 @@ def load_checkpoint(path: str | Path) -> tuple[Model, Vocab]:
         vocab = Vocab(tokens)
     except DataError as e:
         raise DataError(f"{path}: the stored {e}") from e
-    expected = {name: p.shape for name, p in init(cfg, 0).params.items()}
-    if arrays.keys() != expected.keys():
-        raise DataError(f"{path}: parameters missing {sorted(expected.keys() - arrays.keys())}, "
-                        f"unexpected {sorted(arrays.keys() - expected.keys())}")
-    for name, shape in expected.items():
+    shapes = _shapes(cfg)
+    if arrays.keys() != shapes.keys():
+        raise DataError(f"{path}: parameters missing {sorted(shapes.keys() - arrays.keys())}, "
+                        f"unexpected {sorted(arrays.keys() - shapes.keys())}")
+    for name, shape in shapes.items():
         if arrays[name].shape != shape:
             raise DataError(f"{path}: parameter {name} has shape {arrays[name].shape}, "
                             f"the stored config gives {shape}")
-    net = Model(cfg, {name: arrays[name].astype(np.float32, copy=False) for name in expected})
-    return net, vocab
+        if arrays[name].dtype.kind not in "fiu":
+            raise DataError(f"{path}: parameter {name} holds {arrays[name].dtype}, not numbers")
+    flat = np.concatenate([arrays[name] for name in shapes], axis=None, dtype=np.float32)
+    return Model(cfg, flat), vocab

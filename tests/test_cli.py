@@ -80,6 +80,11 @@ def test_unknown_flag_is_usage_error():
     ("run-strategy", [{"--max-len 1": "max_len must be >= 2"}]),
     ("run-strategy", [{"--weight-decay nan": "weight_decay must be finite"}]),
     ("run-strategy", [{"--lr nan": "learning_rate must be finite"}]),
+], ids=[  # fixed ids, so adding or deleting a case renames no other case
+    "run-strategy-flags0", "run-strategy-flags1", "train-flags2", "slice-flags3",
+    "run-strategy-flags4", "run-strategy-flags5", "run-strategy-flags6", "train-flags7",
+    "train-flags8", "run-strategy-flags9", "run-strategy-flags10", "run-strategy-flags11",
+    "run-strategy-flags12",
 ])
 def test_invalid_flag_value_is_usage_error(tmp_path, small_corpus_path, capsys,
                                            command, flags):

@@ -18,8 +18,8 @@ from slicevuln import (
     predict,
     train,
 )
-from slicevuln.model import (Model, _backward_core, _forward_core, _loss_and_grad, _trim,
-                             load_checkpoint, save_checkpoint)
+from slicevuln.model import (Model, _backward_core, _forward_core, _loss_and_grad, _shapes,
+                             _trim, load_checkpoint, save_checkpoint)
 from slicevuln.tokenizer import EncodedDataset, Vocab, build_vocab
 
 from conftest import random_batch, random_dataset
@@ -62,6 +62,35 @@ def test_parameter_count_closed_form():
     per_layer = 2 * H + 4 * H * H + 4 * H + 2 * H + H * F + F + F * H + H
     want = (cfg.vocab_size * H) + (cfg.max_len * H) + L * per_layer + 2 * H + H * 2 + 2
     assert net.num_parameters() == want
+
+
+def assert_one_layout(net):
+    """Every parameter is a view of ``net.flat``, packed in layout order."""
+    address = net.flat.ctypes.data
+    assert net.flat.ndim == 1 and net.flat.flags.c_contiguous
+    assert list(net.params) == list(_shapes(net.config))
+    for name, shape in _shapes(net.config).items():
+        p = net.params[name]
+        assert p.shape == shape and np.shares_memory(p, net.flat), name
+        assert p.ctypes.data == address, name
+        address += p.nbytes
+    assert address == net.flat.ctypes.data + net.flat.nbytes
+    assert net.num_parameters() == net.flat.size
+
+
+def test_init_train_and_load_give_one_layout(tmp_path, tiny_cfg):
+    net = init(tiny_cfg, seed=0)
+    assert_one_layout(net)
+    net = _trained(tiny_cfg)[0]
+    assert_one_layout(net)
+    assert_one_layout(load_checkpoint(save_checkpoint(net, tmp_path / "m.npz", _vocab()))[0])
+
+
+def test_grad_check_leaves_the_callers_vector_unchanged(tiny_cfg):
+    for net in (init(tiny_cfg, seed=7), _trained(tiny_cfg)[0]):
+        before = net.flat.copy()
+        grad_check(net, random_dataset(tiny_cfg, 4, seed=3), num_samples=40)
+        assert net.flat.dtype == before.dtype and np.array_equal(net.flat, before)
 
 
 def test_forward_shape_and_softmax(tiny_cfg):
@@ -176,8 +205,7 @@ def _train_step(cfg, n, dropout_seed, length_one, dtype=np.float64):
     """Logits, every gradient and, with dropout, the generator's next draw
     for one training step of a seeded model, its parameters cast to
     ``dtype``, on a padded batch."""
-    net = init(cfg, seed=7)
-    net.params = {name: p.astype(dtype) for name, p in net.params.items()}
+    net = Model(cfg, init(cfg, seed=7).flat.astype(dtype))
     data = random_dataset(cfg, n, seed=3)
     ids = data.ids.copy()
     if length_one:
@@ -332,6 +360,20 @@ def test_predict_threshold_tie_is_vulnerable(tiny_cfg):
     assert predict(net, data).tolist() == [1, 1, 1]
 
 
+def test_validation_accuracy_uses_the_predict_rule(tiny_cfg):
+    # the tie model of the test above: validation must score its logits
+    # (0, 0) as vulnerable too, as predict does
+    from slicevuln.model import _eval_loss_acc
+
+    net = init(tiny_cfg, seed=0)
+    for name in ("head_W", "head_b"):
+        net.params[name][:] = 0.0
+    data = random_dataset(tiny_cfg, 3, seed=1)
+    data = EncodedDataset(ids=data.ids, labels=np.array([1, 1, 0]))
+    _, accuracy = _eval_loss_acc(net, data, batch_size=2)
+    assert accuracy == (predict(net, data) == data.labels).mean() == pytest.approx(2 / 3)
+
+
 def test_predict_extreme_logits_class0(tiny_cfg):
     net = init(tiny_cfg, seed=0)
     net.params["head_W"][:] = 0.0
@@ -391,12 +433,11 @@ def test_optimizer_step_rejects_nonfinite_update(tiny_cfg):
     from slicevuln.model import _adamw_step
 
     net = init(tiny_cfg, seed=0)
-    grads = {n: np.zeros_like(p) for n, p in net.params.items()}
-    grads["head_W"][:] = np.inf
-    m = {n: np.zeros_like(p) for n, p in net.params.items()}
-    v = {n: np.zeros_like(p) for n, p in net.params.items()}
+    grad, m, v = np.zeros_like(net.flat), np.zeros_like(net.flat), np.zeros_like(net.flat)
+    Model(tiny_cfg, grad).params["head_W"][:] = np.inf
+    decay = np.ones_like(net.flat)
     with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="head_W"):
-        _adamw_step(net.params, grads, m, v, 1, TrainConfig())
+        _adamw_step(net, grad, m, v, decay, 1, TrainConfig())
 
 
 def _vocab(n=5):
@@ -411,7 +452,7 @@ def test_checkpoint_round_trip(tmp_path, tiny_cfg):
     path = save_checkpoint(net, tmp_path / "model.npz", vocab)
     back, back_vocab = load_checkpoint(path)
     assert back.config == tiny_cfg
-    single = Model(tiny_cfg, {n: p.astype(np.float32) for n, p in net.params.items()})
+    single = Model(tiny_cfg, net.flat.astype(np.float32))
     for name in net.params:
         assert back.params[name].dtype == np.float32
         assert np.array_equal(back.params[name], single.params[name])
@@ -463,6 +504,27 @@ def test_checkpoint_config_disagreeing_with_its_arrays_is_data_error(tmp_path, t
     path = save_checkpoint(net, tmp_path / "model.npz", _vocab())
     _rewrite_checkpoint(path, vocab_size=99)
     with pytest.raises(DataError, match=re.escape(f"{path}: parameter tok_emb has shape (16, 8)")):
+        load_checkpoint(path)
+
+
+def test_checkpoint_config_far_larger_than_its_arrays_is_data_error(tmp_path, tiny_cfg):
+    # a config claiming 2**44 embedding rows: checking the stored shapes
+    # against the layout must not build the 2**47-value table first
+    path = save_checkpoint(init(tiny_cfg, seed=4), tmp_path / "model.npz", _vocab())
+    _rewrite_checkpoint(path, vocab_size=2**44)
+    with pytest.raises(DataError, match=re.escape(
+            f"{path}: parameter tok_emb has shape (32, 8), the stored config gives "
+            f"({2**44}, 8)")):
+        load_checkpoint(path)
+
+
+def test_checkpoint_parameter_that_is_not_numbers_is_data_error(tmp_path, tiny_cfg):
+    path = save_checkpoint(init(tiny_cfg, seed=4), tmp_path / "model.npz", _vocab())
+    with np.load(path) as blob:
+        arrays = {name: blob[name] for name in blob.files}
+    arrays["head_b"] = np.array(["x", "y"])
+    np.savez(path, **arrays)
+    with pytest.raises(DataError, match=re.escape(f"{path}: parameter head_b holds <U1")):
         load_checkpoint(path)
 
 
