@@ -43,6 +43,9 @@ _POOLS: weakref.WeakKeyDictionary[SampleSet, _Pools] = weakref.WeakKeyDictionary
 
 
 def _pools(corpus: SampleSet) -> _Pools:
+    """The corpus's (kind, label) cells; an empty corpus has none to balance."""
+    if len(corpus) == 0:
+        raise DataError("corpus is empty")
     pools = _POOLS.get(corpus)
     if pools is None:
         pools = _POOLS[corpus] = _group(corpus)
@@ -97,8 +100,6 @@ def balance_h2(corpus: SampleSet, seed: int) -> BalancedSet:
     pools = _pools(corpus)
     kinds = [k for k in KIND_ORDER
              if (k, Label.VULNERABLE) in pools or (k, Label.NON_VULNERABLE) in pools]
-    if not kinds:
-        raise DataError("corpus is empty")
     for kind in kinds:
         for label in (Label.VULNERABLE, Label.NON_VULNERABLE):
             if not pools.get((kind, label)):

@@ -12,6 +12,7 @@ import dataclasses
 import json
 import shlex
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -171,6 +172,10 @@ def _slice_one_file(path: str) -> list[dict]:
 
 
 def _cmd_slice(args) -> int:
+    # a file given twice would repeat its slice ids
+    repeated = [str(p) for p, n in Counter(args.inputs).items() if n > 1]
+    if repeated:
+        args.parser.error(f"argument --in: given more than once: {', '.join(repeated)}")
     # every file is sliced before anything is written, so a bad file leaves no output
     records = [record for p in args.inputs for record in _slice_one_file(str(p))]
     args.out.mkdir(parents=True, exist_ok=True)

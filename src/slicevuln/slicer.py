@@ -86,61 +86,47 @@ class Candidate:
     column: int = field(default=0, compare=False)
 
 
-# Longest-match-first token table.  A directive consumes the whole logical
-# line including backslash continuations; it only fires at line start,
-# which the lexer enforces before using the match.
+# The one statement of the lexical rules: each alternative is named for its
+# TokenClass, first match wins.  A directive consumes the whole logical line
+# including backslash continuations; it only counts at line start, which
+# the lexer enforces.  Two alternatives are errors: a ``/*`` the comment
+# alternative could not close, and, last, any other character.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<directive>\#(?:[^\n\\]|\\\r?\n|\\.)*)
-  | (?P<comment>//[^\n]*|/\*(?:[^*]|\*(?!/))*\*/)
-  | (?P<string>"(?:\\.|[^"\\\n])*")
-  | (?P<char>'(?:\\.|[^'\\\n])+')
-  | (?P<number>(?:0[xX][0-9a-fA-F]+|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)[uUlLfF]*)
-  | (?P<identifier>[A-Za-z_]\w*)
-  | (?P<operator><<=|>>=|\.\.\.|->|\+\+|--|<<|>>|<=|>=|==|!=|&&|\|\||\+=|-=|\*=|/=|%=|&=|\|=|\^=|[-+*/%=<>!&|^~?.:])
-  | (?P<punctuation>[()\[\]{};,])
-  | (?P<whitespace>\s+)
+    (?P<DIRECTIVE>\#(?:[^\n\\]|\\\r?\n|\\.)*)
+  | (?P<COMMENT>//[^\n]*|/\*(?:[^*]|\*(?!/))*\*/)
+  | (?P<STRING>"(?:\\.|[^"\\\n])*")
+  | (?P<CHAR>'(?:\\.|[^'\\\n])+')
+  | (?P<NUMBER>(?:0[xX][0-9a-fA-F](?:'?[0-9a-fA-F])*|(?:\d(?:'?\d)*\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)[uUlLfF]*)
+  | (?P<IDENTIFIER>[A-Za-z_$][\w$]*)
+  | (?P<UNCLOSED>/\*)
+  | (?P<OPERATOR><<=|>>=|\.\.\.|->|\+\+|--|<<|>>|<=|>=|==|!=|&&|\|\||\+=|-=|\*=|/=|%=|&=|\|=|\^=|[-+*/%=<>!&|^~?.:])
+  | (?P<PUNCTUATION>[()\[\]{};,])
+  | (?P<WHITESPACE>(?:\s|\\\r?\n)+)
+  | (?P<UNEXPECTED>(?s:.))
     """,
     re.VERBOSE,
 )
 
-_GROUP_CLS = {
-    "directive": TokenClass.DIRECTIVE,
-    "comment": TokenClass.COMMENT,
-    "string": TokenClass.STRING,
-    "char": TokenClass.CHAR,
-    "number": TokenClass.NUMBER,
-    "identifier": TokenClass.IDENTIFIER,
-    "operator": TokenClass.OPERATOR,
-    "punctuation": TokenClass.PUNCTUATION,
-    "whitespace": TokenClass.WHITESPACE,
+_CLASS_OF_GROUP = dict(TokenClass.__members__)
+_LEX_ERRORS = {
+    "/*": "unterminated block comment",
+    '"': "unterminated string literal",
+    "'": "unterminated character literal",
 }
 
 
 def lex(source: str) -> list[Token]:
     """Tokenize C/C++ source losslessly; raises LexError with a line number."""
     tokens: list[Token] = []
-    pos = 0
     line = 1
     col = 1
-    at_line_start = True  # only whitespace seen since the last newline
-    n = len(source)
-    while pos < n:
-        # the regex would fall through to '/' '*' operators here
-        if source.startswith("/*", pos) and source.find("*/", pos + 2) == -1:
-            raise LexError("unterminated block comment", line)
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            ch = source[pos]
-            if ch == '"':
-                raise LexError("unterminated string literal", line)
-            if ch == "'":
-                raise LexError("unterminated character literal", line)
-            raise LexError(f"unexpected character {ch!r}", line)
-        if m.lastgroup == "directive" and not at_line_start:
-            raise LexError("unexpected character '#'", line)
+    at_line_start = True  # only whitespace seen since the last unspliced newline
+    for m in _TOKEN_RE.finditer(source):
         text = m.group()
-        cls = _GROUP_CLS[m.lastgroup]
+        cls = _CLASS_OF_GROUP.get(m.lastgroup)
+        if cls is None or (cls is TokenClass.DIRECTIVE and not at_line_start):
+            raise LexError(_LEX_ERRORS.get(text, f"unexpected character {text[0]!r}"), line)
         if cls is TokenClass.IDENTIFIER and text in C_KEYWORDS:
             cls = TokenClass.KEYWORD
         tokens.append(Token(text, cls, line, col))
@@ -148,12 +134,12 @@ def lex(source: str) -> list[Token]:
         if newlines:
             line += newlines
             col = len(text) - text.rfind("\n")
-            at_line_start = cls is TokenClass.WHITESPACE
         else:
             col += len(text)
-            if cls is not TokenClass.WHITESPACE:
-                at_line_start = False
-        pos = m.end()
+        if cls is not TokenClass.WHITESPACE:
+            at_line_start = False
+        elif newlines > text.count("\\"):  # a backslash-newline splices two lines
+            at_line_start = True
     return tokens
 
 

@@ -65,6 +65,12 @@ def test_h1_missing_kind_and_empty_class():
     assert len(bset) == 10
 
 
+@pytest.mark.parametrize("balance", [balance_h1, balance_h2], ids=["h1", "h2"])
+def test_empty_corpus_rejected(balance):
+    with pytest.raises(DataError, match="^corpus is empty$"):
+        balance(SampleSet([]), seed=0)
+
+
 def test_h1_insufficient_pool_names_kind():
     cells = uniform_cells(10, 40)
     cells[(Kind.PU, Label.NON_VULNERABLE)] = 9

@@ -223,11 +223,20 @@ def test_slice_ids_are_unique_across_files_with_one_name(tmp_path):
 def test_slice_names_the_file_that_fails_to_lex(tmp_path, capsys):
     (good,) = _write_sources(tmp_path, {"ok.c": SLICE_SOURCES["ok.c"]})
     bad = tmp_path / "bad.c"
-    bad.write_text("int f() {\n  int $x;\n}\n")
+    bad.write_text("int f() {\n  int @x;\n}\n")
     out = tmp_path / "o"
     assert main(["slice", "--in", good, str(bad), "--out", str(out)]) == 2
-    assert f"{bad}: line 2: unexpected character '$'" in capsys.readouterr().err
+    assert f"{bad}: line 2: unexpected character '@'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_slice_rejects_a_file_given_twice(tmp_path, capsys):
+    a, ok = _write_sources(tmp_path, {n: SLICE_SOURCES[n] for n in ("a.c", "ok.c")})
+    out = tmp_path / "o"
+    assert main(["slice", "--in", a, ok, a, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "usage: slicevuln slice" in err and f"given more than once: {a}" in err
+    assert ok not in err and not out.exists()
 
 
 def test_slice_non_utf8_file_is_data_error(tmp_path, capsys):
@@ -304,6 +313,16 @@ def test_seed_env_var_is_not_read(tmp_path, small_corpus_path, monkeypatch):
                  "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 42
+
+
+@pytest.mark.parametrize("hypothesis", ["h1", "h2"])
+def test_balance_empty_corpus_is_data_error(tmp_path, capsys, hypothesis):
+    empty, out = tmp_path / "empty.jsonl", tmp_path / "bal"
+    empty.write_text("")
+    assert main(["balance", "--hypothesis", hypothesis, "--in", str(empty),
+                 "--out", str(out)]) == 2
+    assert "data error: corpus is empty" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_balance_cli_matches_library(tmp_path, small_corpus_path):

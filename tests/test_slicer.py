@@ -64,14 +64,51 @@ def test_lex_positions_are_one_based():
     assert (cd.line, cd.column) == (2, 2)
 
 
-def test_lex_unterminated_block_comment():
-    with pytest.raises(LexError, match="line 2"):
-        lex("int x;\n/* never closed")
+@pytest.mark.parametrize("src, message, line", [
+    ("int x;\n/* never closed", "unterminated block comment", 2),
+    ('char *s = "oops', "unterminated string literal", 1),
+    ("int x;\nchar c = 'a;", "unterminated character literal", 2),
+    ("int f() {\n  int @x;\n}", "unexpected character '@'", 2),
+    ("x = a \\ b;", "unexpected character '\\\\'", 1),  # not before a newline
+    ("int x; #define A 1", "unexpected character '#'", 1),
+    ("x = 1; \\\n#define A 1", "unexpected character '#'", 2),  # spliced onto the code line
+], ids=["block-comment", "string", "char", "stray-at", "stray-backslash", "directive-after-code",
+        "directive-after-splice"])
+def test_lex_error_message_and_line(src, message, line):
+    with pytest.raises(LexError) as info:
+        lex(src)
+    assert (info.value.message, info.value.line) == (message, line)
 
 
-def test_lex_unterminated_string():
-    with pytest.raises(LexError, match="line 1"):
-        lex('char *s = "oops')
+@pytest.mark.parametrize("src, text, cls", [
+    ("int a$b = 0;", "a$b", TokenClass.IDENTIFIER),
+    ("$x = 1;", "$x", TokenClass.IDENTIFIER),
+    ("x = 1'000'000;", "1'000'000", TokenClass.NUMBER),
+    ("x = 0xFF'FF;", "0xFF'FF", TokenClass.NUMBER),
+    ("x = a + \\\n    b;", " \\\n    ", TokenClass.WHITESPACE),
+    ("x = a + \\\r\n    b;", " \\\r\n    ", TokenClass.WHITESPACE),
+], ids=["dollar-inside", "dollar-first", "digit-separators", "hex-digit-separator",
+        "backslash-newline", "backslash-crlf"])
+def test_lex_real_world_constructs(src, text, cls):
+    toks = lex(src)
+    assert "".join(t.text for t in toks) == src
+    assert [t.cls for t in toks if t.text == text] == [cls]
+
+
+def test_lex_backslash_newline_keeps_lines_and_directives():
+    toks = lex("int x = \\\n  1;\n#define A 1\n")
+    assert [(t.text, t.line) for t in toks if t.text in ("1", "#define A 1")] == [
+        ("1", 2), ("#define A 1", 3)]
+    assert toks[-2].cls is TokenClass.DIRECTIVE
+
+
+def test_lex_quote_after_a_digit_still_opens_a_char_literal():
+    toks = [t for t in lex("f(1,'a')") if t.cls is not TokenClass.WHITESPACE]
+    assert [(t.text, t.cls) for t in toks] == [
+        ("f", TokenClass.IDENTIFIER), ("(", TokenClass.PUNCTUATION),
+        ("1", TokenClass.NUMBER), (",", TokenClass.PUNCTUATION),
+        ("'a'", TokenClass.CHAR), (")", TokenClass.PUNCTUATION),
+    ]
 
 
 def test_lex_directive_single_token():
