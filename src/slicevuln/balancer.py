@@ -92,6 +92,8 @@ def balance_h1(corpus: SampleSet, seed: int) -> BalancedSet:
         out.extend(vul)
         out.extend(picked)
         counts[kind] = (len(vul), len(picked))
+    if not out:
+        raise DataError("corpus has no vulnerable samples")
     return BalancedSet(SampleSet._drawn(out), "H1", seed, counts)
 
 

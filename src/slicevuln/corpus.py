@@ -68,8 +68,9 @@ class SampleSet:
 
     @classmethod
     def _drawn(cls, samples: list[Sample]) -> SampleSet:
-        """A set of samples drawn from a set that is already valid, so the ids
-        are unique and no code is empty: only the manifest is built."""
+        """A set of rows already checked (drawn from a valid set, or read by
+        ``load``), so the ids are unique and no code is empty: only the
+        manifest is built."""
         sset = cls.__new__(cls)
         sset._adopt(samples)
         return sset
@@ -135,7 +136,10 @@ def _decode(line: str) -> object:
     return obj if line[end:] in ("\n", "") else json.loads(line)
 
 
-def _parse_jsonl_record(obj: object, path: Path, lineno: int) -> Sample:
+def _parse_jsonl_record(obj: object, path: Path, lineno: int,
+                        sources: dict[str, str]) -> Sample:
+    """One row as a ``Sample``; ``sources`` maps each ``source`` text seen so
+    far to its first string, so rows that repeat it share one object."""
     if not isinstance(obj, dict):
         raise DataError(f"{path}:{lineno}: record is not an object")
     try:
@@ -143,6 +147,11 @@ def _parse_jsonl_record(obj: object, path: Path, lineno: int) -> Sample:
     except KeyError:
         missing = next(f for f in _FIELDS if f not in obj)
         raise DataError(f"{path}:{lineno}: missing field {missing!r}") from None
+    if not isinstance(sample_id, str) or not sample_id:
+        if type(sample_id) is not int:  # a bool is not an id
+            raise DataError(f"{path}:{lineno}: id must be a non-empty string or an "
+                            f"integer, got {sample_id!r}")
+        sample_id = str(sample_id)
     kind = _KIND_NAMES.get(kind_name) if isinstance(kind_name, str) else None
     if kind is None:
         raise DataError(f"{path}:{lineno}: unknown kind {kind_name!r}")
@@ -151,9 +160,11 @@ def _parse_jsonl_record(obj: object, path: Path, lineno: int) -> Sample:
     if not isinstance(code, str) or not code:
         raise DataError(f"{path}:{lineno}: code must be a non-empty string")
     source = obj.get("source")
-    if source is not None and not isinstance(source, str):
-        raise DataError(f"{path}:{lineno}: source must be a string or null, got {source!r}")
-    return Sample(str(sample_id), kind, _LABELS[label], code, source)
+    if source is not None:
+        if not isinstance(source, str):
+            raise DataError(f"{path}:{lineno}: source must be a string or null, got {source!r}")
+        source = sources.setdefault(source, source)
+    return Sample(sample_id, kind, _LABELS[label], code, source)
 
 
 def _reject_lone_surrogates(sample: Sample, path: Path, lineno: int) -> None:
@@ -169,7 +180,11 @@ def _reject_lone_surrogates(sample: Sample, path: Path, lineno: int) -> None:
 
 
 def _load_jsonlines(path: Path) -> list[Sample]:
-    samples = []
+    """Every row, checked as it is read, so the first bad line in file order
+    raises; a repeated id raises ``_DuplicateId`` with both positions."""
+    samples: list[Sample] = []
+    ids: set[str] = set()
+    sources: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
@@ -178,9 +193,13 @@ def _load_jsonlines(path: Path) -> list[Sample]:
                 if not line.strip():
                     continue
                 raise DataError(f"{path}:{lineno}: malformed JSON record ({e.msg})") from e
-            sample = _parse_jsonl_record(obj, path, lineno)
+            sample = _parse_jsonl_record(obj, path, lineno, sources)
             if "\\u" in line:
                 _reject_lone_surrogates(sample, path, lineno)
+            if sample.id in ids:
+                first = next(i for i, s in enumerate(samples) if s.id == sample.id)
+                raise _DuplicateId(sample.id, first, len(samples))
+            ids.add(sample.id)
             samples.append(sample)
     return samples
 
@@ -194,11 +213,12 @@ def _jsonl_record_lines(path: Path) -> Iterator[int]:
 
 
 def load(path: str | Path) -> SampleSet:
-    """Load a JSON-lines dataset.  Every rejected record names ``path:LINE``;
-    a duplicate id names both lines."""
+    """Load a JSON-lines dataset, checking each row once as it is read.  The
+    first bad line in file order is rejected, naming ``path:LINE``; a
+    duplicate id names both lines."""
     path = Path(path)
     try:
-        return SampleSet(_load_jsonlines(path))
+        return SampleSet._drawn(_load_jsonlines(path))
     except UnicodeDecodeError as e:
         raise not_utf8(path) from e
     except _DuplicateId as e:

@@ -65,6 +65,12 @@ def test_h1_missing_kind_and_empty_class():
     assert len(bset) == 10
 
 
+def test_h1_without_vulnerable_samples_rejected():
+    corpus = make_corpus({(Kind.API, Label.NON_VULNERABLE): 2, (Kind.AU, Label.NON_VULNERABLE): 3})
+    with pytest.raises(DataError, match="^corpus has no vulnerable samples$"):
+        balance_h1(corpus, seed=0)
+
+
 @pytest.mark.parametrize("balance", [balance_h1, balance_h2], ids=["h1", "h2"])
 def test_empty_corpus_rejected(balance):
     with pytest.raises(DataError, match="^corpus is empty$"):

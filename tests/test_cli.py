@@ -325,6 +325,16 @@ def test_balance_empty_corpus_is_data_error(tmp_path, capsys, hypothesis):
     assert not out.exists()
 
 
+def test_balance_h1_without_vulnerable_samples_is_data_error(tmp_path, capsys):
+    corpus, out = tmp_path / "non.jsonl", tmp_path / "bal"
+    corpus.write_text('{"id": "a", "kind": "API", "label": 0, "code": "x = 1;"}\n'
+                      '{"id": "b", "kind": "AU", "label": 0, "code": "b[i] = 0;"}\n')
+    assert main(["balance", "--hypothesis", "h1", "--in", str(corpus),
+                 "--out", str(out)]) == 2
+    assert "data error: corpus has no vulnerable samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_balance_cli_matches_library(tmp_path, small_corpus_path):
     out = tmp_path / "bal"
     assert main(["balance", "--hypothesis", "h1", "--in", str(small_corpus_path),

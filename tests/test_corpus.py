@@ -62,6 +62,18 @@ REJECTED = [
     ("missing-label", record(label=...) + "\n", 1, "missing field 'label'"),
     ("missing-code", record(code=...) + "\n", 1, "missing field 'code'"),
     ("missing-all", "{}\n", 1, "missing field 'id'"),
+    ("id-null", record(id=None) + "\n", 1,
+     "id must be a non-empty string or an integer, got None"),
+    ("id-true", record(id=True) + "\n", 1,
+     "id must be a non-empty string or an integer, got True"),
+    ("id-float", record(id=7.5) + "\n", 1,
+     "id must be a non-empty string or an integer, got 7.5"),
+    ("id-array", record(id=["a"]) + "\n", 1,
+     "id must be a non-empty string or an integer, got ['a']"),
+    ("id-object", record(id={"a": 1}) + "\n", 1,
+     "id must be a non-empty string or an integer, got {'a': 1}"),
+    ("id-empty", record(id="") + "\n", 1,
+     "id must be a non-empty string or an integer, got ''"),
     ("unknown-kind", record(kind="XX") + "\n", 1, "unknown kind 'XX'"),
     ("kind-array", record(kind=["API"]) + "\n", 1, "unknown kind ['API']"),
     ("kind-object", record(kind={"API": 1}) + "\n", 1, "unknown kind {'API': 1}"),
@@ -84,6 +96,9 @@ REJECTED = [
     ("after-blank-lines", "\n \t\n" + record(kind="XX") + "\n", 3, "unknown kind 'XX'"),
     ("crlf", record() + "\r\nnot json\r\n", 2, "malformed JSON record (Expecting value)"),
     ("no-final-newline", record() + "\nnot json", 2, "malformed JSON record (Expecting value)"),
+    # rows are checked as they are read: the first bad line in file order wins
+    ("duplicate-before-malformed", record() + "\n" + record() + "\nnot json\n", 2,
+     "duplicate sample id 'a' (first on line 1)"),
 ]
 
 
@@ -138,6 +153,15 @@ def test_load_duplicate_id_names_both_lines(tmp_path, text, message):
     with pytest.raises(DataError) as err:
         load(path)
     assert str(err.value) == f"{path}:{message}"
+
+
+def test_load_keeps_one_string_per_repeated_source(tmp_path):
+    path = tmp_path / "slices.jsonl"
+    path.write_text("".join(record(id=i, source=src) + "\n"
+                            for i, src in (("a", "f.c"), ("b", "g.c"), ("c", "f.c"))))
+    a, b, c = load(path).samples
+    assert (a.source, b.source, c.source) == ("f.c", "g.c", "f.c")
+    assert a.source is c.source
 
 
 def test_duplicate_ids_rejected():
@@ -208,12 +232,13 @@ _awkward_text = st.text(
 
 
 @settings(max_examples=200, deadline=None, database=None)
-@given(st.lists(st.builds(Sample, id=_awkward_text, kind=st.sampled_from(Kind),
+@given(st.lists(st.builds(Sample, id=_awkward_text.filter(bool), kind=st.sampled_from(Kind),
                           label=st.sampled_from(Label),
                           code=_awkward_text.filter(bool),
                           source=st.none() | _awkward_text),
                 max_size=6, unique_by=lambda s: s.id))
 def test_save_then_load_round_trips(samples):
+    # load rejects an empty id as it rejects empty code, so neither is drawn
     with tempfile.TemporaryDirectory() as tmp:
         path = save(SampleSet(samples), Path(tmp) / "out.jsonl")
         assert load(path).samples == samples
