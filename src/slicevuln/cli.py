@@ -254,7 +254,8 @@ def _read_report(path: Path) -> dict:
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
         experiments.compare([payload])
-    except (KeyError, TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
+    except (KeyError, TypeError, ValueError,  # JSONDecodeError is a ValueError
+            RecursionError) as e:  # JSON nested too deep
         raise DataError(f"{path}: not a report.json ({type(e).__name__}: {e})") from e
     return payload
 

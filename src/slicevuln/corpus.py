@@ -189,10 +189,11 @@ def _load_jsonlines(path: Path) -> list[Sample]:
         for lineno, line in enumerate(fh, start=1):
             try:
                 obj = _decode(line)
-            except json.JSONDecodeError as e:
+            except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
                 if not line.strip():
                     continue
-                raise DataError(f"{path}:{lineno}: malformed JSON record ({e.msg})") from e
+                raise DataError(f"{path}:{lineno}: malformed JSON record "
+                                f"({getattr(e, 'msg', e)})") from e
             sample = _parse_jsonl_record(obj, path, lineno, sources)
             if "\\u" in line:
                 _reject_lone_surrogates(sample, path, lineno)

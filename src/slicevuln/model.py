@@ -5,9 +5,11 @@ blocks (masked multi-head self-attention, then a GELU feed-forward), a
 final layer norm, and a two-way classification head reading the CLS
 position, with hand-written backprop.  The parameters are one vector whose
 views ``params`` names; ``init`` gives it in float64 and ``train`` casts it
-to float32.  Every kernel follows its dtype, so a trained model trains,
-predicts and is checkpointed in float32, while ``grad_check`` verifies the
-same kernels on a float64 copy against central finite differences.
+to float32.  The gradient is a vector of the same layout: backward writes
+each parameter's gradient into its view.  Every kernel follows its dtype,
+so a trained model trains, predicts and is checkpointed in float32, while
+``grad_check`` verifies the same kernels on a float64 copy against central
+finite differences.
 
 The id rows are their own mask: a position is live iff its id is not
 PAD, which only padding is.  Attention masking is exact: PAD key columns
@@ -27,9 +29,9 @@ from __future__ import annotations
 
 import json
 import math
-import zipfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from zipfile import BadZipFile
 
 import numpy as np
 
@@ -202,11 +204,12 @@ def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
     return y, (xhat, inv_std)
 
 
-def _layer_norm_grad(dy: np.ndarray, g: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), in place."""
+def _layer_norm_grad(dy: np.ndarray, g: np.ndarray, cache, dg, db) -> np.ndarray:
+    """inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), in place;
+    the gain and bias gradients are written into ``dg`` and ``db``."""
     xhat, inv_std = cache
-    dg = (dy * xhat).sum(0)
-    db = dy.sum(0)
+    np.sum(dy * xhat, 0, out=dg)
+    dy.sum(0, out=db)
     dxhat = dy * g
     t = dxhat * xhat
     m = t.mean(-1, keepdims=True)
@@ -214,7 +217,7 @@ def _layer_norm_grad(dy: np.ndarray, g: np.ndarray, cache) -> tuple[np.ndarray, 
     dxhat -= dxhat.mean(-1, keepdims=True)
     dxhat -= t
     dxhat *= inv_std
-    return dxhat, dg, db
+    return dxhat
 
 
 def _dropout(x: np.ndarray, p: float, rng: np.random.Generator, shape: tuple[int, ...],
@@ -257,12 +260,12 @@ def _from_heads(t: np.ndarray, at: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     return t.transpose(0, 2, 1, 3)[at].reshape(len(at[0]), -1)
 
 
-def _linear_grads(x: np.ndarray, dz: np.ndarray, W: np.ndarray):
-    """Grads for z = x @ W + b with x [T, I], dz [T, O]."""
-    dW = x.T @ dz
-    db = dz.sum(0)
-    dx = dz @ W.T
-    return dx, dW, db
+def _linear_grads(x: np.ndarray, dz: np.ndarray, W: np.ndarray, dW, db) -> np.ndarray:
+    """dx for z = x @ W + b with x [T, I], dz [T, O]; the weight and bias
+    gradients are written into ``dW`` and ``db``."""
+    np.matmul(x.T, dz, out=dW)
+    dz.sum(0, out=db)
+    return dz @ W.T
 
 
 def _forward_core(
@@ -348,18 +351,17 @@ def _forward_core(
     return logits, cache
 
 
-def _backward_core(model: Model, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of every parameter, each assigned once, over the packed
-    rows of ``_forward_core``.  Through the last block only the CLS rows
-    carry a gradient."""
+def _backward_core(model: Model, cache: dict, dlogits: np.ndarray, G: dict) -> None:
+    """Writes each parameter's gradient once, into its view in ``G`` (the
+    ``params`` of a gradient vector), over the packed rows of ``_forward_core``.
+    Through the last block only the CLS rows carry a gradient."""
     cfg = model.config
     P = model.params
     at, B, L, p_drop = cache["at"], cache["B"], cache["L"], cache["p_drop"]
     nh = cfg.num_heads
 
-    grads = {"head_W": cache["cls"].T @ dlogits, "head_b": dlogits.sum(0)}
-    dcls = dlogits @ P["head_W"].T
-    dx, grads["lnf_g"], grads["lnf_b"] = _layer_norm_grad(dcls, P["lnf_g"], cache["lnf"])
+    dcls = _linear_grads(cache["cls"], dlogits, P["head_W"], G["head_W"], G["head_b"])
+    dx = _layer_norm_grad(dcls, P["lnf_g"], cache["lnf"], G["lnf_g"], G["lnf_b"])
 
     for l in range(cfg.num_layers - 1, -1, -1):
         p = f"layers.{l}."
@@ -368,17 +370,16 @@ def _backward_core(model: Model, cache: dict, dlogits: np.ndarray) -> dict[str, 
 
         # feed-forward branch
         dz2 = _dropout_grad(dx, p_drop, c["keep_ff"])
-        da1, grads[p + "W2"], grads[p + "b2"] = _linear_grads(c["a1"], dz2, P[p + "W2"])
+        da1 = _linear_grads(c["a1"], dz2, P[p + "W2"], G[p + "W2"], G[p + "b2"])
         dz1 = _gelu_grad(c["z1"], c["gelu_t"])
         dz1 *= da1
-        dh2, grads[p + "W1"], grads[p + "b1"] = _linear_grads(c["h2"], dz1, P[p + "W1"])
-        dx_attn, grads[p + "ln2_g"], grads[p + "ln2_b"] = _layer_norm_grad(
-            dh2, P[p + "ln2_g"], c["ln2"])
+        dh2 = _linear_grads(c["h2"], dz1, P[p + "W1"], G[p + "W1"], G[p + "b1"])
+        dx_attn = _layer_norm_grad(dh2, P[p + "ln2_g"], c["ln2"], G[p + "ln2_g"], G[p + "ln2_b"])
         dx_attn += dx  # residual
 
         # attention branch
         dao = _dropout_grad(dx_attn, p_drop, c["keep_attn"])
-        dctx, grads[p + "Wo"], grads[p + "bo"] = _linear_grads(c["ctx"], dao, P[p + "Wo"])
+        dctx = _linear_grads(c["ctx"], dao, P[p + "Wo"], G[p + "Wo"], G[p + "bo"])
         attn = c["attn"]
         dctx_h = _to_heads(dctx, q_at, B, attn.shape[2], nh)
         dvh = attn.transpose(0, 1, 3, 2) @ dctx_h
@@ -390,23 +391,21 @@ def _backward_core(model: Model, cache: dict, dlogits: np.ndarray) -> dict[str, 
         dq = _from_heads(ds @ c["kh"], q_at)
         dk, dv = (_from_heads(t, at) for t in (ds.transpose(0, 1, 3, 2) @ c["qh"], dvh))
         h = c["h"]
-        dh_q, grads[p + "Wq"], grads[p + "bq"] = _linear_grads(h[rows], dq, P[p + "Wq"])
-        dh_sum, grads[p + "Wk"], grads[p + "bk"] = _linear_grads(h, dk, P[p + "Wk"])
-        dh_v, grads[p + "Wv"], grads[p + "bv"] = _linear_grads(h, dv, P[p + "Wv"])
+        dh_q = _linear_grads(h[rows], dq, P[p + "Wq"], G[p + "Wq"], G[p + "bq"])
+        dh_sum = _linear_grads(h, dk, P[p + "Wk"], G[p + "Wk"], G[p + "bk"])
+        dh_v = _linear_grads(h, dv, P[p + "Wv"], G[p + "Wv"], G[p + "bv"])
         dh_sum[rows] += dh_q
         dh_sum += dh_v
-        dx, grads[p + "ln1_g"], grads[p + "ln1_b"] = _layer_norm_grad(
-            dh_sum, P[p + "ln1_g"], c["ln1"])
+        dx = _layer_norm_grad(dh_sum, P[p + "ln1_g"], c["ln1"], G[p + "ln1_g"], G[p + "ln1_b"])
         dx[rows] += dx_attn
 
     dx = _dropout_grad(dx, p_drop, cache["keep_emb"])
     V, H = P["tok_emb"].shape
     slots = (cache["tok"][:, None] * H + np.arange(H)).ravel()
-    grads["tok_emb"] = np.bincount(slots, weights=dx.ravel(),  # always float64
-                                   minlength=V * H).reshape(V, H).astype(dx.dtype)
-    grads["pos_emb"] = np.zeros_like(P["pos_emb"])
-    grads["pos_emb"][:L] = _pad(dx, at, B, L).sum(0)
-    return grads
+    # bincount sums in float64; the assignment rounds it to the view's dtype
+    G["tok_emb"][:] = np.bincount(slots, weights=dx.ravel(), minlength=V * H).reshape(V, H)
+    G["pos_emb"][L:] = 0.0  # a longer batch before this one wrote these rows
+    _pad(dx, at, B, L).sum(0, out=G["pos_emb"][:L])
 
 
 def forward(model: Model, data: EncodedDataset, batch_size: int = 64) -> np.ndarray:
@@ -464,10 +463,11 @@ def grad_check(
     ids, y = data.ids, data.labels
     logits, cache = _forward_core(model, ids, need_cache=True)
     _, dlogits = _loss_and_grad(logits, y)
-    grads = _backward_core(model, cache, dlogits)
-    grad = np.concatenate([grads[name] for name in model.params], axis=None)
+    grad = np.empty_like(model.flat)
+    G = Model(model.config, grad).params
+    _backward_core(model, cache, dlogits, G)
     if not np.isfinite(grad).all():
-        name = next(name for name, g in grads.items() if not np.isfinite(g).all())
+        name = next(name for name, g in G.items() if not np.isfinite(g).all())
         raise NumericError(f"non-finite gradient in {name}")
 
     flat, n = model.flat, model.flat.size
@@ -556,6 +556,7 @@ def train(
         p[:] = 1.0 - tcfg.learning_rate * tcfg.weight_decay if p.ndim == 2 else 1.0
     dropout_rng = np.random.default_rng([tcfg.seed, 0xD0])
     m, v, grad = np.zeros_like(model.flat), np.zeros_like(model.flat), np.empty_like(model.flat)
+    G = Model(model.config, grad).params  # backward writes each gradient into its view
     history = TrainHistory()
     best_loss = np.inf
     best = model.flat.copy()
@@ -575,8 +576,7 @@ def train(
                 raise NumericError(
                     f"non-finite training loss at epoch {epoch}, step {step}"
                 )
-            grads = _backward_core(model, cache, dlogits)
-            np.concatenate([grads[name] for name in model.params], axis=None, out=grad)
+            _backward_core(model, cache, dlogits, G)
             step += 1
             _adamw_step(model, grad, m, v, decay, step, tcfg)
             epoch_nll += nll * len(sel)
@@ -649,7 +649,7 @@ def load_checkpoint(path: str | Path) -> tuple[Model, Vocab]:
             )
         cfg = ModelConfig(**meta["config"])
         tokens = meta["vocab"]
-    except (AttributeError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as e:
+    except (AttributeError, KeyError, TypeError, ValueError, RecursionError, BadZipFile) as e:
         raise DataError(f"{path}: not a checkpoint ({type(e).__name__}: {e})") from e
     if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
         raise DataError(f"{path}: the stored vocabulary is not a list of strings")

@@ -50,8 +50,8 @@ def read_counts_manifest(path: str | Path) -> dict[Kind, tuple[int, int]]:
     naming the file."""
     try:
         payload = json.loads(read_utf8(path))
-    except json.JSONDecodeError as e:
-        raise DataError(f"{path}: malformed counts manifest ({e.msg})") from e
+    except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
+        raise DataError(f"{path}: malformed counts manifest ({getattr(e, 'msg', e)})") from e
     if not isinstance(payload, dict):
         raise DataError(f"{path}: a counts manifest holds one JSON object")
     counts = {}

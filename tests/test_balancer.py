@@ -197,6 +197,7 @@ def test_pools_are_built_once_per_corpus_and_freed_with_it(monkeypatch):
     grouped = []
     group = balancer._group
     monkeypatch.setattr(balancer, "_group", lambda c: grouped.append(len(c)) or group(c))
+    gc.collect()  # a corpus an earlier test left in a reference cycle goes now, not mid-test
     cached_before = len(balancer._POOLS)
     corpus = make_corpus(uniform_cells(10, 40))
     first = balance_h1(corpus, seed=0)

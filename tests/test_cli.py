@@ -30,6 +30,10 @@ SLICE_SOURCES = {
 }
 
 
+# JSON nested past the decoder's recursion limit
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
 def _write_sources(directory: Path, sources: dict[str, str]) -> list[str]:
     for name, text in sources.items():
         (directory / name).write_text(text, encoding="utf-8")
@@ -272,7 +276,13 @@ def test_slice_output_is_frozen(tmp_path, monkeypatch, expected, sources):
     ("{}", "a counts manifest needs at least one sample"),
     ('{"API": {"vulnerable": 0, "non_vulnerable": 0}, "AE": {"vulnerable": 0, '
      '"non_vulnerable": 0}}', "a counts manifest needs at least one sample"),
-], ids=["missing-key", "negative", "not-an-object", "cell-not-an-object", "empty", "all-zero"])
+    ('{"API": {"vulnerable": ' + "1" * 5000 + ', "non_vulnerable": 3}}',
+     "malformed counts manifest (Exceeds the limit (4300 digits) for integer string "
+     "conversion"),
+    (DEEP_JSON, "malformed counts manifest (maximum recursion depth exceeded while "
+     "decoding a JSON array"),
+], ids=["missing-key", "negative", "not-an-object", "cell-not-an-object", "empty", "all-zero",
+        "huge-int", "deep-nesting"])
 def test_bad_counts_manifest_is_data_error(tmp_path, capsys, text, named):
     counts = tmp_path / "counts.json"
     counts.write_text(text)
@@ -303,6 +313,17 @@ def test_evaluate_on_a_file_that_is_not_a_checkpoint_is_data_error(tmp_path, sma
                  "--in", str(small_corpus_path), "--out", str(tmp_path / "eval")]) == 2
     err = capsys.readouterr().err
     assert f"{ckpt}: not a checkpoint" in err and "Traceback" not in err
+
+
+def test_evaluate_on_a_checkpoint_with_too_deep_metadata_is_data_error(tmp_path,
+                                                                       small_corpus_path, capsys):
+    ckpt = tmp_path / "checkpoint.npz"
+    np.savez(ckpt, __meta__=np.frombuffer(DEEP_JSON.encode(), dtype=np.uint8))
+    assert main(["evaluate", "--model", str(ckpt),
+                 "--in", str(small_corpus_path), "--out", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert f"{ckpt}: not a checkpoint (RecursionError: " in err and "Traceback" not in err
+    assert not (tmp_path / "eval").exists()
 
 
 def test_seed_env_var_is_not_read(tmp_path, small_corpus_path, monkeypatch):
@@ -501,13 +522,16 @@ def test_report_comparison(tmp_path, small_corpus_path):
 @pytest.mark.parametrize("text, reason", [
     ("{broken", "JSONDecodeError"),
     ('{"strategy": "S1"}', "KeyError: 'metrics'"),
+    pytest.param(DEEP_JSON, "RecursionError: maximum recursion depth exceeded",
+                 id="deep-nesting"),
 ])
 def test_report_on_a_broken_report_is_data_error(tmp_path, capsys, text, reason):
     path = tmp_path / "report.json"
     path.write_text(text)
     assert main(["report", "--in", str(path), "--out", str(tmp_path / "cmp")]) == 2
     err = capsys.readouterr().err
-    assert str(path) in err and reason in err and "Traceback" not in err
+    assert f"{path}: not a report.json ({reason}" in err and "Traceback" not in err
+    assert not (tmp_path / "cmp").exists()
 
 
 def test_report_comparison_is_frozen(tmp_path):

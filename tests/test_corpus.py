@@ -99,6 +99,17 @@ REJECTED = [
     # rows are checked as they are read: the first bad line in file order wins
     ("duplicate-before-malformed", record() + "\n" + record() + "\nnot json\n", 2,
      "duplicate sample id 'a' (first on line 1)"),
+    # json.dumps cannot write these, so the value is put in as text
+    ("huge-int-label", record() + "\n" + record(id="b", label="L").replace('"L"', "1" * 4400)
+     + "\n", 2, "malformed JSON record (Exceeds the limit (4300 digits) for integer string "
+     "conversion: value has 4400 digits; use sys.set_int_max_str_digits() to increase the "
+     "limit)"),
+    ("huge-int-id", record(id="I").replace('"I"', "7" * 5000) + "\n", 1,
+     "malformed JSON record (Exceeds the limit (4300 digits) for integer string conversion: "
+     "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit)"),
+    ("deep-nesting", record(code="C").replace('"C"', "[" * 100_000 + "]" * 100_000) + "\n", 1,
+     "malformed JSON record (maximum recursion depth exceeded while decoding a JSON array "
+     "from a unicode string)"),
 ]
 
 

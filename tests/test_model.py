@@ -177,12 +177,41 @@ def test_unused_embedding_rows_get_zero_gradient(tiny_cfg):
     data = random_dataset(tiny_cfg, 4, seed=3)
     logits, cache = _forward_core(net, data.ids, need_cache=True)
     _, dlogits = _loss_and_grad(logits, data.labels)
-    grads = _backward_core(net, cache, dlogits)
+    grads = Model(tiny_cfg, np.empty_like(net.flat)).params
+    _backward_core(net, cache, dlogits, grads)
     used = set(np.unique(data.ids[data.ids != Vocab.PAD]))
     unused = [i for i in range(tiny_cfg.vocab_size) if i not in used]
     assert set(unused) - {Vocab.PAD}, "test premise: some token rows are untouched"
     assert np.all(grads["tok_emb"][unused] == 0.0)
     assert np.all(grads["tok_emb"][Vocab.PAD] == 0.0)
+
+
+def _gradient_into(net, ids, labels, grad):
+    logits, cache = _forward_core(net, ids, need_cache=True)
+    _, dlogits = _loss_and_grad(logits, labels)
+    _backward_core(net, cache, dlogits, Model(net.config, grad).params)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_backward_writes_every_slot_of_a_reused_buffer(dtype):
+    # train reuses one gradient vector: a shorter batch after a longer one
+    # must leave nothing of the longer one's gradient, pos_emb rows included
+    cfg = desk_cfg(hidden_dim=16, ff_dim=32, max_len=12, vocab_size=40, dropout=0.0)
+    net = Model(cfg, init(cfg, seed=7).flat.astype(dtype))
+    data = random_dataset(cfg, 4, seed=3)
+    long_ids = _trim(data.ids)
+    short_ids = data.ids.copy()
+    short_ids[:, 3:] = Vocab.PAD
+    short_ids = _trim(short_ids)
+    reused = np.empty_like(net.flat)
+    _gradient_into(net, long_ids, data.labels, reused)
+    L = short_ids.shape[1]
+    assert np.any(Model(cfg, reused).params["pos_emb"][L:] != 0), "test premise"
+    _gradient_into(net, short_ids, data.labels, reused)
+    fresh = np.full_like(net.flat, np.nan)
+    _gradient_into(net, short_ids, data.labels, fresh)
+    assert np.isfinite(fresh).all()
+    assert reused.tobytes() == fresh.tobytes()
 
 
 STEP_FIXTURE = Path(__file__).parent / "fixtures" / "train_step.npz"
@@ -215,7 +244,9 @@ def _train_step(cfg, n, dropout_seed, length_one, dtype=np.float64):
     logits, cache = _forward_core(net, ids, rng, need_cache=True)
     _, dlogits = _loss_and_grad(logits, data.labels)
     out = {"logits": logits}
-    out.update((f"grad.{name}", g) for name, g in _backward_core(net, cache, dlogits).items())
+    grads = Model(cfg, np.empty_like(net.flat)).params
+    _backward_core(net, cache, dlogits, grads)
+    out.update((f"grad.{name}", g) for name, g in grads.items())
     if rng is not None:
         out["next_draw"] = rng.random(1)  # where the dropout stream stopped
     return out
