@@ -152,6 +152,10 @@ def _configs_from_args(args) -> tuple[model.ModelConfig, model.TrainConfig]:
     return model.ModelConfig(**model_kw), model.TrainConfig(**train_kw, seed=args.seed)
 
 
+# one encoder for every row: json.dumps builds a new one per call
+_encode_json = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def _slice_one_file(path: str) -> list[dict]:
     """Candidate records of one file; a DataError names the file.  Each id is
     the path as given plus the candidate's index, so ids stay unique across
@@ -181,7 +185,7 @@ def _cmd_slice(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     out_path = args.out / "slices.jsonl"
     with open(out_path, "w", encoding="utf-8") as fh:
-        fh.writelines(json.dumps(record, ensure_ascii=False) + "\n" for record in records)
+        fh.writelines(_encode_json(record) + "\n" for record in records)
     _log(f"wrote {len(records)} candidate slices to {out_path}")
     return 0
 
@@ -252,7 +256,7 @@ def _read_report(path: Path) -> dict:
     """A report.json payload.  Malformed JSON, or a payload that lacks a field
     the comparison reads, is a DataError naming the file."""
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = json.loads(read_utf8(path))
         experiments.compare([payload])
     except (KeyError, TypeError, ValueError,  # JSONDecodeError is a ValueError
             RecursionError) as e:  # JSON nested too deep

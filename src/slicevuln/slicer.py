@@ -24,6 +24,7 @@ import functools
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .corpus import Kind
 from .errors import LexError
@@ -42,8 +43,14 @@ class TokenClass(str, Enum):
     DIRECTIVE = "directive"  # whole preprocessor line, never yields candidates
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+# the members the per-token loops test, bound once: a global name is read
+# several times faster than an attribute of the enum class
+_IDENTIFIER, _KEYWORD, _NUMBER, _OPERATOR = (
+    TokenClass.IDENTIFIER, TokenClass.KEYWORD, TokenClass.NUMBER, TokenClass.OPERATOR)
+_COMMENT, _WHITESPACE, _DIRECTIVE = TokenClass.COMMENT, TokenClass.WHITESPACE, TokenClass.DIRECTIVE
+
+
+class Token(NamedTuple):
     text: str
     cls: TokenClass
     line: int
@@ -114,36 +121,38 @@ _LEX_ERRORS = {
     '"': "unterminated string literal",
     "'": "unterminated character literal",
 }
+_INSIGNIFICANT = {_WHITESPACE, _COMMENT, _DIRECTIVE}
 
 
 def lex(source: str) -> list[Token]:
-    """Tokenize C/C++ source losslessly; raises LexError with a line number."""
+    """Tokenize C/C++ source losslessly; raises LexError with a line number.
+
+    Only the insignificant classes can hold a newline, so only they move the
+    line count.  A column is the match offset less the offset of its line."""
     tokens: list[Token] = []
     line = 1
-    col = 1
-    at_line_start = True  # only whitespace seen since the last unspliced newline
+    line_start = 0  # offset just past the last newline
+    # no significant token since the last unspliced newline; a comment stands
+    # for one space, so it neither clears this nor, spanning lines, sets it
+    at_line_start = True
     for m in _TOKEN_RE.finditer(source):
         text = m.group()
         cls = _CLASS_OF_GROUP.get(m.lastgroup)
-        if cls is None or (cls is TokenClass.DIRECTIVE and not at_line_start):
+        if cls is None or (cls is _DIRECTIVE and not at_line_start):
             raise LexError(_LEX_ERRORS.get(text, f"unexpected character {text[0]!r}"), line)
-        if cls is TokenClass.IDENTIFIER and text in C_KEYWORDS:
-            cls = TokenClass.KEYWORD
-        tokens.append(Token(text, cls, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        if cls is not TokenClass.WHITESPACE:
+        if cls is _IDENTIFIER and text in C_KEYWORDS:
+            cls = _KEYWORD
+        start = m.start()
+        tokens.append(Token(text, cls, line, start - line_start + 1))
+        if cls not in _INSIGNIFICANT:
             at_line_start = False
-        elif newlines > text.count("\\"):  # a backslash-newline splices two lines
-            at_line_start = True
+        elif newlines := text.count("\n"):
+            line += newlines
+            line_start = start + text.rfind("\n") + 1
+            # a backslash-newline splices two lines
+            if cls is _WHITESPACE and newlines > text.count("\\"):
+                at_line_start = True
     return tokens
-
-
-_INSIGNIFICANT = {TokenClass.WHITESPACE, TokenClass.COMMENT, TokenClass.DIRECTIVE}
 
 
 def significant(tokens: list[Token]) -> list[Token]:
@@ -182,7 +191,7 @@ def _function_regions(toks: list[Token], closing: list[int | None]) -> list[tupl
             depth += 1
         elif tok.text == "}":
             depth = max(0, depth - 1)
-        elif depth == 0 and tok.cls is TokenClass.IDENTIFIER and i + 1 < len(toks) and toks[i + 1].text == "(":
+        elif depth == 0 and tok.cls is _IDENTIFIER and i + 1 < len(toks) and toks[i + 1].text == "(":
             close = closing[i + 1]
             if close is not None and close + 1 < len(toks) and toks[close + 1].text == "{":
                 end = closing[close + 1]
@@ -207,7 +216,7 @@ class _FileIndex:
         self.lines = source.split("\n")
         self.line_ids: dict[int, set[str]] = {}
         for tok in tokens:
-            if tok.cls is TokenClass.IDENTIFIER:
+            if tok.cls is _IDENTIFIER:
                 self.line_ids.setdefault(tok.line, set()).add(tok.text)
         # a line shared by two regions belongs to the first, as it is found first
         self.region_of: dict[int, tuple[int, int]] = {}
@@ -281,9 +290,9 @@ def extract_candidates(source: str) -> list[Candidate]:
             line, stmt_first, assigned = tok.line, None, False
         if tok.text == ";":
             stmt_first = None
-        elif tok.cls is TokenClass.IDENTIFIER and stmt_first is None:
+        elif tok.cls is _IDENTIFIER and stmt_first is None:
             stmt_first = tok.text
-        elif tok.cls is TokenClass.OPERATOR and tok.text in _ASSIGN_OPS:
+        elif tok.cls is _OPERATOR and tok.text in _ASSIGN_OPS:
             assigned, assign_focus = True, stmt_first
 
         if tok.text == "[":
@@ -291,7 +300,7 @@ def extract_candidates(source: str) -> list[Candidate]:
         elif tok.text == "]":
             bracket_depth = max(0, bracket_depth - 1)
 
-        if tok.cls is TokenClass.IDENTIFIER and nxt is not None:
+        if tok.cls is _IDENTIFIER and nxt is not None:
             if nxt.text == "(" and tok.text in DEFAULT_API_LIST:
                 close = idx.closing[i + 1]
                 end_line = toks[close].line if close is not None else tok.line
@@ -301,8 +310,8 @@ def extract_candidates(source: str) -> list[Candidate]:
                 end_line = toks[close].line if close is not None else tok.line
                 claim(Kind.AU, tok, tok.text, (tok.line, end_line))
 
-        elif tok.cls is TokenClass.OPERATOR:
-            if tok.text == "->" and prev is not None and prev.cls is TokenClass.IDENTIFIER:
+        elif tok.cls is _OPERATOR:
+            if tok.text == "->" and prev is not None and prev.cls is _IDENTIFIER:
                 claim(Kind.PU, tok, prev.text, (tok.line, tok.line))
             elif tok.text == "*" and not _is_binary_position(prev):
                 # dereference or pointer declarator; collapse a ** run to
@@ -312,22 +321,22 @@ def extract_candidates(source: str) -> list[Candidate]:
                 j = i
                 while j < len(toks) and toks[j].text == "*":
                     j += 1
-                if j < len(toks) and toks[j].cls is TokenClass.IDENTIFIER:
+                if j < len(toks) and toks[j].cls is _IDENTIFIER:
                     claim(Kind.PU, tok, toks[j].text, (tok.line, tok.line))
             elif (
                 tok.text in _AE_OPS
                 and bracket_depth == 0
                 and _is_binary_position(prev)
                 and prev is not None
-                and prev.cls in (TokenClass.IDENTIFIER, TokenClass.NUMBER)
+                and prev.cls in (_IDENTIFIER, _NUMBER)
                 and nxt is not None
-                and nxt.cls in (TokenClass.IDENTIFIER, TokenClass.NUMBER)
+                and nxt.cls in (_IDENTIFIER, _NUMBER)
             ):
                 # the assigned variable when the line has an assignment before
                 # the operator, else the nearest identifier operand on its line
                 focus = assign_focus if assigned else next(
                     (t.text for t in (prev, nxt)
-                     if t.cls is TokenClass.IDENTIFIER and t.line == tok.line), None)
+                     if t.cls is _IDENTIFIER and t.line == tok.line), None)
                 if focus is not None:
                     claim(Kind.AE, tok, focus, (tok.line, tok.line))
 

@@ -29,6 +29,7 @@ from .slicer import DEFAULT_API_LIST, TokenClass, lex, significant
 
 _PLACEHOLDER = re.compile(r"(VAR|FUN)(\d+)$")
 _KEEP_NUMBER_CHARS = 4
+_IDENTIFIER, _NUMBER, _STRING = TokenClass.IDENTIFIER, TokenClass.NUMBER, TokenClass.STRING
 
 
 def normalize(slice_text: str) -> str:
@@ -40,18 +41,18 @@ def normalize(slice_text: str) -> str:
     next_idx = {"VAR": 1, "FUN": 1}
     for t in toks:
         m = _PLACEHOLDER.match(t.text)
-        if m and t.cls is TokenClass.IDENTIFIER:
+        if m and t.cls is _IDENTIFIER:
             prefix, idx = m.group(1), int(m.group(2))
             next_idx[prefix] = max(next_idx[prefix], idx + 1)
 
     renames: dict[str, str] = {}
     out: list[str] = []
     for i, t in enumerate(toks):
-        if t.cls is TokenClass.STRING:
+        if t.cls is _STRING:
             out.append("STR")
-        elif t.cls is TokenClass.NUMBER:
+        elif t.cls is _NUMBER:
             out.append(t.text if len(t.text) <= _KEEP_NUMBER_CHARS else "NUM")
-        elif t.cls is TokenClass.IDENTIFIER:
+        elif t.cls is _IDENTIFIER:
             name = t.text
             if name in DEFAULT_API_LIST or name in ("STR", "NUM") or _PLACEHOLDER.match(name):
                 out.append(name)

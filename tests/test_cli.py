@@ -534,6 +534,16 @@ def test_report_on_a_broken_report_is_data_error(tmp_path, capsys, text, reason)
     assert not (tmp_path / "cmp").exists()
 
 
+def test_report_on_a_non_utf8_file_names_the_line(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_bytes(b'{"strategy": "S1", "note": "caf\xe9"}\n')
+    assert main(["report", "--in", str(path), "--out", str(tmp_path / "cmp")]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:1: not UTF-8 (byte 0xe9: invalid continuation byte)" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "cmp").exists()
+
+
 def test_report_comparison_is_frozen(tmp_path):
     payloads = [
         {"strategy": "S1", "metrics": {"Overall": {"f1": 0.98765, "accuracy": 0.5}},

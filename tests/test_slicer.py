@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from slicevuln import (
     Kind,
     LexError,
+    Token,
     TokenClass,
     build_slice,
     extract_candidates,
@@ -57,6 +58,25 @@ def test_lex_round_trip_function():
     assert "".join(t.text for t in lex(src)) == src
 
 
+def test_token_shape():
+    assert Token._fields == ("text", "cls", "line", "column")
+    tok = lex("x")[0]
+    assert tok == Token("x", TokenClass.IDENTIFIER, 1, 1)
+    with pytest.raises(AttributeError):
+        tok.line = 2
+
+
+def _assert_positions(src: str, toks) -> None:
+    """Each token's (line, column) is that of its start offset in src,
+    counted from the newlines before it."""
+    offset = 0
+    for tok in toks:
+        line = src.count("\n", 0, offset) + 1
+        column = offset - src.rfind("\n", 0, offset)
+        assert (tok.line, tok.column) == (line, column), tok
+        offset += len(tok.text)
+
+
 def test_lex_positions_are_one_based():
     toks = lex("ab\n cd")
     assert (toks[0].line, toks[0].column) == (1, 1)
@@ -72,8 +92,11 @@ def test_lex_positions_are_one_based():
     ("x = a \\ b;", "unexpected character '\\\\'", 1),  # not before a newline
     ("int x; #define A 1", "unexpected character '#'", 1),
     ("x = 1; \\\n#define A 1", "unexpected character '#'", 2),  # spliced onto the code line
+    ("int x; /* c */ #define A 1", "unexpected character '#'", 1),
+    ("x; /* a\n b */ #define W", "unexpected character '#'", 2),  # the comment's newline vanishes
 ], ids=["block-comment", "string", "char", "stray-at", "stray-backslash", "directive-after-code",
-        "directive-after-splice"])
+        "directive-after-splice", "directive-after-code-and-comment",
+        "directive-after-code-and-two-line-comment"])
 def test_lex_error_message_and_line(src, message, line):
     with pytest.raises(LexError) as info:
         lex(src)
@@ -87,12 +110,20 @@ def test_lex_error_message_and_line(src, message, line):
     ("x = 0xFF'FF;", "0xFF'FF", TokenClass.NUMBER),
     ("x = a + \\\n    b;", " \\\n    ", TokenClass.WHITESPACE),
     ("x = a + \\\r\n    b;", " \\\r\n    ", TokenClass.WHITESPACE),
+    # a comment stands for one space, so the '#' still opens its line
+    ("/* c */ #define X 1\nint x;", "#define X 1", TokenClass.DIRECTIVE),
+    ("/* a\n b */ #define W\nint x;", "#define W", TokenClass.DIRECTIVE),
+    ("int x;\n  /* c */ /* d */ #define X 1\n", "#define X 1", TokenClass.DIRECTIVE),
+    ("// note\n/* c */#define X 1", "#define X 1", TokenClass.DIRECTIVE),
 ], ids=["dollar-inside", "dollar-first", "digit-separators", "hex-digit-separator",
-        "backslash-newline", "backslash-crlf"])
+        "backslash-newline", "backslash-crlf", "directive-after-comment",
+        "directive-after-two-line-comment", "directive-after-two-comments",
+        "directive-after-line-comment-and-comment"])
 def test_lex_real_world_constructs(src, text, cls):
     toks = lex(src)
     assert "".join(t.text for t in toks) == src
     assert [t.cls for t in toks if t.text == text] == [cls]
+    _assert_positions(src, toks)
 
 
 def test_lex_backslash_newline_keeps_lines_and_directives():
@@ -100,6 +131,19 @@ def test_lex_backslash_newline_keeps_lines_and_directives():
     assert [(t.text, t.line) for t in toks if t.text in ("1", "#define A 1")] == [
         ("1", 2), ("#define A 1", 3)]
     assert toks[-2].cls is TokenClass.DIRECTIVE
+
+
+@pytest.mark.parametrize("src, text, position", [
+    ("/* one\n two */ x", "x", (2, 9)),
+    ("#define M(a) \\\n  (a)\nint y;", "int", (3, 1)),
+    ("a = \\\n   b;", "b", (2, 4)),
+    ("a;\r\n  b;", "b", (2, 3)),
+], ids=["two-line-block-comment", "directive-continuation", "backslash-newline", "crlf"])
+def test_lex_position_after_a_multi_line_token(src, text, position):
+    toks = lex(src)
+    (tok,) = [t for t in toks if t.text == text]
+    assert (tok.line, tok.column) == position
+    _assert_positions(src, toks)
 
 
 def test_lex_quote_after_a_digit_still_opens_a_char_literal():
@@ -151,6 +195,7 @@ def test_lex_round_trips_or_raises_lex_error(src):
     except LexError:
         return
     assert "".join(t.text for t in toks) == src
+    _assert_positions(src, toks)
 
 
 @pytest.mark.parametrize("name,src,expected", GOLDEN, ids=[g[0] for g in GOLDEN])
