@@ -118,38 +118,32 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--layers", type=int, default=None)
-    p.add_argument("--hidden", type=int, default=None)
-    p.add_argument("--heads", type=int, default=None)
-    p.add_argument("--ff", type=int, default=None)
-    p.add_argument("--max-len", type=int, default=None)
-    p.add_argument("--vocab-size", type=int, default=None)
-    p.add_argument("--dropout", type=float, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--weight-decay", type=float, default=None)
-
-
-_MODEL_KEYS = {
+# every model and training flag, once: its dest (the flag is --dest with
+# dashes) and the config field it sets; a flag's type is that field's default's
+_CONFIG_FLAGS = {
     "layers": "num_layers", "hidden": "hidden_dim", "heads": "num_heads",
     "ff": "ff_dim", "max_len": "max_len", "vocab_size": "vocab_size",
-    "dropout": "dropout",
+    "dropout": "dropout", "lr": "learning_rate", "batch_size": "batch_size",
+    "epochs": "epochs", "patience": "early_stop_patience", "weight_decay": "weight_decay",
 }
-_TRAIN_KEYS = {
-    "lr": "learning_rate", "batch_size": "batch_size", "epochs": "epochs",
-    "patience": "early_stop_patience", "weight_decay": "weight_decay",
-}
+
+
+def _add_model_flags(p: argparse.ArgumentParser) -> None:
+    defaults = {**dataclasses.asdict(model.ModelConfig()),
+                **dataclasses.asdict(model.TrainConfig())}
+    for dest, key in _CONFIG_FLAGS.items():
+        p.add_argument(f"--{dest.replace('_', '-')}", type=type(defaults[key]), default=None)
 
 
 def _configs_from_args(args) -> tuple[model.ModelConfig, model.TrainConfig]:
-    model_kw = {key: getattr(args, flag) for flag, key in _MODEL_KEYS.items()
-                if getattr(args, flag) is not None}
-    train_kw = {key: getattr(args, flag) for flag, key in _TRAIN_KEYS.items()
-                if getattr(args, flag) is not None}
-    return model.ModelConfig(**model_kw), model.TrainConfig(**train_kw, seed=args.seed)
+    given = {key: getattr(args, dest) for dest, key in _CONFIG_FLAGS.items()
+             if getattr(args, dest) is not None}
+    given["seed"] = args.seed
+
+    def config(cls):
+        return cls(**{f.name: given[f.name] for f in dataclasses.fields(cls) if f.name in given})
+
+    return config(model.ModelConfig), config(model.TrainConfig)
 
 
 # one encoder for every row: json.dumps builds a new one per call

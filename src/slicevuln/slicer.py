@@ -1,8 +1,10 @@
 """C/C++ lexer, vulnerability-candidate detection, and lightweight slicing.
 
 The lexer is lossless: concatenating the text of every token (whitespace
-and comments included) reproduces the input exactly.  Candidate detection
-runs over the token stream with four rules:
+and comments included) reproduces the input exactly.  As in C, a backslash
+right before a newline splices two lines, so a ``//`` comment or a
+directive runs on past it.  Candidate detection runs over the token stream
+with four rules:
 
 * API -- an identifier from the risky-API list immediately followed by ``(``.
 * AU  -- an identifier immediately followed by ``[`` (subscript or array
@@ -11,6 +13,9 @@ runs over the token stream with four rules:
   declarator), or an ``->`` member access.
 * AE  -- a binary ``+ - * / %`` whose neighboring operands are identifiers
   or numbers, outside array subscripts.
+
+Each token starts at most one candidate, and candidates come out in token
+order.
 
 Slicing is an intra-procedural identifier-sharing approximation: starting
 from the candidate's focus identifier, lines are pulled in for a bounded
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -90,25 +95,29 @@ class Candidate:
     line: int
     focus: str
     span: tuple[int, int]
-    column: int = field(default=0, compare=False)
 
+
+# The rest of a logical line.  C splices a backslash-newline away in
+# translation phase 2, before comments and directives exist, so a line
+# runs on past each one; a backslash at the end of the file ends it.
+_LOGICAL_LINE = r"[^\n\\]*(?:\\(?:\r?\n)?[^\n\\]*)*"
 
 # The one statement of the lexical rules: each alternative is named for its
-# TokenClass, first match wins.  A directive consumes the whole logical line
-# including backslash continuations; it only counts at line start, which
+# TokenClass, first match wins.  A directive and a ``//`` comment each
+# consume a whole logical line; a directive only counts at line start, which
 # the lexer enforces.  Two alternatives are errors: a ``/*`` the comment
 # alternative could not close, and, last, any other character.
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<DIRECTIVE>\#(?:[^\n\\]|\\\r?\n|\\.)*)
-  | (?P<COMMENT>//[^\n]*|/\*(?:[^*]|\*(?!/))*\*/)
+    rf"""
+    (?P<DIRECTIVE>\#{_LOGICAL_LINE})
+  | (?P<COMMENT>//{_LOGICAL_LINE}|/\*(?:[^*]|\*(?!/))*\*/)
   | (?P<STRING>"(?:\\.|[^"\\\n])*")
   | (?P<CHAR>'(?:\\.|[^'\\\n])+')
   | (?P<NUMBER>(?:0[xX][0-9a-fA-F](?:'?[0-9a-fA-F])*|(?:\d(?:'?\d)*\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)[uUlLfF]*)
   | (?P<IDENTIFIER>[A-Za-z_$][\w$]*)
   | (?P<UNCLOSED>/\*)
   | (?P<OPERATOR><<=|>>=|\.\.\.|->|\+\+|--|<<|>>|<=|>=|==|!=|&&|\|\||\+=|-=|\*=|/=|%=|&=|\|=|\^=|[-+*/%=<>!&|^~?.:])
-  | (?P<PUNCTUATION>[()\[\]{};,])
+  | (?P<PUNCTUATION>[()\[\]{{}};,])
   | (?P<WHITESPACE>(?:\s|\\\r?\n)+)
   | (?P<UNEXPECTED>(?s:.))
     """,
@@ -210,12 +219,11 @@ class _FileIndex:
     function region of each line."""
 
     def __init__(self, source: str):
-        tokens = lex(source)
-        self.sig = significant(tokens)
+        self.sig = significant(lex(source))
         self.closing = _match_brackets(self.sig)
         self.lines = source.split("\n")
         self.line_ids: dict[int, set[str]] = {}
-        for tok in tokens:
+        for tok in self.sig:
             if tok.cls is _IDENTIFIER:
                 self.line_ids.setdefault(tok.line, set()).add(tok.text)
         # a line shared by two regions belongs to the first, as it is found first
@@ -249,7 +257,6 @@ _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "<<=", ">>=", "&=", "|=", "^="
 # token classes that can end an expression; an operator after one of these
 # is in binary position
 _OPERAND_END = {TokenClass.IDENTIFIER, TokenClass.NUMBER, TokenClass.STRING, TokenClass.CHAR}
-_KIND_PRECEDENCE = {Kind.API: 0, Kind.AU: 1, Kind.PU: 2, Kind.AE: 3}
 
 
 def _is_binary_position(prev: Token | None) -> bool:
@@ -261,22 +268,11 @@ def _is_binary_position(prev: Token | None) -> bool:
 
 
 def extract_candidates(source: str) -> list[Candidate]:
-    """Detect API/AU/PU/AE candidate sites in the token stream.
-
-    Each site yields at most one candidate; when two rules claim the same
-    (line, column) the precedence API > AU > PU > AE wins.  Output is
-    sorted by (line, column).
-    """
+    """Detect API/AU/PU/AE candidates in token order.  The rules are
+    exclusive branches of one test per token, so no two share a token."""
     idx = _index(source)
     toks = idx.sig
-    found: dict[tuple[int, int], Candidate] = {}
-
-    def claim(kind: Kind, tok: Token, focus: str, span: tuple[int, int]):
-        site = (tok.line, tok.column)
-        cand = Candidate(kind=kind, line=tok.line, focus=focus, span=span, column=tok.column)
-        held = found.get(site)
-        if held is None or _KIND_PRECEDENCE[kind] < _KIND_PRECEDENCE[held.kind]:
-            found[site] = cand
+    found: list[Candidate] = []
 
     bracket_depth = 0
     # per line, so far: the first identifier of the current statement, and
@@ -302,17 +298,18 @@ def extract_candidates(source: str) -> list[Candidate]:
 
         if tok.cls is _IDENTIFIER and nxt is not None:
             if nxt.text == "(" and tok.text in DEFAULT_API_LIST:
-                close = idx.closing[i + 1]
-                end_line = toks[close].line if close is not None else tok.line
-                claim(Kind.API, tok, tok.text, (tok.line, end_line))
+                kind = Kind.API
             elif nxt.text == "[":
-                close = idx.closing[i + 1]
-                end_line = toks[close].line if close is not None else tok.line
-                claim(Kind.AU, tok, tok.text, (tok.line, end_line))
+                kind = Kind.AU
+            else:
+                continue
+            close = idx.closing[i + 1]
+            end_line = toks[close].line if close is not None else tok.line
+            found.append(Candidate(kind, tok.line, tok.text, (tok.line, end_line)))
 
         elif tok.cls is _OPERATOR:
             if tok.text == "->" and prev is not None and prev.cls is _IDENTIFIER:
-                claim(Kind.PU, tok, prev.text, (tok.line, tok.line))
+                found.append(Candidate(Kind.PU, tok.line, prev.text, (tok.line, tok.line)))
             elif tok.text == "*" and not _is_binary_position(prev):
                 # dereference or pointer declarator; collapse a ** run to
                 # one candidate at the first star
@@ -322,11 +319,10 @@ def extract_candidates(source: str) -> list[Candidate]:
                 while j < len(toks) and toks[j].text == "*":
                     j += 1
                 if j < len(toks) and toks[j].cls is _IDENTIFIER:
-                    claim(Kind.PU, tok, toks[j].text, (tok.line, tok.line))
+                    found.append(Candidate(Kind.PU, tok.line, toks[j].text, (tok.line, tok.line)))
             elif (
                 tok.text in _AE_OPS
                 and bracket_depth == 0
-                and _is_binary_position(prev)
                 and prev is not None
                 and prev.cls in (_IDENTIFIER, _NUMBER)
                 and nxt is not None
@@ -338,9 +334,9 @@ def extract_candidates(source: str) -> list[Candidate]:
                     (t.text for t in (prev, nxt)
                      if t.cls is _IDENTIFIER and t.line == tok.line), None)
                 if focus is not None:
-                    claim(Kind.AE, tok, focus, (tok.line, tok.line))
+                    found.append(Candidate(Kind.AE, tok.line, focus, (tok.line, tok.line)))
 
-    return sorted(found.values(), key=lambda c: (c.line, c.column))
+    return found
 
 
 def build_slice(source: str, candidate: Candidate) -> str:

@@ -49,11 +49,12 @@ def test_public_surface():
 
 
 def test_config_fields():
-    # every config field, and the dataset's; a new setting shows up here as a diff
+    # every config field, and the dataset's and the candidate's; a new setting
+    # or field shows up here as a diff
     configs = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
                for cls in (slicevuln.ModelConfig, slicevuln.TrainConfig,
                            slicevuln.StrategySpec,
-                           slicevuln.EncodedDataset)}
+                           slicevuln.EncodedDataset, slicevuln.Candidate)}
     assert configs == {
         "ModelConfig": ["num_layers", "hidden_dim", "num_heads", "ff_dim", "max_len",
                         "vocab_size", "dropout"],
@@ -61,4 +62,5 @@ def test_config_fields():
                         "early_stop_patience", "seed"],
         "StrategySpec": ["id", "model_config", "train_config"],
         "EncodedDataset": ["ids", "labels"],
+        "Candidate": ["kind", "line", "focus", "span"],
     }

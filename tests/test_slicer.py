@@ -1,4 +1,7 @@
+import hashlib
+import json
 import string
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +22,7 @@ from slicevuln.slicer import DEFAULT_API_LIST
 from golden_corpus import GOLDEN
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # Lexer-relevant pieces that random printable characters rarely combine
 # into (comment, literal and directive delimiters, continuations,
@@ -115,15 +119,26 @@ def test_lex_error_message_and_line(src, message, line):
     ("/* a\n b */ #define W\nint x;", "#define W", TokenClass.DIRECTIVE),
     ("int x;\n  /* c */ /* d */ #define X 1\n", "#define X 1", TokenClass.DIRECTIVE),
     ("// note\n/* c */#define X 1", "#define X 1", TokenClass.DIRECTIVE),
+    # C splices lines before it strips comments: the call is commented out
+    ("// old: \\\nstrcpy(a, b);", "// old: \\\nstrcpy(a, b);", TokenClass.COMMENT),
+    ("// a \\\r\nstrcpy(a, b);", "// a \\\r\nstrcpy(a, b);", TokenClass.COMMENT),
+    # only the backslash right before the newline splices
+    ("// a \\\\\nstrcpy(a, b);", "// a \\\\\nstrcpy(a, b);", TokenClass.COMMENT),
+    ("#define X \\", "#define X \\", TokenClass.DIRECTIVE),
+    ("// c \\", "// c \\", TokenClass.COMMENT),
 ], ids=["dollar-inside", "dollar-first", "digit-separators", "hex-digit-separator",
         "backslash-newline", "backslash-crlf", "directive-after-comment",
         "directive-after-two-line-comment", "directive-after-two-comments",
-        "directive-after-line-comment-and-comment"])
+        "directive-after-line-comment-and-comment", "line-comment-splice",
+        "line-comment-crlf-splice", "line-comment-double-backslash-splice",
+        "directive-backslash-at-end-of-file", "line-comment-backslash-at-end-of-file"])
 def test_lex_real_world_constructs(src, text, cls):
     toks = lex(src)
     assert "".join(t.text for t in toks) == src
     assert [t.cls for t in toks if t.text == text] == [cls]
     _assert_positions(src, toks)
+    if text == src:  # one comment or directive holds no candidate
+        assert extract_candidates(src) == []
 
 
 def test_lex_backslash_newline_keeps_lines_and_directives():
@@ -138,7 +153,11 @@ def test_lex_backslash_newline_keeps_lines_and_directives():
     ("#define M(a) \\\n  (a)\nint y;", "int", (3, 1)),
     ("a = \\\n   b;", "b", (2, 4)),
     ("a;\r\n  b;", "b", (2, 3)),
-], ids=["two-line-block-comment", "directive-continuation", "backslash-newline", "crlf"])
+    # the first b is inside the spliced comment
+    ("// a \\\nb;\n b;", "b", (3, 2)),
+    ("// a \\\r\nb;\r\n b;", "b", (3, 2)),
+], ids=["two-line-block-comment", "directive-continuation", "backslash-newline", "crlf",
+        "line-comment-splice", "line-comment-crlf-splice"])
 def test_lex_position_after_a_multi_line_token(src, text, position):
     toks = lex(src)
     (tok,) = [t for t in toks if t.text == text]
@@ -340,3 +359,28 @@ def test_build_slice_line_out_of_range():
     bad = type(cand)(kind=cand.kind, line=99, focus=cand.focus, span=(99, 99))
     with pytest.raises(ValueError, match="out of range"):
         build_slice(src, bad)
+
+
+@pytest.mark.parametrize("seed, count, digest", [
+    (42, 1745, "45c1a96ac81b77ec006c66846169cf410a959ec9b03e5efc5e35d70aca20158a"),
+    (313, 1705, "9edd7d3854f4fb9c6deae4e07affbec9934bd9b0f3f6e1df3e797e1b37e579a0"),
+])
+def test_slices_of_a_generated_tree_are_frozen(tmp_path, seed, count, digest):
+    # the benchmark's seeded C tree (about 3,000 clean lines per seed), sliced
+    # file by file; the digest covers every candidate and slice, not the paths
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import ctree
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    h = hashlib.sha256()
+    n = 0
+    for record in ctree.write_tree(seed, tmp_path):
+        if record.hostile is None:
+            src = (tmp_path / record.path).read_text(encoding="utf-8")
+            for cand in extract_candidates(src):
+                row = [cand.kind.value, cand.line, cand.focus, list(cand.span),
+                       build_slice(src, cand)]
+                h.update(json.dumps(row).encode() + b"\n")
+                n += 1
+    assert (n, h.hexdigest()) == (count, digest)
