@@ -1,14 +1,17 @@
 """Seeded downsampling under the two balancing hypotheses.
 
-Hypothesis 1 keeps every vulnerable sample of each kind and draws an
-equal-sized uniform subset of that kind's non-vulnerable pool.  Hypothesis
-2 applies a uniform quota to both classes of every kind, equal to the
+Both hypotheses are one rule with different numbers: each kind gets a
+quota, and a uniform draw of that many samples from each of its two
+classes.  Under Hypothesis 1 a kind's quota is its vulnerable count, so
+every vulnerable sample is kept and matched 1:1 from the kind's
+non-vulnerable pool.  Under Hypothesis 2 every kind's quota is the
 smallest per-kind vulnerable count.
 
-Selection uses a counter-based Philox generator keyed by (seed, kind), and
-pools are sorted by id before sampling, so results depend on neither load
-order nor the other kinds' pools.  A corpus is grouped and sorted into its
-pools once, on its first balance; the pools are freed with the corpus.
+Selection uses a counter-based Philox generator keyed by (seed, kind,
+label), and pools are sorted by id before sampling, so results depend on
+neither load order nor the other kinds' pools.  A pool as large as its
+quota is kept whole.  A corpus is grouped and sorted into its pools once,
+on its first balance; the pools are freed with the corpus.
 """
 
 from __future__ import annotations
@@ -73,55 +76,48 @@ def _draw(pool: list[Sample], count: int, seed: int, kind: Kind, label: Label) -
     return [pool[i] for i in sorted(int(i) for i in chosen)]
 
 
-def balance_h1(corpus: SampleSet, seed: int) -> BalancedSet:
-    """All vulnerable samples per kind, matched 1:1 by sampled non-vulnerable."""
-    pools = _pools(corpus)
+def _balance(pools: _Pools, seed: int, hypothesis: str, quotas: dict[Kind, int]) -> BalancedSet:
+    """Draw each kind's quota from both of its classes: the one rule of both
+    hypotheses."""
     out: list[Sample] = []
-    counts: dict[Kind, tuple[int, int]] = {}
-    for kind in KIND_ORDER:
-        vul = pools.get((kind, Label.VULNERABLE), [])
+    for kind, quota in quotas.items():
         non = pools.get((kind, Label.NON_VULNERABLE), [])
-        if not vul and not non:
-            continue
-        if len(non) < len(vul):
-            raise DataError(
-                f"kind {kind.value}: non-vulnerable pool ({len(non)}) is smaller "
-                f"than the vulnerable count ({len(vul)})"
-            )
-        picked = _draw(non, len(vul), seed, kind, Label.NON_VULNERABLE)
-        out.extend(vul)
-        out.extend(picked)
-        counts[kind] = (len(vul), len(picked))
-    if not out:
-        raise DataError("corpus has no vulnerable samples")
-    return BalancedSet(SampleSet._drawn(out), "H1", seed, counts)
-
-
-def balance_h2(corpus: SampleSet, seed: int) -> BalancedSet:
-    """Uniform quota per kind and class: the smallest per-kind vulnerable count."""
-    pools = _pools(corpus)
-    kinds = [k for k in KIND_ORDER
-             if (k, Label.VULNERABLE) in pools or (k, Label.NON_VULNERABLE) in pools]
-    for kind in kinds:
-        for label in (Label.VULNERABLE, Label.NON_VULNERABLE):
-            if not pools.get((kind, label)):
-                raise DataError(f"kind {kind.value}: class {int(label)} is empty")
-    quota = min(len(pools[(k, Label.VULNERABLE)]) for k in kinds)
-    out: list[Sample] = []
-    counts: dict[Kind, tuple[int, int]] = {}
-    for kind in kinds:
-        non = pools[(kind, Label.NON_VULNERABLE)]
         if len(non) < quota:
             raise DataError(
                 f"kind {kind.value}: non-vulnerable pool ({len(non)}) is smaller "
                 f"than the quota ({quota})"
             )
-        vul_pick = _draw(pools[(kind, Label.VULNERABLE)], quota, seed, kind, Label.VULNERABLE)
-        non_pick = _draw(non, quota, seed, kind, Label.NON_VULNERABLE)
-        out.extend(vul_pick)
-        out.extend(non_pick)
-        counts[kind] = (quota, quota)
-    return BalancedSet(SampleSet._drawn(out), "H2", seed, counts)
+        out += _draw(pools.get((kind, Label.VULNERABLE), []), quota, seed, kind, Label.VULNERABLE)
+        out += _draw(non, quota, seed, kind, Label.NON_VULNERABLE)
+    counts = {kind: (quota, quota) for kind, quota in quotas.items()}
+    return BalancedSet(SampleSet._drawn(out), hypothesis, seed, counts)
+
+
+def _kinds(pools: _Pools) -> list[Kind]:
+    """The kinds with at least one sample, in KIND_ORDER."""
+    return [k for k in KIND_ORDER
+            if (k, Label.VULNERABLE) in pools or (k, Label.NON_VULNERABLE) in pools]
+
+
+def balance_h1(corpus: SampleSet, seed: int) -> BalancedSet:
+    """All vulnerable samples per kind, matched 1:1 by sampled non-vulnerable."""
+    pools = _pools(corpus)
+    quotas = {k: len(pools.get((k, Label.VULNERABLE), [])) for k in _kinds(pools)}
+    if not any(quotas.values()):
+        raise DataError("corpus has no vulnerable samples")
+    return _balance(pools, seed, "H1", quotas)
+
+
+def balance_h2(corpus: SampleSet, seed: int) -> BalancedSet:
+    """Uniform quota per kind and class: the smallest per-kind vulnerable count."""
+    pools = _pools(corpus)
+    kinds = _kinds(pools)
+    for kind in kinds:
+        for label in (Label.VULNERABLE, Label.NON_VULNERABLE):
+            if not pools.get((kind, label)):
+                raise DataError(f"kind {kind.value}: class {int(label)} is empty")
+    quota = min(len(pools[(k, Label.VULNERABLE)]) for k in kinds)
+    return _balance(pools, seed, "H2", dict.fromkeys(kinds, quota))
 
 
 def remainder(corpus: SampleSet, balanced: BalancedSet) -> SampleSet:
@@ -137,6 +133,12 @@ def remainder(corpus: SampleSet, balanced: BalancedSet) -> SampleSet:
     return SampleSet._drawn(rest)
 
 
+def _counts_json(bset: BalancedSet) -> dict[str, dict[str, int]]:
+    """Per-kind counts as manifest.json and report.json write them."""
+    return {kind.value: {"vulnerable": v, "non_vulnerable": n}
+            for kind, (v, n) in bset.per_kind_counts.items()}
+
+
 def save_balanced(bset: BalancedSet, out_dir: str | Path) -> tuple[Path, Path]:
     """Write balanced.jsonl plus a manifest sidecar; returns both paths."""
     out_dir = Path(out_dir)
@@ -145,10 +147,7 @@ def save_balanced(bset: BalancedSet, out_dir: str | Path) -> tuple[Path, Path]:
     manifest = {
         "hypothesis": bset.hypothesis,
         "seed": bset.seed,
-        "per_kind_counts": {
-            kind.value: {"vulnerable": c[0], "non_vulnerable": c[1]}
-            for kind, c in bset.per_kind_counts.items()
-        },
+        "per_kind_counts": _counts_json(bset),
         "total": len(bset),
     }
     manifest_path = out_dir / "manifest.json"

@@ -224,10 +224,7 @@ def run(spec: StrategySpec, full_corpus: SampleSet) -> Report:
             )
         },
         "balanced_total": len(balanced),
-        "balanced_counts": {
-            k.value: {"vulnerable": c[0], "non_vulnerable": c[1]}
-            for k, c in balanced.per_kind_counts.items()
-        },
+        "balanced_counts": balancer._counts_json(balanced),
         "train_size": len(train_set),
         "val_size": len(heldout),
         "test_size": len(test_set),

@@ -2,9 +2,9 @@
 
 The lexer is lossless: concatenating the text of every token (whitespace
 and comments included) reproduces the input exactly.  As in C, a backslash
-right before a newline splices two lines, so a ``//`` comment or a
-directive runs on past it.  Candidate detection runs over the token stream
-with four rules:
+right before a newline splices two lines, so a ``//`` comment, a directive
+or a string or character literal runs on past it.  Candidate detection runs
+over the token stream with four rules:
 
 * API -- an identifier from the risky-API list immediately followed by ``(``.
 * AU  -- an identifier immediately followed by ``[`` (subscript or array
@@ -111,8 +111,8 @@ _TOKEN_RE = re.compile(
     rf"""
     (?P<DIRECTIVE>\#{_LOGICAL_LINE})
   | (?P<COMMENT>//{_LOGICAL_LINE}|/\*(?:[^*]|\*(?!/))*\*/)
-  | (?P<STRING>"(?:\\.|[^"\\\n])*")
-  | (?P<CHAR>'(?:\\.|[^'\\\n])+')
+  | (?P<STRING>"(?:\\(?:\r?\n|.)|[^"\\\n])*")
+  | (?P<CHAR>'(?:\\(?:\r?\n|.)|[^'\\\n])+')
   | (?P<NUMBER>(?:0[xX][0-9a-fA-F](?:'?[0-9a-fA-F])*|(?:\d(?:'?\d)*\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)[uUlLfF]*)
   | (?P<IDENTIFIER>[A-Za-z_$][\w$]*)
   | (?P<UNCLOSED>/\*)
@@ -136,8 +136,10 @@ _INSIGNIFICANT = {_WHITESPACE, _COMMENT, _DIRECTIVE}
 def lex(source: str) -> list[Token]:
     """Tokenize C/C++ source losslessly; raises LexError with a line number.
 
-    Only the insignificant classes can hold a newline, so only they move the
-    line count.  A column is the match offset less the offset of its line."""
+    Each newline a token holds moves the line count: a whitespace, comment
+    or directive token may hold several, and a string or character literal
+    one per backslash-newline splice.  A column is the match offset less the
+    offset of its line."""
     tokens: list[Token] = []
     line = 1
     line_start = 0  # offset just past the last newline
@@ -155,7 +157,8 @@ def lex(source: str) -> list[Token]:
         tokens.append(Token(text, cls, line, start - line_start + 1))
         if cls not in _INSIGNIFICANT:
             at_line_start = False
-        elif newlines := text.count("\n"):
+        if "\n" in text:
+            newlines = text.count("\n")
             line += newlines
             line_start = start + text.rfind("\n") + 1
             # a backslash-newline splices two lines

@@ -1,6 +1,7 @@
 """Synthetic corpora: reference counts and planted-pattern slices.
 
-Two generators:
+Two generators, which expand per-kind counts through one cell expander,
+``_expand``, and so share its cell order, ids and per-cell seeding:
 
 * ``reference_corpus`` expands the bundled reference distribution into a
   corpus with exactly those per-kind counts.
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -69,6 +70,30 @@ def read_counts_manifest(path: str | Path) -> dict[Kind, tuple[int, int]]:
     return counts
 
 
+def _expand(
+    counts: Mapping[Kind, tuple[int, int]],
+    source: str,
+    write: Callable[[Kind, Label, np.random.Generator], str],
+    seed: int = 0,
+) -> SampleSet:
+    """A corpus with ``counts[kind]`` (vulnerable, non-vulnerable) samples
+    of each kind, cells in KIND_ORDER, vulnerable first; an absent kind
+    counts (0, 0).  ``write`` gives each text, drawing from one generator
+    per cell keyed by (seed, kind, label); ids run ``{kind}-{v|n}-{i:06d}``
+    from 0 in each cell."""
+    samples = []
+    for kind in KIND_ORDER:
+        cells = zip((Label.VULNERABLE, Label.NON_VULNERABLE), "vn", counts.get(kind, (0, 0)))
+        for label, tag, n in cells:
+            rng = np.random.default_rng(np.random.SeedSequence(
+                entropy=seed, spawn_key=(KIND_ORDER.index(kind), int(label))))
+            samples.extend(
+                Sample(f"{kind.value}-{tag}-{i:06d}", kind, label, write(kind, label, rng), source)
+                for i in range(n)
+            )
+    return SampleSet(samples)
+
+
 _REFERENCE_LINES = {
     Kind.API: 'strcpy(buf, src);',
     Kind.AU: 'buf[idx] = val;',
@@ -80,23 +105,8 @@ _REFERENCE_LINES = {
 def reference_corpus() -> SampleSet:
     """Expand the reference count table into a corpus with exactly those
     per-cell counts."""
-    samples = []
-    for kind in KIND_ORDER:
-        n_vul, n_non = REFERENCE_COUNTS[kind]
-        line = _REFERENCE_LINES[kind]
-        for label, n in ((Label.VULNERABLE, n_vul), (Label.NON_VULNERABLE, n_non)):
-            tag = "v" if label == Label.VULNERABLE else "n"
-            samples.extend(
-                Sample(
-                    id=f"{kind.value}-{tag}-{i:06d}",
-                    kind=kind,
-                    label=label,
-                    code=line,
-                    source="reference",
-                )
-                for i in range(n)
-            )
-    return SampleSet(samples)
+    return _expand(REFERENCE_COUNTS, "reference",
+                    lambda kind, label, rng: _REFERENCE_LINES[kind])
 
 
 _NAMES = [
@@ -202,28 +212,4 @@ def pattern_corpus(
     counts: Mapping[Kind, tuple[int, int]] | None = None, seed: int = 0
 ) -> SampleSet:
     """Corpus of planted-pattern slices with the given per-cell counts."""
-    counts = dict(counts) if counts is not None else DESK_COUNTS
-    samples = []
-    for kind in KIND_ORDER:
-        if kind not in counts:
-            continue
-        n_vul, n_non = counts[kind]
-        for label, n in ((Label.VULNERABLE, n_vul), (Label.NON_VULNERABLE, n_non)):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(
-                    entropy=seed, spawn_key=(KIND_ORDER.index(kind), int(label))
-                )
-            )
-            tag = "v" if label == Label.VULNERABLE else "n"
-            for i in range(n):
-                samples.append(
-                    Sample(
-                        id=f"{kind.value}-{tag}-{i:06d}",
-                        kind=kind,
-                        label=label,
-                        code=_make_slice(kind, label, rng),
-                        source="synthetic",
-                    )
-                )
-    return SampleSet(samples)
-
+    return _expand(DESK_COUNTS if counts is None else counts, "synthetic", _make_slice, seed)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from slicevuln import (
@@ -11,8 +13,8 @@ from slicevuln import (
     remainder,
 )
 from slicevuln.balancer import save_balanced
-from slicevuln.corpus import KIND_ORDER, load
-from slicevuln.synth import reference_corpus
+from slicevuln.corpus import KIND_ORDER, load, save
+from slicevuln.synth import pattern_corpus, reference_corpus
 
 
 def make_corpus(cells):
@@ -77,11 +79,14 @@ def test_empty_corpus_rejected(balance):
         balance(SampleSet([]), seed=0)
 
 
-def test_h1_insufficient_pool_names_kind():
+@pytest.mark.parametrize("balance", [balance_h1, balance_h2], ids=["h1", "h2"])
+def test_insufficient_pool_names_kind(balance):
+    # the quota is 10 under both: PU's vulnerable count, and the smallest one
     cells = uniform_cells(10, 40)
     cells[(Kind.PU, Label.NON_VULNERABLE)] = 9
-    with pytest.raises(DataError, match="PU"):
-        balance_h1(make_corpus(cells), seed=0)
+    with pytest.raises(DataError) as err:
+        balance(make_corpus(cells), seed=0)
+    assert str(err.value) == "kind PU: non-vulnerable pool (9) is smaller than the quota (10)"
 
 
 def test_h1_deterministic_and_seed_sensitive():
@@ -257,3 +262,44 @@ def test_reference_h2_quota_shifts_with_min(reference):
 def test_reference_remainder(reference):
     bset = balance_h2(reference, seed=42)
     assert len(remainder(reference, bset)) == 392827
+
+
+def _corpus_bytes_digest(sset, tmp_path):
+    return len(sset), hashlib.sha256(save(sset, tmp_path / "c.jsonl").read_bytes()).hexdigest()
+
+
+def _ids_digest(bset):
+    return len(bset), hashlib.sha256("\n".join(s.id for s in bset.samples).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("make, count, digest", [
+    (lambda: pattern_corpus(seed=42), 2000,
+     "fbc631136f6119ff68b3c8d826e654757f0667710d0d0edfd7d322c2a81729d9"),
+    # AU absent, AE with non-vulnerable samples only
+    (lambda: pattern_corpus({Kind.API: (40, 60), Kind.PU: (25, 30), Kind.AE: (0, 20)}, seed=42),
+     175, "eeee85d576afc0fdfb345bf7953fd147b084055d60ae862bc71b22750cc8397a"),
+    (None, 420627, "ca77a3748e709bcf80e1ec51146ac615bf9ea33d7f5a11b05570fda10a29b76c"),
+], ids=["desk-42", "counts", "reference"])
+def test_generated_corpora_are_frozen(make, count, digest, reference, tmp_path):
+    # the bytes corpus.save writes: ids, order, texts and sources of every cell
+    sset = reference if make is None else make()
+    assert _corpus_bytes_digest(sset, tmp_path) == (count, digest)
+
+
+@pytest.mark.parametrize("corpus_seed, balance, count, digest", [
+    (42, balance_h1, 880, "d0f71029f58acd4a87b4be7f9515bcca3cde31e478f6386fd6a2e73055a5b5f8"),
+    (42, balance_h2, 480, "d4ee746ebb0734470fce18ae23829200b4c4d3620b6084721fbab5af29331767"),
+    (7, balance_h1, 880, "b88668bc7a54c795585d91edcdfcb01f73d5dd67f4e8027648ee1c823b073b1d"),
+    (7, balance_h2, 480, "9781147fa671a04ad060ef7d55f7e44a389909839186b43b74a8bb27ab8138e0"),
+    (None, balance_h1, 112790,
+     "f628402a22412a93b9a41e7de034cd0101bd2178dcd9d0dd9c69883ed2065100"),
+    (None, balance_h2, 27800,
+     "49f4aba905f4e0d85e3b896f87e7098eae16b9abda13313f6cac53c14f512d96"),
+], ids=["desk-42-h1", "desk-42-h2", "desk-7-h1", "desk-7-h2", "reference-h1", "reference-h2"])
+def test_balanced_selections_are_frozen(corpus_seed, balance, count, digest, reference):
+    # the selected ids in set order; the desk corpus is balanced at its own seed
+    if corpus_seed is None:
+        bset = balance(reference, seed=42)
+    else:
+        bset = balance(pattern_corpus(seed=corpus_seed), seed=corpus_seed)
+    assert _ids_digest(bset) == (count, digest)

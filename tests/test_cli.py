@@ -47,11 +47,11 @@ def small_corpus_path(tmp_path):
     return path
 
 
-def _run_python(*args: str) -> subprocess.CompletedProcess:
+def _run_python(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
     """A fresh interpreter that imports slicevuln from this checkout."""
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          timeout=60, env={**os.environ, "PYTHONPATH": path})
+                          timeout=60, cwd=cwd, env={**os.environ, "PYTHONPATH": path})
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -581,3 +581,12 @@ def test_flag_inventory():
                          "--out"],
         "report": ["-h", "--help", "--in", "--out"],
     }
+
+
+@pytest.mark.parametrize("demo", [
+    "01_slice_c_code.py", "02_balance_hypotheses.py", "03_train_classifier.py"])
+def test_demo_runs(demo, tmp_path):
+    # demo 04 is left out: it runs all three strategies for minutes and writes demo_runs/
+    result = _run_python(str(SRC.parent / "demos" / demo), cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert list(tmp_path.iterdir()) == []

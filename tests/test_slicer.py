@@ -70,6 +70,12 @@ def test_token_shape():
         tok.line = 2
 
 
+# C splices a backslash-newline inside a literal too (translation phase 2)
+SPLICED_STRING = 'char *s = "ab\\\ncd";\nstrcpy(d, s);'
+SPLICED_STRING_CRLF = 'char *s = "ab\\\r\ncd";\r\nstrcpy(d, s);'
+SPLICED_CHAR = "char c = '\\\nn';\nstrcpy(d, s);"
+
+
 def _assert_positions(src: str, toks) -> None:
     """Each token's (line, column) is that of its start offset in src,
     counted from the newlines before it."""
@@ -91,6 +97,7 @@ def test_lex_positions_are_one_based():
 @pytest.mark.parametrize("src, message, line", [
     ("int x;\n/* never closed", "unterminated block comment", 2),
     ('char *s = "oops', "unterminated string literal", 1),
+    ('s = "ab\\\ncd;', "unterminated string literal", 1),  # spliced, never closed
     ("int x;\nchar c = 'a;", "unterminated character literal", 2),
     ("int f() {\n  int @x;\n}", "unexpected character '@'", 2),
     ("x = a \\ b;", "unexpected character '\\\\'", 1),  # not before a newline
@@ -98,8 +105,8 @@ def test_lex_positions_are_one_based():
     ("x = 1; \\\n#define A 1", "unexpected character '#'", 2),  # spliced onto the code line
     ("int x; /* c */ #define A 1", "unexpected character '#'", 1),
     ("x; /* a\n b */ #define W", "unexpected character '#'", 2),  # the comment's newline vanishes
-], ids=["block-comment", "string", "char", "stray-at", "stray-backslash", "directive-after-code",
-        "directive-after-splice", "directive-after-code-and-comment",
+], ids=["block-comment", "string", "string-splice", "char", "stray-at", "stray-backslash",
+        "directive-after-code", "directive-after-splice", "directive-after-code-and-comment",
         "directive-after-code-and-two-line-comment"])
 def test_lex_error_message_and_line(src, message, line):
     with pytest.raises(LexError) as info:
@@ -126,12 +133,17 @@ def test_lex_error_message_and_line(src, message, line):
     ("// a \\\\\nstrcpy(a, b);", "// a \\\\\nstrcpy(a, b);", TokenClass.COMMENT),
     ("#define X \\", "#define X \\", TokenClass.DIRECTIVE),
     ("// c \\", "// c \\", TokenClass.COMMENT),
+    # a spliced literal is one token
+    (SPLICED_STRING, '"ab\\\ncd"', TokenClass.STRING),
+    (SPLICED_STRING_CRLF, '"ab\\\r\ncd"', TokenClass.STRING),
+    (SPLICED_CHAR, "'\\\nn'", TokenClass.CHAR),
 ], ids=["dollar-inside", "dollar-first", "digit-separators", "hex-digit-separator",
         "backslash-newline", "backslash-crlf", "directive-after-comment",
         "directive-after-two-line-comment", "directive-after-two-comments",
         "directive-after-line-comment-and-comment", "line-comment-splice",
         "line-comment-crlf-splice", "line-comment-double-backslash-splice",
-        "directive-backslash-at-end-of-file", "line-comment-backslash-at-end-of-file"])
+        "directive-backslash-at-end-of-file", "line-comment-backslash-at-end-of-file",
+        "string-splice", "string-crlf-splice", "char-splice"])
 def test_lex_real_world_constructs(src, text, cls):
     toks = lex(src)
     assert "".join(t.text for t in toks) == src
@@ -156,13 +168,24 @@ def test_lex_backslash_newline_keeps_lines_and_directives():
     # the first b is inside the spliced comment
     ("// a \\\nb;\n b;", "b", (3, 2)),
     ("// a \\\r\nb;\r\n b;", "b", (3, 2)),
+    (SPLICED_STRING, "strcpy", (3, 1)),
+    (SPLICED_STRING_CRLF, "strcpy", (3, 1)),
+    (SPLICED_CHAR, "strcpy", (3, 1)),
 ], ids=["two-line-block-comment", "directive-continuation", "backslash-newline", "crlf",
-        "line-comment-splice", "line-comment-crlf-splice"])
+        "line-comment-splice", "line-comment-crlf-splice", "string-splice",
+        "string-crlf-splice", "char-splice"])
 def test_lex_position_after_a_multi_line_token(src, text, position):
     toks = lex(src)
     (tok,) = [t for t in toks if t.text == text]
     assert (tok.line, tok.column) == position
     _assert_positions(src, toks)
+
+
+@pytest.mark.parametrize("src", [SPLICED_STRING, SPLICED_STRING_CRLF, SPLICED_CHAR],
+                         ids=["string-splice", "string-crlf-splice", "char-splice"])
+def test_candidate_after_a_spliced_literal_keeps_its_line(src):
+    assert [(c.line, c.focus) for c in extract_candidates(src) if c.kind is Kind.API] == [
+        (3, "strcpy")]
 
 
 def test_lex_quote_after_a_digit_still_opens_a_char_literal():
