@@ -10,9 +10,10 @@ from slicevuln.synth import REFERENCE_COUNTS, reference_corpus
 print("building the reference corpus (bundled per-kind counts)...")
 corpus = reference_corpus()
 print(f"  {len(corpus):,} samples total")
+counts = corpus.counts()
 for kind, (vul, non) in REFERENCE_COUNTS.items():
-    assert corpus.count(kind, Label.VULNERABLE) == vul
-    assert corpus.count(kind, Label.NON_VULNERABLE) == non
+    assert counts[kind, Label.VULNERABLE] == vul
+    assert counts[kind, Label.NON_VULNERABLE] == non
     print(f"  {kind.value:<4} vulnerable {vul:>7,}   non-vulnerable {non:>8,}")
 print()
 

@@ -13,7 +13,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from itertools import islice
 from json.encoder import encode_basestring as _json_str
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -40,6 +39,10 @@ class Label(IntEnum):
     VULNERABLE = 1
 
 
+# the eight (kind, label) cells in the order splits and reports walk them
+CELL_ORDER = tuple((kind, label) for kind in KIND_ORDER for label in Label)
+
+
 @dataclass(frozen=True, slots=True)
 class Sample:
     """One labeled code slice."""
@@ -52,7 +55,7 @@ class Sample:
 
 
 class SampleSet:
-    """Ordered, immutable collection of samples with per-(kind, label) counts.
+    """Ordered, immutable collection of samples.
 
     Iteration order is insertion order.  Duplicate ids and empty code are
     rejected at construction time, naming the first offender in set order.
@@ -64,22 +67,16 @@ class SampleSet:
         if (len({s.id for s in samples}) < len(samples)
                 or not all(s.code for s in samples)):
             _raise_first_offender(samples)
-        self._adopt(samples)
+        self.samples: list[Sample] = samples
 
     @classmethod
     def _drawn(cls, samples: list[Sample]) -> SampleSet:
         """A set of rows already checked (drawn from a valid set, or read by
-        ``load``), so the ids are unique and no code is empty: only the
-        manifest is built."""
+        ``load``), so the ids are unique and no code is empty: the list is
+        taken as it is, neither checked nor copied."""
         sset = cls.__new__(cls)
-        sset._adopt(samples)
+        sset.samples = samples
         return sset
-
-    def _adopt(self, samples: list[Sample]) -> None:
-        self.samples: list[Sample] = samples
-        self.manifest: Counter[tuple[Kind, Label]] = Counter(
-            (s.kind, s.label) for s in samples
-        )
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -87,28 +84,20 @@ class SampleSet:
     def __iter__(self) -> Iterator[Sample]:
         return iter(self.samples)
 
-    def count(self, kind: Kind, label: Label) -> int:
-        return self.manifest.get((kind, label), 0)
+    def counts(self) -> Counter[tuple[Kind, Label]]:
+        """The number of samples in each (kind, label) cell, counted anew."""
+        return Counter((s.kind, s.label) for s in self.samples)
 
     def ids(self) -> set[str]:
         return {s.id for s in self.samples}
 
 
-class _DuplicateId(DataError):
-    """A repeated id, with the positions of its first and second sample, so
-    that a reader can name the lines they came from."""
-
-    def __init__(self, sample_id: str, first: int, second: int):
-        super().__init__(f"duplicate sample id {sample_id!r}")
-        self.sample_id, self.first, self.second = sample_id, first, second
-
-
 def _raise_first_offender(samples: list[Sample]) -> None:
-    first: dict[str, int] = {}
-    for i, s in enumerate(samples):
-        if s.id in first:
-            raise _DuplicateId(s.id, first[s.id], i)
-        first[s.id] = i
+    seen: set[str] = set()
+    for s in samples:
+        if s.id in seen:
+            raise DataError(f"duplicate sample id {s.id!r}")
+        seen.add(s.id)
         if not s.code:
             raise DataError(f"sample {s.id!r} has empty code")
 
@@ -181,16 +170,18 @@ def _reject_lone_surrogates(sample: Sample, path: Path, lineno: int) -> None:
 
 def _load_jsonlines(path: Path) -> list[Sample]:
     """Every row, checked as it is read, so the first bad line in file order
-    raises; a repeated id raises ``_DuplicateId`` with both positions."""
+    raises; a repeated id names both lines."""
     samples: list[Sample] = []
     ids: set[str] = set()
     sources: dict[str, str] = {}
+    blank: list[int] = []  # the lines skipped, in file order
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
                 obj = _decode(line)
             except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
                 if not line.strip():
+                    blank.append(lineno)
                     continue
                 raise DataError(f"{path}:{lineno}: malformed JSON record "
                                 f"({getattr(e, 'msg', e)})") from e
@@ -198,19 +189,16 @@ def _load_jsonlines(path: Path) -> list[Sample]:
             if "\\u" in line:
                 _reject_lone_surrogates(sample, path, lineno)
             if sample.id in ids:
-                first = next(i for i, s in enumerate(samples) if s.id == sample.id)
-                raise _DuplicateId(sample.id, first, len(samples))
+                first = next(i for i, s in enumerate(samples) if s.id == sample.id) + 1
+                for skipped in blank:  # each blank line up to it moves it down one
+                    if skipped > first:
+                        break
+                    first += 1
+                raise DataError(f"{path}:{lineno}: duplicate sample id {sample.id!r} "
+                                f"(first on line {first})")
             ids.add(sample.id)
             samples.append(sample)
     return samples
-
-
-def _jsonl_record_lines(path: Path) -> Iterator[int]:
-    """The line of each record of a JSON-lines file: every non-blank line."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                yield lineno
 
 
 def load(path: str | Path) -> SampleSet:
@@ -222,10 +210,6 @@ def load(path: str | Path) -> SampleSet:
         return SampleSet._drawn(_load_jsonlines(path))
     except UnicodeDecodeError as e:
         raise not_utf8(path) from e
-    except _DuplicateId as e:
-        first, *_, second = islice(_jsonl_record_lines(path), e.first, e.second + 1)
-        raise DataError(f"{path}:{second}: duplicate sample id {e.sample_id!r} "
-                        f"(first on line {first})") from None
 
 
 def save(sset: SampleSet, path: str | Path) -> Path:
@@ -256,8 +240,7 @@ def split(sset: SampleSet, seed: int) -> tuple[SampleSet, SampleSet]:
     cells: dict[tuple[Kind, Label], list[int]] = {}
     for i, s in enumerate(sset.samples):
         cells.setdefault((s.kind, s.label), []).append(i)
-    for key in sorted(cells, key=lambda kl: (KIND_ORDER.index(kl[0]), int(kl[1]))):
-        idx = cells[key]
+    for idx in (cells[cell] for cell in CELL_ORDER if cell in cells):
         perm = rng.permutation(len(idx))
         test_idx.extend(idx[j] for j in perm[: len(idx) // 5])
 

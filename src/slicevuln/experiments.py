@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import balancer, corpus, metrics, model, tokenizer
-from .corpus import KIND_ORDER, Kind, SampleSet
+from .corpus import CELL_ORDER, KIND_ORDER, Kind, SampleSet
 from .errors import DataError
 
 STRATEGY_IDS = ("S1", "S2", "S3")
@@ -212,17 +212,14 @@ def run(spec: StrategySpec, full_corpus: SampleSet) -> Report:
 
     per_kind_cm, per_kind_ms, overall = score(fitted.net, test_set, test_data)
 
+    corpus_counts = full_corpus.counts()
     fingerprints = {
         "strategy": spec.id,
         "hypothesis": spec.hypothesis,
         "seed": spec.seed,
         "corpus_total": len(full_corpus),
-        "corpus_counts": {
-            f"{k.value}/{int(l)}": n for (k, l), n in sorted(
-                full_corpus.manifest.items(),
-                key=lambda kv: (KIND_ORDER.index(kv[0][0]), int(kv[0][1])),
-            )
-        },
+        "corpus_counts": {f"{k.value}/{int(l)}": corpus_counts[k, l]
+                          for k, l in CELL_ORDER if (k, l) in corpus_counts},
         "balanced_total": len(balanced),
         "balanced_counts": balancer._counts_json(balanced),
         "train_size": len(train_set),

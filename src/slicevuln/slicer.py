@@ -59,7 +59,6 @@ class Token(NamedTuple):
     text: str
     cls: TokenClass
     line: int
-    column: int
 
 
 C_KEYWORDS = frozenset(
@@ -138,11 +137,9 @@ def lex(source: str) -> list[Token]:
 
     Each newline a token holds moves the line count: a whitespace, comment
     or directive token may hold several, and a string or character literal
-    one per backslash-newline splice.  A column is the match offset less the
-    offset of its line."""
+    one per backslash-newline splice."""
     tokens: list[Token] = []
     line = 1
-    line_start = 0  # offset just past the last newline
     # no significant token since the last unspliced newline; a comment stands
     # for one space, so it neither clears this nor, spanning lines, sets it
     at_line_start = True
@@ -153,14 +150,12 @@ def lex(source: str) -> list[Token]:
             raise LexError(_LEX_ERRORS.get(text, f"unexpected character {text[0]!r}"), line)
         if cls is _IDENTIFIER and text in C_KEYWORDS:
             cls = _KEYWORD
-        start = m.start()
-        tokens.append(Token(text, cls, line, start - line_start + 1))
+        tokens.append(Token(text, cls, line))
         if cls not in _INSIGNIFICANT:
             at_line_start = False
         if "\n" in text:
             newlines = text.count("\n")
             line += newlines
-            line_start = start + text.rfind("\n") + 1
             # a backslash-newline splices two lines
             if cls is _WHITESPACE and newlines > text.count("\\"):
                 at_line_start = True

@@ -13,7 +13,7 @@ from slicevuln import (
     remainder,
 )
 from slicevuln.balancer import save_balanced
-from slicevuln.corpus import KIND_ORDER, load, save
+from slicevuln.corpus import CELL_ORDER, KIND_ORDER, load, save
 from slicevuln.synth import pattern_corpus, reference_corpus
 
 
@@ -40,8 +40,7 @@ def test_h1_balances_each_kind():
     bset = balance_h1(corpus, seed=0)
     for kind in KIND_ORDER:
         assert bset.per_kind_counts[kind] == (10, 10)
-        assert bset.samples.count(kind, Label.VULNERABLE) == 10
-        assert bset.samples.count(kind, Label.NON_VULNERABLE) == 10
+    assert bset.samples.counts() == {cell: 10 for cell in CELL_ORDER}
     assert len(bset) == 2 * 40
 
 
@@ -61,8 +60,9 @@ def test_h1_missing_kind_and_empty_class():
         (Kind.AE, Label.NON_VULNERABLE): 4,  # zero vulnerable AE
     }
     bset = balance_h1(make_corpus(cells), seed=0)
-    assert bset.samples.count(Kind.AE, Label.VULNERABLE) == 0
-    assert bset.samples.count(Kind.AE, Label.NON_VULNERABLE) == 0
+    counts = bset.samples.counts()
+    assert counts[Kind.AE, Label.VULNERABLE] == 0
+    assert counts[Kind.AE, Label.NON_VULNERABLE] == 0
     assert bset.per_kind_counts[Kind.AE] == (0, 0)
     assert len(bset) == 10
 

@@ -6,7 +6,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slicevuln import DataError, Kind, Label, Sample, SampleSet, load, save, split
+from slicevuln import (
+    DataError, Kind, Label, Sample, SampleSet, balance_h1, balance_h2, load, remainder, save,
+    split,
+)
+from slicevuln.corpus import CELL_ORDER
 from slicevuln.synth import REFERENCE_COUNTS, reference_corpus
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -28,7 +32,7 @@ def test_load_empty_file(tmp_path):
     path.write_text("")
     sset = load(path)
     assert len(sset) == 0
-    assert sum(sset.manifest.values()) == 0
+    assert sset.counts() == {}
 
 
 def test_load_single_record(tmp_path):
@@ -36,7 +40,7 @@ def test_load_single_record(tmp_path):
     path.write_text('{"id":"s1","kind":"PU","label":1,"code":"*p = 0;"}\n')
     sset = load(path)
     assert len(sset) == 1
-    assert sset.count(Kind.PU, Label.VULNERABLE) == 1
+    assert sset.counts() == {(Kind.PU, Label.VULNERABLE): 1}
     assert sset.samples[0].code == "*p = 0;"
 
 
@@ -157,6 +161,8 @@ def test_load_accepts(tmp_path, text, samples):
 @pytest.mark.parametrize("text,message", [
     pytest.param(record() + "\n" + record(id="b") + "\n\n" + record(kind="AU") + "\n",
                  "4: duplicate sample id 'a' (first on line 1)", id="jsonlines"),
+    pytest.param("\n" + record() + "\n" + record() + "\n",
+                 "3: duplicate sample id 'a' (first on line 2)", id="after-a-blank-line"),
 ])
 def test_load_duplicate_id_names_both_lines(tmp_path, text, message):
     path = tmp_path / "dup.txt"
@@ -193,12 +199,23 @@ def test_sample_set_names_its_first_offender(ids_and_code, message):
     assert str(err.value) == message
 
 
-def test_manifest_matches_recount():
+def test_counts_match_recount():
     sset = make_set({(Kind.API, Label.VULNERABLE): 3, (Kind.AE, Label.NON_VULNERABLE): 5})
     recount = {}
     for s in sset:
         recount[(s.kind, s.label)] = recount.get((s.kind, s.label), 0) + 1
-    assert dict(sset.manifest) == recount
+    assert sset.counts() == recount
+
+
+def test_a_set_holds_only_its_samples(tmp_path):
+    """No set carries state beyond its sample list, however it was made."""
+    sset = make_set({(k, lab): 10 for k, lab in CELL_ORDER})
+    save(sset, tmp_path / "all.jsonl")
+    h1 = balance_h1(sset, seed=0)
+    sets = [sset, load(tmp_path / "all.jsonl"), *split(sset, seed=0),
+            h1.samples, balance_h2(sset, seed=0).samples, remainder(sset, h1)]
+    for s in sets:
+        assert vars(s) == {"samples": s.samples}
 
 
 def test_save_load_round_trip(tmp_path):
@@ -318,17 +335,17 @@ def test_split_stratified_exact_cells():
     }
     sset = make_set(cells)
     train, _ = split(sset, seed=3)
-    for key in cells:
-        assert train.count(*key) == 80
+    assert train.counts() == {key: 80 for key in cells}
 
 
 def test_split_stratified_within_one_sample_per_cell():
     sset = make_set({(Kind.API, Label.VULNERABLE): 7, (Kind.PU, Label.NON_VULNERABLE): 13})
     train, test = split(sset, seed=2)
+    train_counts, test_counts = train.counts(), test.counts()
     for kind, label, n in ((Kind.API, Label.VULNERABLE, 7), (Kind.PU, Label.NON_VULNERABLE, 13)):
         want_train = 0.8 * n
-        assert abs(train.count(kind, label) - want_train) <= 1
-        assert train.count(kind, label) + test.count(kind, label) == n
+        assert abs(train_counts[kind, label] - want_train) <= 1
+        assert train_counts[kind, label] + test_counts[kind, label] == n
 
 
 def test_split_empty_set_rejected():
@@ -338,9 +355,10 @@ def test_split_empty_set_rejected():
 
 def test_reference_corpus_matches_reference_counts():
     ref = reference_corpus()
+    counts = ref.counts()
     for kind, (n_vul, n_non) in REFERENCE_COUNTS.items():
-        assert ref.count(kind, Label.VULNERABLE) == n_vul
-        assert ref.count(kind, Label.NON_VULNERABLE) == n_non
+        assert counts[kind, Label.VULNERABLE] == n_vul
+        assert counts[kind, Label.NON_VULNERABLE] == n_non
     assert len(ref) == 420627
 
 

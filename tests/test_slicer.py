@@ -63,9 +63,9 @@ def test_lex_round_trip_function():
 
 
 def test_token_shape():
-    assert Token._fields == ("text", "cls", "line", "column")
+    assert Token._fields == ("text", "cls", "line")
     tok = lex("x")[0]
-    assert tok == Token("x", TokenClass.IDENTIFIER, 1, 1)
+    assert tok == Token("x", TokenClass.IDENTIFIER, 1)
     with pytest.raises(AttributeError):
         tok.line = 2
 
@@ -77,21 +77,19 @@ SPLICED_CHAR = "char c = '\\\nn';\nstrcpy(d, s);"
 
 
 def _assert_positions(src: str, toks) -> None:
-    """Each token's (line, column) is that of its start offset in src,
-    counted from the newlines before it."""
+    """Each token's line is that of its start offset in src, counted from
+    the newlines before it."""
     offset = 0
     for tok in toks:
-        line = src.count("\n", 0, offset) + 1
-        column = offset - src.rfind("\n", 0, offset)
-        assert (tok.line, tok.column) == (line, column), tok
+        assert tok.line == src.count("\n", 0, offset) + 1, tok
         offset += len(tok.text)
 
 
 def test_lex_positions_are_one_based():
     toks = lex("ab\n cd")
-    assert (toks[0].line, toks[0].column) == (1, 1)
+    assert toks[0].line == 1
     cd = [t for t in toks if t.text == "cd"][0]
-    assert (cd.line, cd.column) == (2, 2)
+    assert cd.line == 2
 
 
 @pytest.mark.parametrize("src, message, line", [
@@ -160,24 +158,24 @@ def test_lex_backslash_newline_keeps_lines_and_directives():
     assert toks[-2].cls is TokenClass.DIRECTIVE
 
 
-@pytest.mark.parametrize("src, text, position", [
-    ("/* one\n two */ x", "x", (2, 9)),
-    ("#define M(a) \\\n  (a)\nint y;", "int", (3, 1)),
-    ("a = \\\n   b;", "b", (2, 4)),
-    ("a;\r\n  b;", "b", (2, 3)),
+@pytest.mark.parametrize("src, text, line", [
+    ("/* one\n two */ x", "x", 2),
+    ("#define M(a) \\\n  (a)\nint y;", "int", 3),
+    ("a = \\\n   b;", "b", 2),
+    ("a;\r\n  b;", "b", 2),
     # the first b is inside the spliced comment
-    ("// a \\\nb;\n b;", "b", (3, 2)),
-    ("// a \\\r\nb;\r\n b;", "b", (3, 2)),
-    (SPLICED_STRING, "strcpy", (3, 1)),
-    (SPLICED_STRING_CRLF, "strcpy", (3, 1)),
-    (SPLICED_CHAR, "strcpy", (3, 1)),
+    ("// a \\\nb;\n b;", "b", 3),
+    ("// a \\\r\nb;\r\n b;", "b", 3),
+    (SPLICED_STRING, "strcpy", 3),
+    (SPLICED_STRING_CRLF, "strcpy", 3),
+    (SPLICED_CHAR, "strcpy", 3),
 ], ids=["two-line-block-comment", "directive-continuation", "backslash-newline", "crlf",
         "line-comment-splice", "line-comment-crlf-splice", "string-splice",
         "string-crlf-splice", "char-splice"])
-def test_lex_position_after_a_multi_line_token(src, text, position):
+def test_lex_position_after_a_multi_line_token(src, text, line):
     toks = lex(src)
     (tok,) = [t for t in toks if t.text == text]
-    assert (tok.line, tok.column) == position
+    assert tok.line == line
     _assert_positions(src, toks)
 
 
