@@ -4,7 +4,7 @@
 Run:  python demos/03_train_classifier.py   (about a minute on one core)
 """
 
-from slicevuln import Kind, ModelConfig, TrainConfig, grad_check, init, split
+from slicevuln import Kind, ModelConfig, TrainConfig, aggregate, grad_check, init, split
 from slicevuln.experiments import fit, score
 from slicevuln.synth import pattern_corpus
 from slicevuln.tokenizer import normalize
@@ -40,6 +40,7 @@ for epoch, (tl, vl, va) in enumerate(
 ):
     print(f"  epoch {epoch}: train loss {tl:.4f}  val loss {vl:.4f}  val acc {va:.3f}")
 
-_, _, ms = score(fitted.net, test_set, fitted.heldout)
+# score tallies one confusion matrix per kind; aggregate pools them
+_, ms = aggregate(score(fitted.net, test_set, fitted.heldout))
 print(f"\nheld-out: precision {ms.precision:.3f}  recall {ms.recall:.3f}  "
       f"F1 {ms.f1:.3f}  MCC {ms.mcc:.3f}")

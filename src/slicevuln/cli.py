@@ -227,8 +227,7 @@ def _cmd_evaluate(args) -> int:
     net, vocab = model.load_checkpoint(args.checkpoint)
     sset = corpus.load(args.input)
     data = experiments.encode_test_set(sset, vocab, net.config.max_len, str(args.input))
-    _, per_kind, overall = experiments.score(net, sset, data)
-    experiments.write_metrics(args.out, metrics.kind_rows(per_kind, overall))
+    experiments.write_metrics(args.out, experiments.score(net, sset, data))
     _log(f"evaluated {len(sset)} samples; wrote metrics under {args.out}")
     return 0
 

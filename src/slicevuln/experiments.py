@@ -8,12 +8,14 @@ Strategies:
   of the corpus (everything the balanced set left out).
 
 A run is ``fit`` (tokenize and train on a split) followed by ``score``
-(predict a test set and tally per-kind metrics); S3 is S2's fit scored on
-the remainder.  The held-out 20% is encoded once and serves as the
-early-stopping validation set and, for S1 and S2, as the test set.  Every
-random stage is keyed by the run's one seed, ``TrainConfig.seed``, so a
-rerun with the same seed regenerates identical datasets, models, and metric
-files; only wall time and memory readings differ.
+(predict a test set and tally one confusion matrix per kind); S3 is S2's
+fit scored on the remainder.  A report keeps only those matrices, and
+``write_metrics`` derives every metric row from them.  The held-out 20% is
+encoded once and serves as the early-stopping validation set and, for S1
+and S2, as the test set.  Every random stage is keyed by the run's one
+seed, ``TrainConfig.seed``, so a rerun with the same seed regenerates
+identical datasets, models, and metric files; only wall time and memory
+readings differ.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import balancer, corpus, metrics, model, tokenizer
 from .corpus import CELL_ORDER, KIND_ORDER, Kind, SampleSet
@@ -64,12 +66,15 @@ class ResourceUsage:
 @dataclass
 class Report:
     strategy: StrategySpec
-    per_kind: dict[Kind, metrics.MetricSet]
-    overall: metrics.MetricSet
-    per_kind_confusion: dict[Kind, metrics.ConfusionMatrix]
+    confusion: dict[Kind, metrics.ConfusionMatrix]  # the kinds present, in KIND_ORDER
     resources: ResourceUsage
     fingerprints: dict
     history: model.TrainHistory
+
+    @property
+    def overall(self) -> metrics.MetricSet:
+        """The metrics of the pooled (summed) matrix."""
+        return metrics.aggregate(self.confusion)[1]
 
 
 def _peak_rss_bytes() -> int:
@@ -78,10 +83,11 @@ def _peak_rss_bytes() -> int:
     return peak if sys.platform == "darwin" else peak * 1024
 
 
-def _ids_digest(samples: Sequence[corpus.Sample]) -> str:
+def _digest(strings: Iterable[str]) -> str:
+    """sha256 over the strings, each NUL-terminated."""
     h = hashlib.sha256()
-    for s in samples:
-        h.update(s.id.encode("utf-8"))
+    for text in strings:
+        h.update(text.encode("utf-8"))
         h.update(b"\0")
     return h.hexdigest()
 
@@ -170,31 +176,26 @@ def fit(
 
 def score(
     net: model.Model, test_set: SampleSet, test_data: tokenizer.EncodedDataset
-) -> tuple[dict[Kind, metrics.ConfusionMatrix], dict[Kind, metrics.MetricSet], metrics.MetricSet]:
-    """Predict the test set; per-kind confusion matrices, per-kind metrics
-    and the pooled overall metrics."""
+) -> dict[Kind, metrics.ConfusionMatrix]:
+    """Predict the test set; one confusion matrix per kind present, in
+    ``KIND_ORDER``."""
     with _Stage("evaluate"):
         predictions = model.predict(net, test_data)
-        per_kind_cm: dict[Kind, metrics.ConfusionMatrix] = {}
+        confusion: dict[Kind, metrics.ConfusionMatrix] = {}
         for kind in KIND_ORDER:
             sel = [i for i, s in enumerate(test_set) if s.kind == kind]
-            if not sel:
-                continue
-            per_kind_cm[kind] = metrics.confusion(
-                [int(predictions[i]) for i in sel],
-                [int(test_set.samples[i].label) for i in sel],
-            )
-        per_kind_ms, overall = metrics.aggregate(per_kind_cm)
-    return per_kind_cm, per_kind_ms, overall
+            if sel:
+                confusion[kind] = metrics.confusion(
+                    [int(predictions[i]) for i in sel],
+                    [int(test_set.samples[i].label) for i in sel])
+    return confusion
 
 
 def run(spec: StrategySpec, full_corpus: SampleSet) -> Report:
     """Execute one strategy end to end and assemble its report."""
     with _Stage("balance"):
-        if spec.hypothesis == "H1":
-            balanced = balancer.balance_h1(full_corpus, spec.seed)
-        else:
-            balanced = balancer.balance_h2(full_corpus, spec.seed)
+        balance = balancer.balance_h1 if spec.hypothesis == "H1" else balancer.balance_h2
+        balanced = balance(full_corpus, spec.seed)
 
     with _Stage("split"):
         train_set, heldout = corpus.split(balanced.samples, spec.seed)
@@ -210,8 +211,6 @@ def run(spec: StrategySpec, full_corpus: SampleSet) -> Report:
     else:
         test_set, test_data = heldout, fitted.heldout
 
-    per_kind_cm, per_kind_ms, overall = score(fitted.net, test_set, test_data)
-
     corpus_counts = full_corpus.counts()
     fingerprints = {
         "strategy": spec.id,
@@ -225,49 +224,48 @@ def run(spec: StrategySpec, full_corpus: SampleSet) -> Report:
         "train_size": len(train_set),
         "val_size": len(heldout),
         "test_size": len(test_set),
-        "train_ids_sha256": _ids_digest(train_set.samples),
-        "test_ids_sha256": _ids_digest(test_set.samples),
-        "vocab_sha256": fitted.vocab.content_hash(),
+        "train_ids_sha256": _digest(s.id for s in train_set),
+        "test_ids_sha256": _digest(s.id for s in test_set),
+        "vocab_sha256": _digest((*tokenizer.Vocab.RESERVED, *fitted.vocab.tokens)),
     }
     return Report(
         strategy=spec,
-        per_kind=per_kind_ms,
-        overall=overall,
-        per_kind_confusion=per_kind_cm,
+        confusion=score(fitted.net, test_set, test_data),
         resources=fitted.resources,
         fingerprints=fingerprints,
         history=fitted.history,
     )
 
 
-def write_metrics(run_dir: Path, rows: dict[str, metrics.MetricSet], heading: str = "") -> None:
-    """The deterministic metric views: ``metrics.txt``, the table under
-    ``heading``, and ``metrics.csv``, one line per row in percent with
-    undefined cells empty."""
+def write_metrics(
+    run_dir: Path, confusion: dict[Kind, metrics.ConfusionMatrix], heading: str = ""
+) -> dict[str, metrics.MetricSet]:
+    """Derive the metric rows (each kind, then Overall from the summed
+    matrix) and write their deterministic views: ``metrics.txt``, the table
+    under ``heading``, and ``metrics.csv``, one line per row in percent with
+    undefined cells empty.  Returns the rows."""
+    rows = metrics.kind_rows(*metrics.aggregate(confusion))
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "metrics.txt").write_text(
         heading + metrics.format_metric_table(rows) + "\n", encoding="utf-8")
-    lines = ["category," + ",".join(m.lower() for m in metrics.METRIC_NAMES)]
+    lines = ["category," + ",".join(metrics.METRIC_NAMES)]
     lines += [f"{name}," + metrics.csv_row(ms) for name, ms in rows.items()]
     (run_dir / "metrics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return rows
 
 
 def emit(report: Report, run_dir: str | Path) -> Path:
     """Write a run directory: the metric views of ``write_metrics`` and
     ``report.json``, which also carries resources, history and fingerprints."""
     run_dir = Path(run_dir)
-    rows = metrics.kind_rows(report.per_kind, report.overall)
-    write_metrics(run_dir, rows,
-                  f"Strategy {report.strategy.id} ({report.strategy.hypothesis})\n")
+    rows = write_metrics(run_dir, report.confusion,
+                         f"Strategy {report.strategy.id} ({report.strategy.hypothesis})\n")
     payload = {
         "strategy": report.strategy.id,
         "hypothesis": report.strategy.hypothesis,
         "seed": report.strategy.seed,
         "metrics": {name: ms.as_dict() for name, ms in rows.items()},
-        "confusion": {
-            k.value: {"tp": cm.tp, "fp": cm.fp, "tn": cm.tn, "fn": cm.fn}
-            for k, cm in report.per_kind_confusion.items()
-        },
+        "confusion": {k.value: asdict(cm) for k, cm in report.confusion.items()},
         "resources": {
             "wall_time_seconds": report.resources.wall_time,
             "peak_resident_memory_bytes": report.resources.peak_resident_memory,
@@ -280,18 +278,28 @@ def emit(report: Report, run_dir: str | Path) -> Path:
     return run_dir
 
 
+def _read(table: dict, key: str, *types: type):
+    """``table[key]`` if it is one of ``types`` and not a bool, else a TypeError."""
+    value = table[key]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise TypeError(f"{key} is a {type(value).__name__}")
+    return value
+
+
 def compare(payloads: Sequence[dict]) -> str:
     """comparison.csv for ``report.json`` payloads, one row each in the order
     given: overall F1 and accuracy in percent (empty when undefined),
-    training wall time in seconds and peak memory in MiB."""
+    training wall time in seconds and peak memory in MiB.  A strategy that
+    is not a string, or a value read here that is not a number (F1 and
+    accuracy may be null), is a TypeError."""
     lines = ["strategy,overall_f1_pct,overall_accuracy_pct,wall_time_s,peak_memory_mb"]
     for payload in payloads:
-        overall = payload["metrics"]["Overall"]
-        res = payload["resources"]
+        overall, res = payload["metrics"]["Overall"], payload["resources"]
+        f1, accuracy = (_read(overall, key, int, float, type(None)) for key in ("f1", "accuracy"))
         lines.append(
-            f"{payload['strategy']},{metrics.percent(overall['f1'], '')},"
-            f"{metrics.percent(overall['accuracy'], '')},"
-            f"{res['wall_time_seconds']:.2f},"
-            f"{res['peak_resident_memory_bytes'] / 2**20:.1f}"
+            f"{_read(payload, 'strategy', str)},{metrics.percent(f1, '')},"
+            f"{metrics.percent(accuracy, '')},"
+            f"{_read(res, 'wall_time_seconds', int, float):.2f},"
+            f"{_read(res, 'peak_resident_memory_bytes', int, float) / 2**20:.1f}"
         )
     return "\n".join(lines) + "\n"

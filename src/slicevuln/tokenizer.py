@@ -16,7 +16,6 @@ where the sequence ends and no separate attention mask travels with it.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -88,13 +87,6 @@ class Vocab:
 
     def lookup(self, token: str) -> int:
         return self._ids.get(token, self.UNK)
-
-    def content_hash(self) -> str:
-        h = hashlib.sha256()
-        for tok in (*self.RESERVED, *self.tokens):
-            h.update(tok.encode("utf-8"))
-            h.update(b"\0")
-        return h.hexdigest()
 
 
 def build_vocab(corpus: Iterable[str], max_size: int = 4096) -> Vocab:

@@ -519,11 +519,33 @@ def test_report_comparison(tmp_path, small_corpus_path):
     assert len(lines) == 3
 
 
+def _report_with(**changes):
+    """A report.json payload that ``report`` accepts, with the named
+    strategy, Overall metric or resource field replaced."""
+    payload = {"strategy": "S1", "metrics": {"Overall": {"f1": 0.9, "accuracy": 0.8}},
+               "resources": {"wall_time_seconds": 1.5, "peak_resident_memory_bytes": 2**20}}
+    for key, value in changes.items():
+        table = next(t for t in (payload, payload["metrics"]["Overall"], payload["resources"])
+                     if key in t)
+        table[key] = value
+    return payload
+
+
 @pytest.mark.parametrize("text, reason", [
     ("{broken", "JSONDecodeError"),
     ('{"strategy": "S1"}', "KeyError: 'metrics'"),
     pytest.param(DEEP_JSON, "RecursionError: maximum recursion depth exceeded",
                  id="deep-nesting"),
+    # booleans are not numbers, and a strategy is a string
+    *(pytest.param(json.dumps(_report_with(**{key: value})), reason, id=key)
+      for key, value, reason in [
+          ("f1", True, "TypeError: f1 is a bool"),
+          ("accuracy", False, "TypeError: accuracy is a bool"),
+          ("wall_time_seconds", True, "TypeError: wall_time_seconds is a bool"),
+          ("peak_resident_memory_bytes", False,
+           "TypeError: peak_resident_memory_bytes is a bool"),
+          ("strategy", ["S1"], "TypeError: strategy is a list"),
+      ]),
 ])
 def test_report_on_a_broken_report_is_data_error(tmp_path, capsys, text, reason):
     path = tmp_path / "report.json"

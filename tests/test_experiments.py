@@ -15,7 +15,7 @@ from slicevuln import (
     run,
 )
 from slicevuln.balancer import balance_h1, balance_h2
-from slicevuln.metrics import aggregate
+from slicevuln.metrics import compute
 from slicevuln.model import TrainHistory
 from slicevuln.synth import pattern_corpus
 
@@ -41,26 +41,18 @@ def small_spec(sid, seed=42, epochs=2):
     )
 
 
-def fake_report(sid, f1, accuracy=0.9, wall=1.0, mem=2**20):
-    cm = ConfusionMatrix(tp=9, fp=1, tn=9, fn=1)
-    per_kind, overall = aggregate({Kind.API: cm})
-    overall = type(overall)(
-        recall=overall.recall, specificity=overall.specificity,
-        precision=overall.precision, f1=f1, mcc=overall.mcc, accuracy=accuracy,
-    )
+def fake_report(sid, confusion=None, wall=1.0, mem=2**20):
     return Report(
         strategy=small_spec(sid),
-        per_kind=per_kind,
-        overall=overall,
-        per_kind_confusion={Kind.API: cm},
+        confusion=confusion or {Kind.API: ConfusionMatrix(tp=9, fp=1, tn=9, fn=1)},
         resources=ResourceUsage(wall_time=wall, peak_resident_memory=mem),
         fingerprints={"seed": 42},
         history=TrainHistory(),
     )
 
 
-def fake_payload(tmp_path, sid, f1, **kwargs):
-    run_dir = emit(fake_report(sid, f1, **kwargs), tmp_path / sid)
+def fake_payload(tmp_path, sid, confusion=None, **kwargs):
+    run_dir = emit(fake_report(sid, confusion, **kwargs), tmp_path / sid)
     return json.loads((run_dir / "report.json").read_text())
 
 
@@ -124,8 +116,7 @@ def test_vocabulary_follows_the_model_config(small_corpus):
 def test_same_spec_twice_identical_except_wall_time(small_corpus):
     r1 = run(small_spec("S2"), small_corpus)
     r2 = run(small_spec("S2"), small_corpus)
-    assert r1.per_kind == r2.per_kind
-    assert r1.overall == r2.overall
+    assert r1.confusion == r2.confusion
     assert r1.fingerprints == r2.fingerprints
     assert r1.history.train_loss == r2.history.train_loss
 
@@ -145,13 +136,7 @@ def test_stage_name_attached_to_errors(small_corpus):
 
 def test_emit_table_perfect_classifier(tmp_path):
     cm = ConfusionMatrix(tp=10, fp=0, tn=10, fn=0)
-    per_kind, overall = aggregate({k: cm for k in Kind})
-    report = fake_report("S2", f1=1.0, accuracy=1.0)
-    report = Report(
-        strategy=report.strategy, per_kind=per_kind, overall=overall,
-        per_kind_confusion={k: cm for k in Kind}, resources=report.resources,
-        fingerprints=report.fingerprints, history=report.history,
-    )
+    report = fake_report("S2", {k: cm for k in Kind})
     body = (emit(report, tmp_path) / "metrics.txt").read_text()
     cells = [c for line in body.splitlines()[2:] for c in line.split()[1:]]
     assert cells and all(c == "100.00" for c in cells)
@@ -173,14 +158,7 @@ def test_emit_csv_round_trip(tmp_path, small_corpus):
 
 
 def test_emit_table_derived_confusion_row(tmp_path):
-    cm = ConfusionMatrix(tp=40, fn=10, tn=35, fp=15)
-    per_kind, overall = aggregate({Kind.PU: cm})
-    base = fake_report("S1", f1=0.5)
-    report = Report(
-        strategy=base.strategy, per_kind=per_kind, overall=overall,
-        per_kind_confusion={Kind.PU: cm}, resources=base.resources,
-        fingerprints=base.fingerprints, history=base.history,
-    )
+    report = fake_report("S1", {Kind.PU: ConfusionMatrix(tp=40, fn=10, tn=35, fp=15)})
     body = (emit(report, tmp_path) / "metrics.txt").read_text()
     row = [l for l in body.splitlines() if l.startswith("PU")][0]
     assert row.split()[1:] == ["80.00", "70.00", "72.73", "76.19", "50.25", "75.00"]
@@ -193,28 +171,35 @@ def test_emit_json_carries_resources_and_fingerprints(tmp_path, small_corpus):
     assert payload["resources"]["wall_time_seconds"] >= 0
     assert payload["fingerprints"]["balanced_total"] == 120
     assert payload["metrics"]["Overall"]["accuracy"] is not None
+    # every metric row is derived from the stored matrices, Overall from their sum
+    matrices = {kind: ConfusionMatrix(**cells) for kind, cells in payload["confusion"].items()}
+    assert list(payload["metrics"]) == [*matrices, "Overall"]
+    for kind, cm in matrices.items():
+        assert payload["metrics"][kind] == compute(cm).as_dict()
+    pooled = sum(matrices.values(), ConfusionMatrix(0, 0, 0, 0))
+    assert payload["metrics"]["Overall"] == compute(pooled).as_dict()
 
 
 def test_emit_unwritable_path(tmp_path):
     target = tmp_path / "x"
     target.write_text("")
     with pytest.raises(OSError):
-        emit(fake_report("S1", 0.9), target / "impossible")
+        emit(fake_report("S1"), target / "impossible")
 
 
 def test_compare_identical_reports(tmp_path):
-    a = fake_payload(tmp_path, "S1", 0.95)
-    b = fake_payload(tmp_path, "S1", 0.95)
+    a = fake_payload(tmp_path, "S1")
+    b = fake_payload(tmp_path, "S1")
     lines = compare([a, b]).splitlines()
     assert len(lines) == 3
     assert lines[1] == lines[2]
 
 
 def test_compare_orders_strategies(tmp_path):
+    # one matrix each, with F1 90%, 80% and 60%
     payloads = [
-        fake_payload(tmp_path, "S1", 0.9882),
-        fake_payload(tmp_path, "S2", 0.9537),
-        fake_payload(tmp_path, "S3", 0.9062),
+        fake_payload(tmp_path, sid, {Kind.API: ConfusionMatrix(tp=tp, fp=fp, tn=10, fn=fn)})
+        for sid, (tp, fp, fn) in zip(("S1", "S2", "S3"), ((9, 1, 1), (8, 2, 2), (6, 4, 4)))
     ]
     rows = [line.split(",") for line in compare(payloads).splitlines()[1:]]
     assert [r[0] for r in rows] == ["S1", "S2", "S3"]

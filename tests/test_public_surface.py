@@ -49,11 +49,11 @@ def test_public_surface():
 
 
 def test_config_fields():
-    # every config field, and the dataset's and the candidate's; a new setting
-    # or field shows up here as a diff
+    # every config field, and the report's, the dataset's and the candidate's;
+    # a new setting or field shows up here as a diff
     configs = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
                for cls in (slicevuln.ModelConfig, slicevuln.TrainConfig,
-                           slicevuln.StrategySpec,
+                           slicevuln.StrategySpec, slicevuln.Report,
                            slicevuln.EncodedDataset, slicevuln.Candidate)}
     assert configs == {
         "ModelConfig": ["num_layers", "hidden_dim", "num_heads", "ff_dim", "max_len",
@@ -61,6 +61,7 @@ def test_config_fields():
         "TrainConfig": ["learning_rate", "batch_size", "epochs", "weight_decay",
                         "early_stop_patience", "seed"],
         "StrategySpec": ["id", "model_config", "train_config"],
+        "Report": ["strategy", "confusion", "resources", "fingerprints", "history"],
         "EncodedDataset": ["ids", "labels"],
         "Candidate": ["kind", "line", "focus", "span"],
     }
