@@ -6,7 +6,7 @@ subset, S3 reuses S2's training but answers for the entire remainder.
 Expect the F1 ordering S1 > S2 > S3: more data helps, and a heavily
 imbalanced test pool punishes precision.
 
-Run:  python demos/04_run_strategies.py   (a few minutes on one core)
+Run:  python demos/04_run_strategies.py   (about ten seconds; writes demo_runs/)
 """
 
 import json

@@ -252,6 +252,7 @@ def _read_report(path: Path) -> dict:
         payload = json.loads(read_utf8(path))
         experiments.compare([payload])
     except (KeyError, TypeError, ValueError,  # JSONDecodeError is a ValueError
+            OverflowError,  # an integer too large for a float
             RecursionError) as e:  # JSON nested too deep
         raise DataError(f"{path}: not a report.json ({type(e).__name__}: {e})") from e
     return payload

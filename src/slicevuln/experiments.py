@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import resource
 import sys
 import time
@@ -74,7 +75,7 @@ class Report:
     @property
     def overall(self) -> metrics.MetricSet:
         """The metrics of the pooled (summed) matrix."""
-        return metrics.aggregate(self.confusion)[1]
+        return metrics.aggregate(self.confusion)
 
 
 def _peak_rss_bytes() -> int:
@@ -244,7 +245,7 @@ def write_metrics(
     matrix) and write their deterministic views: ``metrics.txt``, the table
     under ``heading``, and ``metrics.csv``, one line per row in percent with
     undefined cells empty.  Returns the rows."""
-    rows = metrics.kind_rows(*metrics.aggregate(confusion))
+    rows = metrics.kind_rows(confusion)
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "metrics.txt").write_text(
         heading + metrics.format_metric_table(rows) + "\n", encoding="utf-8")
@@ -264,7 +265,7 @@ def emit(report: Report, run_dir: str | Path) -> Path:
         "strategy": report.strategy.id,
         "hypothesis": report.strategy.hypothesis,
         "seed": report.strategy.seed,
-        "metrics": {name: ms.as_dict() for name, ms in rows.items()},
+        "metrics": {name: asdict(ms) for name, ms in rows.items()},
         "confusion": {k.value: asdict(cm) for k, cm in report.confusion.items()},
         "resources": {
             "wall_time_seconds": report.resources.wall_time,
@@ -278,11 +279,18 @@ def emit(report: Report, run_dir: str | Path) -> Path:
     return run_dir
 
 
-def _read(table: dict, key: str, *types: type):
-    """``table[key]`` if it is one of ``types`` and not a bool, else a TypeError."""
+def _read(table: dict, key: str, *types: type, top: float = math.inf):
+    """``table[key]`` if it is one of ``types`` and not a bool, else a
+    TypeError; a number that is not finite or lies outside [0, ``top``] is
+    a ValueError."""
     value = table[key]
     if isinstance(value, bool) or not isinstance(value, types):
         raise TypeError(f"{key} is a {type(value).__name__}")
+    if isinstance(value, (int, float)):
+        if not math.isfinite(value):
+            raise ValueError(f"{key} is {value}, not finite")
+        if not 0 <= value <= top:
+            raise ValueError(f"{key} is {value}, outside [0, {top:g}]")
     return value
 
 
@@ -291,11 +299,13 @@ def compare(payloads: Sequence[dict]) -> str:
     given: overall F1 and accuracy in percent (empty when undefined),
     training wall time in seconds and peak memory in MiB.  A strategy that
     is not a string, or a value read here that is not a number (F1 and
-    accuracy may be null), is a TypeError."""
+    accuracy may be null), is a TypeError; F1 or accuracy outside [0, 1],
+    or a negative or non-finite number, is a ValueError."""
     lines = ["strategy,overall_f1_pct,overall_accuracy_pct,wall_time_s,peak_memory_mb"]
     for payload in payloads:
         overall, res = payload["metrics"]["Overall"], payload["resources"]
-        f1, accuracy = (_read(overall, key, int, float, type(None)) for key in ("f1", "accuracy"))
+        f1, accuracy = (_read(overall, key, int, float, type(None), top=1)
+                        for key in ("f1", "accuracy"))
         lines.append(
             f"{_read(payload, 'strategy', str)},{metrics.percent(f1, '')},"
             f"{metrics.percent(accuracy, '')},"

@@ -1,13 +1,17 @@
 """Confusion matrices and the six report metrics, per kind and pooled.
 
-Vulnerable is the positive class.  A metric whose denominator is zero is
-None, never silently zero.  Reports render values as percentages with two
-decimals.
+``confusion`` tallies one matrix and ``compute`` turns a matrix into its
+metrics.  ``kind_rows`` derives every report row from the per-kind
+matrices: one row per kind, then Overall, which ``aggregate`` computes
+from the pooled (summed) matrix.  Vulnerable is the positive class.  A
+metric whose denominator is zero is None, never silently zero.  Reports
+render values as percentages with two decimals.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -51,31 +55,19 @@ class MetricSet:
     mcc: float | None
     accuracy: float | None
 
-    def as_dict(self) -> dict[str, float | None]:
-        return {name: getattr(self, name) for name in METRIC_NAMES}
-
 
 def confusion(predictions: Sequence[int], truth: Sequence[int]) -> ConfusionMatrix:
-    """Tally a confusion matrix from 0/1 labels (1 = vulnerable)."""
+    """Tally a confusion matrix from 0/1 labels (1 = vulnerable; any other
+    label counts as negative)."""
     if len(predictions) != len(truth):
         raise ValueError(
             f"length mismatch: {len(predictions)} predictions vs {len(truth)} truths"
         )
     if len(truth) == 0:
         raise ValueError("cannot build a confusion matrix from zero samples")
-    tp = fp = tn = fn = 0
-    for p, t in zip(predictions, truth):
-        if t == 1:
-            if p == 1:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if p == 1:
-                fp += 1
-            else:
-                tn += 1
-    return ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=fn)
+    tally = Counter((t == 1, p == 1) for p, t in zip(predictions, truth))
+    return ConfusionMatrix(tp=tally[True, True], fp=tally[False, True],
+                           tn=tally[False, False], fn=tally[True, False])
 
 
 def _ratio(num: int, den: int) -> float | None:
@@ -111,17 +103,11 @@ def compute(cm: ConfusionMatrix) -> MetricSet:
     )
 
 
-def aggregate(
-    per_kind: Mapping[Kind, ConfusionMatrix],
-) -> tuple[dict[Kind, MetricSet], MetricSet]:
-    """Per-kind metrics plus the overall row from the pooled (summed) matrix."""
+def aggregate(per_kind: Mapping[Kind, ConfusionMatrix]) -> MetricSet:
+    """The Overall row: the metrics of the pooled (summed) matrix."""
     if not per_kind:
         raise ValueError("need at least one kind")
-    pooled = ConfusionMatrix(0, 0, 0, 0)
-    for cm in per_kind.values():
-        pooled = pooled + cm
-    per_kind_metrics = {kind: compute(cm) for kind, cm in per_kind.items()}
-    return per_kind_metrics, compute(pooled)
+    return compute(sum(per_kind.values(), ConfusionMatrix(0, 0, 0, 0)))
 
 
 def percent(value: float | None, undefined: str = "n/a") -> str:
@@ -144,13 +130,9 @@ def format_metric_table(rows: Mapping[str, MetricSet]) -> str:
     return "\n".join(lines)
 
 
-def kind_rows(
-    per_kind: Mapping[Kind, MetricSet], overall: MetricSet
-) -> dict[str, MetricSet]:
-    """Rows in the fixed report order: API, AU, PU, AE, Overall."""
-    rows: dict[str, MetricSet] = {}
-    for kind in KIND_ORDER:
-        if kind in per_kind:
-            rows[kind.value] = per_kind[kind]
-    rows["Overall"] = overall
+def kind_rows(per_kind: Mapping[Kind, ConfusionMatrix]) -> dict[str, MetricSet]:
+    """The metric rows of the per-kind matrices: each kind present, in
+    ``KIND_ORDER`` (API, AU, PU, AE), then Overall."""
+    rows = {kind.value: compute(per_kind[kind]) for kind in KIND_ORDER if kind in per_kind}
+    rows["Overall"] = aggregate(per_kind)
     return rows

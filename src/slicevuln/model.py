@@ -46,6 +46,8 @@ _GELU_A = 0.044715
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 _THRESHOLD = 0.5  # vulnerable iff softmax probability of class 1 >= this
 _NUM_CLASSES = 2  # non-vulnerable, vulnerable
+_GRAD_CHECK_EPSILON = 1e-5  # central-difference step
+_GRAD_CHECK_SEED = 0  # keys which coordinates grad_check samples
 CHECKPOINT_VERSION = 3
 
 
@@ -443,21 +445,15 @@ def _trim(ids: np.ndarray) -> np.ndarray:
     return ids[:, :max(int((ids != Vocab.PAD).sum(1).max()), 1)]
 
 
-def grad_check(
-    model: Model,
-    data: EncodedDataset,
-    epsilon: float = 1e-5,
-    num_samples: int = 200,
-    seed: int = 0,
-) -> float:
+def grad_check(model: Model, data: EncodedDataset, num_samples: int = 200) -> float:
     """Max relative error between analytic gradients and central differences.
 
     The loss is taken against ``data.labels``.  Runs on a float64 copy of
     the model, so the caller's parameters and their dtype stay as they are
     and the bound means the same for a float32 model.  Samples
-    ``num_samples`` coordinates of the parameter vector.  The
-    relative-error denominator is floored at 1e-6 so finite-difference
-    roundoff on near-zero coordinates does not dominate.
+    ``num_samples`` coordinates of the parameter vector, the same ones on
+    every call.  The relative-error denominator is floored at 1e-6 so
+    finite-difference roundoff on near-zero coordinates does not dominate.
     """
     model = Model(model.config, model.flat.astype(np.float64))
     ids, y = data.ids, data.labels
@@ -471,7 +467,8 @@ def grad_check(
         raise NumericError(f"non-finite gradient in {name}")
 
     flat, n = model.flat, model.flat.size
-    picks = np.random.default_rng(seed).choice(n, size=min(num_samples, n), replace=False)
+    rng = np.random.default_rng(_GRAD_CHECK_SEED)
+    picks = rng.choice(n, size=min(num_samples, n), replace=False)
 
     def loss_at() -> float:
         lg, _ = _forward_core(model, ids)
@@ -481,12 +478,12 @@ def grad_check(
     max_rel = 0.0
     for i in np.sort(picks):
         original = flat[i]
-        flat[i] = original + epsilon
+        flat[i] = original + _GRAD_CHECK_EPSILON
         up = loss_at()
-        flat[i] = original - epsilon
+        flat[i] = original - _GRAD_CHECK_EPSILON
         down = loss_at()
         flat[i] = original
-        numeric = (up - down) / (2.0 * epsilon)
+        numeric = (up - down) / (2.0 * _GRAD_CHECK_EPSILON)
         analytic = grad[i]
         rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
         max_rel = max(max_rel, rel)

@@ -531,6 +531,12 @@ def _report_with(**changes):
     return payload
 
 
+def _report_text(key, literal):
+    """The text of ``_report_with``'s payload with ``key`` set to the JSON
+    number ``literal``, written as given."""
+    return json.dumps(_report_with(**{key: "?"})).replace('"?"', literal)
+
+
 @pytest.mark.parametrize("text, reason", [
     ("{broken", "JSONDecodeError"),
     ('{"strategy": "S1"}', "KeyError: 'metrics'"),
@@ -546,6 +552,23 @@ def _report_with(**changes):
            "TypeError: peak_resident_memory_bytes is a bool"),
           ("strategy", ["S1"], "TypeError: strategy is a list"),
       ]),
+    # Python's json reads NaN, Infinity and 1e400 as floats that are not finite
+    *(pytest.param(_report_text(key, literal), reason, id=f"{key}={literal}")
+      for key, literal, reason in [
+          ("f1", "NaN", "ValueError: f1 is nan, not finite"),
+          ("accuracy", "Infinity", "ValueError: accuracy is inf, not finite"),
+          ("wall_time_seconds", "-Infinity", "ValueError: wall_time_seconds is -inf, not finite"),
+          ("peak_resident_memory_bytes", "1e400",
+           "ValueError: peak_resident_memory_bytes is inf, not finite"),
+          ("f1", "1.7", "ValueError: f1 is 1.7, outside [0, 1]"),
+          ("accuracy", "-0.2", "ValueError: accuracy is -0.2, outside [0, 1]"),
+          ("wall_time_seconds", "-3", "ValueError: wall_time_seconds is -3, outside [0, inf]"),
+          ("peak_resident_memory_bytes", "-1",
+           "ValueError: peak_resident_memory_bytes is -1, outside [0, inf]"),
+      ]),
+    pytest.param(_report_text("peak_resident_memory_bytes", "1" + "0" * 400),
+                 "OverflowError: int too large to convert to float",
+                 id="peak_resident_memory_bytes=10**400"),
 ])
 def test_report_on_a_broken_report_is_data_error(tmp_path, capsys, text, reason):
     path = tmp_path / "report.json"
@@ -606,9 +629,14 @@ def test_flag_inventory():
 
 
 @pytest.mark.parametrize("demo", [
-    "01_slice_c_code.py", "02_balance_hypotheses.py", "03_train_classifier.py"])
+    "01_slice_c_code.py", "02_balance_hypotheses.py", "03_train_classifier.py",
+    "04_run_strategies.py"])
 def test_demo_runs(demo, tmp_path):
-    # demo 04 is left out: it runs all three strategies for minutes and writes demo_runs/
     result = _run_python(str(SRC.parent / "demos" / demo), cwd=tmp_path)
     assert result.returncode == 0, result.stderr
-    assert list(tmp_path.iterdir()) == []
+    if demo == "04_run_strategies.py":  # emit writes one run directory per strategy
+        assert [p.name for p in tmp_path.iterdir()] == ["demo_runs"]
+        assert all((tmp_path / "demo_runs" / sid / "report.json").is_file()
+                   for sid in ("s1", "s2", "s3"))
+    else:
+        assert list(tmp_path.iterdir()) == []

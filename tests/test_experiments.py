@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -175,9 +176,9 @@ def test_emit_json_carries_resources_and_fingerprints(tmp_path, small_corpus):
     matrices = {kind: ConfusionMatrix(**cells) for kind, cells in payload["confusion"].items()}
     assert list(payload["metrics"]) == [*matrices, "Overall"]
     for kind, cm in matrices.items():
-        assert payload["metrics"][kind] == compute(cm).as_dict()
+        assert payload["metrics"][kind] == asdict(compute(cm))
     pooled = sum(matrices.values(), ConfusionMatrix(0, 0, 0, 0))
-    assert payload["metrics"]["Overall"] == compute(pooled).as_dict()
+    assert payload["metrics"]["Overall"] == asdict(compute(pooled))
 
 
 def test_emit_unwritable_path(tmp_path):

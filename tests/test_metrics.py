@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -63,7 +64,7 @@ def test_confusion_length_mismatch():
 
 def test_perfect_classifier():
     ms = compute(ConfusionMatrix(tp=50, fp=0, tn=50, fn=0))
-    for name, value in ms.as_dict().items():
+    for name, value in asdict(ms).items():
         assert value == pytest.approx(1.0), name
 
 
@@ -96,7 +97,7 @@ def test_matches_oracle_on_random_matrices():
     rng = np.random.default_rng(123)
     for _ in range(1000):
         tp, fp, tn, fn = (int(v) for v in rng.integers(1, 500, size=4))
-        ms = compute(ConfusionMatrix(tp, fp, tn, fn)).as_dict()
+        ms = asdict(compute(ConfusionMatrix(tp, fp, tn, fn)))
         want = oracle_metrics(tp, fp, tn, fn)
         for name in ms:
             assert ms[name] == pytest.approx(want[name], abs=1e-12), name
@@ -123,15 +124,14 @@ def test_prediction_swap_negates_mcc_and_swaps_recall_specificity():
 
 
 def test_aggregate_single_kind_identity():
-    cm = ConfusionMatrix(10, 2, 8, 3)
-    per_kind, overall = aggregate({Kind.PU: cm})
-    assert per_kind[Kind.PU] == overall
+    rows = kind_rows({Kind.PU: ConfusionMatrix(10, 2, 8, 3)})
+    assert list(rows) == ["PU", "Overall"]
+    assert rows["PU"] == rows["Overall"]
 
 
 def test_aggregate_identical_matrices():
     cm = ConfusionMatrix(10, 2, 8, 3)
-    _, overall = aggregate({Kind.PU: cm, Kind.AE: cm})
-    assert overall == compute(cm)
+    assert aggregate({Kind.PU: cm, Kind.AE: cm}) == compute(cm)
 
 
 def test_aggregate_pools_matrices():
@@ -142,8 +142,7 @@ def test_aggregate_pools_matrices():
         tp, fp, tn, fn = (int(v) for v in rng.integers(1, 100, size=4))
         matrices[kind] = ConfusionMatrix(tp, fp, tn, fn)
         pooled = pooled + matrices[kind]
-    _, overall = aggregate(matrices)
-    assert overall == compute(pooled)
+    assert aggregate(matrices) == compute(pooled)
 
 
 def test_aggregate_invariant_to_partitioning():
@@ -158,8 +157,16 @@ def test_aggregate_invariant_to_partitioning():
         )
         for k in range(4)
     }
-    _, overall = aggregate(split_cms)
-    assert overall == compute(confusion(preds.tolist(), truth.tolist()))
+    assert aggregate(split_cms) == compute(confusion(preds.tolist(), truth.tolist()))
+
+
+def test_kind_rows_orders_kinds_and_derives_each_row():
+    matrices = {Kind.AE: ConfusionMatrix(5, 1, 7, 2), Kind.API: ConfusionMatrix(9, 3, 4, 1)}
+    rows = kind_rows(matrices)
+    assert list(rows) == ["API", "AE", "Overall"]
+    for kind, cm in matrices.items():
+        assert rows[kind.value] == compute(cm)
+    assert rows["Overall"] == aggregate(matrices)
 
 
 def test_percent_formatting():
@@ -174,8 +181,8 @@ def test_csv_row_fixed_case():
 
 
 def test_table_layout():
-    ms = compute(ConfusionMatrix(tp=40, fn=10, tn=35, fp=15))
-    table = format_metric_table(kind_rows({Kind.PU: ms}, ms))
+    cm = ConfusionMatrix(tp=40, fn=10, tn=35, fp=15)
+    table = format_metric_table(kind_rows({Kind.PU: cm}))
     lines = table.splitlines()
     assert lines[0].split() == ["Category", "Recall", "Spec.", "Prec.", "F1", "MCC", "Acc."]
     assert lines[1].split() == ["PU", "80.00", "70.00", "72.73", "76.19", "50.25", "75.00"]

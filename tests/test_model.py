@@ -160,15 +160,15 @@ def test_loss_matches_per_sample_oracle():
 def test_grad_check_tiny_model(tiny_cfg):
     net = init(tiny_cfg, seed=7)
     data = random_dataset(tiny_cfg, 4, seed=3)
-    err = grad_check(net, data, epsilon=1e-5, num_samples=250)
+    err = grad_check(net, data, num_samples=250)
     assert err < 1e-4
 
 
 def test_grad_check_deterministic(tiny_cfg):
     net = init(tiny_cfg, seed=7)
     data = random_dataset(tiny_cfg, 4, seed=3)
-    a = grad_check(net, data, num_samples=60, seed=1)
-    b = grad_check(net, data, num_samples=60, seed=1)
+    a = grad_check(net, data, num_samples=60)
+    b = grad_check(net, data, num_samples=60)
     assert a == b
 
 
@@ -378,7 +378,7 @@ def _trained(cfg):
 
 def test_grad_check_on_a_trained_float32_model(tiny_cfg):
     net, data = _trained(tiny_cfg)
-    assert grad_check(net, data, epsilon=1e-5, num_samples=250) < 1e-4
+    assert grad_check(net, data, num_samples=250) < 1e-4
     assert all(p.dtype == np.float32 for p in net.params.values())
 
 

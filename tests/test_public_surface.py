@@ -35,7 +35,7 @@ def test_public_surface():
         "encode": ["text", "vocab", "max_len"],
         "normalize": ["slice_text"],
         "forward": ["model", "data", "batch_size"],
-        "grad_check": ["model", "data", "epsilon", "num_samples", "seed"],
+        "grad_check": ["model", "data", "num_samples"],
         "init": ["cfg", "seed"],
         "predict": ["model", "data"],
         "train": ["model", "train_data", "val_data", "tcfg"],
