@@ -14,6 +14,7 @@ import shlex
 import sys
 from collections import Counter
 from contextlib import contextmanager
+from json.encoder import encode_basestring as _json_str
 from pathlib import Path
 
 from . import balancer, corpus, experiments, metrics, model, slicer, synth
@@ -146,25 +147,21 @@ def _configs_from_args(args) -> tuple[model.ModelConfig, model.TrainConfig]:
     return config(model.ModelConfig), config(model.TrainConfig)
 
 
-# one encoder for every row: json.dumps builds a new one per call
-_encode_json = json.JSONEncoder(ensure_ascii=False).encode
-
-
-def _slice_one_file(path: str) -> list[dict]:
-    """Candidate records of one file; a DataError names the file.  Each id is
-    the path as given plus the candidate's index, so ids stay unique across
-    files that share a name."""
+def _slice_one_file(path: str) -> list[str]:
+    """The slices.jsonl rows of one file's candidates, each a line of JSON
+    text; a DataError names the file.  Each id is the path as given plus the
+    candidate's index, so ids stay unique across files that share a name.
+    The text is JSONEncoder(ensure_ascii=False)'s: strings through
+    encode_basestring, separators ", " and ": "."""
     source = read_utf8(path)
+    path_text = _json_str(path)
     try:
-        return [{
-            "id": f"{path}#{j}",
-            "kind": cand.kind.value,
-            "focus": cand.focus,
-            "line": cand.line,
-            "span": list(cand.span),
-            "code": slicer.build_slice(source, cand),
-            "source": path,
-        } for j, cand in enumerate(slicer.extract_candidates(source))]
+        return [
+            f'{{"id": {_json_str(f"{path}#{j}")}, "kind": "{cand.kind.value}", '
+            f'"focus": {_json_str(cand.focus)}, "line": {cand.line}, '
+            f'"span": [{cand.span[0]}, {cand.span[1]}], '
+            f'"code": {_json_str(slicer.build_slice(source, cand))}, "source": {path_text}}}\n'
+            for j, cand in enumerate(slicer.extract_candidates(source))]
     except DataError as e:
         raise DataError(f"{path}: {e}") from e
 
@@ -175,12 +172,12 @@ def _cmd_slice(args) -> int:
     if repeated:
         args.parser.error(f"argument --in: given more than once: {', '.join(repeated)}")
     # every file is sliced before anything is written, so a bad file leaves no output
-    records = [record for p in args.inputs for record in _slice_one_file(str(p))]
+    rows = [row for p in args.inputs for row in _slice_one_file(str(p))]
     args.out.mkdir(parents=True, exist_ok=True)
     out_path = args.out / "slices.jsonl"
     with open(out_path, "w", encoding="utf-8") as fh:
-        fh.writelines(_encode_json(record) + "\n" for record in records)
-    _log(f"wrote {len(records)} candidate slices to {out_path}")
+        fh.writelines(rows)
+    _log(f"wrote {len(rows)} candidate slices to {out_path}")
     return 0
 
 

@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 from . import balancer, corpus, metrics, model, tokenizer
 from .corpus import CELL_ORDER, KIND_ORDER, Kind, SampleSet
-from .errors import DataError
+from .errors import DataError, LexError
 
 STRATEGY_IDS = ("S1", "S2", "S3")
 
@@ -110,8 +110,16 @@ class _Stage:
 
 
 def model_texts(sset: SampleSet) -> list[str]:
-    """The text the model sees for each sample: its normalized code."""
-    return [tokenizer.normalize(s.code) for s in sset]
+    """The text the model sees for each sample: its normalized code.  Code
+    that does not lex is a DataError naming the sample's id and source."""
+    texts = []
+    for s in sset:
+        try:
+            texts.append(tokenizer.normalize(s.code))
+        except LexError as e:
+            where = f"sample {s.id!r}" + ("" if s.source is None else f" (source {s.source})")
+            raise DataError(f"{where}: {e}") from e
+    return texts
 
 
 def encode_set(

@@ -1,7 +1,10 @@
 """C/C++ lexer, vulnerability-candidate detection, and lightweight slicing.
 
 The lexer is lossless: concatenating the text of every token (whitespace
-and comments included) reproduces the input exactly.  As in C, a backslash
+and comments included) reproduces the input exactly.  With
+``layout=False`` it returns only the significant tokens: it builds none
+for whitespace, comments or directives, which neither candidate detection,
+slicing nor normalization reads.  As in C, a backslash
 right before a newline splices two lines, so a ``//`` comment, a directive
 or a string or character literal runs on past it.  Candidate detection runs
 over the token stream with four rules:
@@ -19,8 +22,10 @@ order.
 
 Slicing is an intra-procedural identifier-sharing approximation: starting
 from the candidate's focus identifier, lines are pulled in for a bounded
-number of def-use hops.  This is a declared stand-in for dependence-graph
-slicing, good enough to produce realistic classifier inputs.
+number of def-use hops.  Each identifier's hops are walked once per
+function region and shared by every candidate that reads them.  This is a
+declared stand-in for dependence-graph slicing, good enough to produce
+realistic classifier inputs.
 """
 
 from __future__ import annotations
@@ -129,11 +134,18 @@ _LEX_ERRORS = {
     '"': "unterminated string literal",
     "'": "unterminated character literal",
 }
-_INSIGNIFICANT = {_WHITESPACE, _COMMENT, _DIRECTIVE}
+# the classes lex(layout=False) leaves out: nothing past the lexer reads them
+_LAYOUT = {_WHITESPACE, _COMMENT, _DIRECTIVE}
 
 
-def lex(source: str) -> list[Token]:
-    """Tokenize C/C++ source losslessly; raises LexError with a line number.
+def lex(source: str, *, layout: bool = True) -> list[Token]:
+    """Tokenize C/C++ source; raises LexError with a line number.
+
+    With ``layout`` (the default) the tokens are lossless: their texts
+    concatenate to ``source``.  ``layout=False`` returns only the
+    significant tokens, the same ones with the same lines: no token is
+    built for whitespace, comments or directives, though their newlines
+    still count and a directive is still checked to start its line.
 
     Each newline a token holds moves the line count: a whitespace, comment
     or directive token may hold several, and a string or character literal
@@ -148,10 +160,13 @@ def lex(source: str) -> list[Token]:
         cls = _CLASS_OF_GROUP.get(m.lastgroup)
         if cls is None or (cls is _DIRECTIVE and not at_line_start):
             raise LexError(_LEX_ERRORS.get(text, f"unexpected character {text[0]!r}"), line)
-        if cls is _IDENTIFIER and text in C_KEYWORDS:
-            cls = _KEYWORD
-        tokens.append(Token(text, cls, line))
-        if cls not in _INSIGNIFICANT:
+        if cls in _LAYOUT:
+            if layout:
+                tokens.append(Token(text, cls, line))
+        else:
+            if cls is _IDENTIFIER and text in C_KEYWORDS:
+                cls = _KEYWORD
+            tokens.append(Token(text, cls, line))
             at_line_start = False
         if "\n" in text:
             newlines = text.count("\n")
@@ -160,11 +175,6 @@ def lex(source: str) -> list[Token]:
             if cls is _WHITESPACE and newlines > text.count("\\"):
                 at_line_start = True
     return tokens
-
-
-def significant(tokens: list[Token]) -> list[Token]:
-    """Drop whitespace, comments, and preprocessor directives."""
-    return [t for t in tokens if t.cls not in _INSIGNIFICANT]
 
 
 _OPENER = {")": "(", "]": "[", "}": "{"}
@@ -214,10 +224,11 @@ class _FileIndex:
     """What candidate detection and slicing read from one source text,
     built from a single ``lex``: the significant tokens, their bracket
     matches, the source lines, the identifiers on each line and the
-    function region of each line."""
+    function region of each line.  Each region's use lists and each
+    identifier's reach are built when first asked for."""
 
     def __init__(self, source: str):
-        self.sig = significant(lex(source))
+        self.sig = lex(source, layout=False)
         self.closing = _match_brackets(self.sig)
         self.lines = source.split("\n")
         self.line_ids: dict[int, set[str]] = {}
@@ -230,6 +241,7 @@ class _FileIndex:
             for n in range(start, end + 1):
                 self.region_of.setdefault(n, (start, end))
         self._uses: dict[tuple[int, int], dict[str, list[int]]] = {}
+        self._reach: dict[tuple[tuple[int, int], str], tuple[int, ...]] = {}
 
     def uses(self, lo: int, hi: int) -> dict[str, list[int]]:
         """Identifier -> the lines in lo..hi that mention it, built once per
@@ -241,6 +253,30 @@ class _FileIndex:
                 for ident in self.line_ids.get(n, ()):
                     uses.setdefault(ident, []).append(n)
         return uses
+
+    def reach(self, region: tuple[int, int], ident: str) -> tuple[int, ...]:
+        """The lines of ``region`` within _DEF_USE_HOPS def-use hops of
+        ``ident``, built once per (region, identifier).
+
+        Hop 1 is every line mentioning ``ident``, hop 2 every line
+        mentioning an identifier hop 1 added, and so on.  Each hop looks up
+        only the identifiers the previous hop added: lines that mention
+        older ones are already reached."""
+        reached = self._reach.get((region, ident))
+        if reached is None:
+            uses = self.uses(*region)
+            lines: set[int] = set()
+            known, added = {ident}, {ident}
+            for _ in range(_DEF_USE_HOPS):
+                hit = {n for i in added for n in uses.get(i, ())} - lines
+                if not hit:
+                    break
+                lines |= hit
+                added = set().union(*(self.line_ids[n] for n in hit)) - known
+                known |= added
+            # kept as a tuple: a set of a dozen lines takes five times the memory
+            reached = self._reach[region, ident] = tuple(lines)
+        return reached
 
 
 @functools.lru_cache(maxsize=1)
@@ -350,21 +386,13 @@ def build_slice(source: str, candidate: Candidate) -> str:
     lines = idx.lines
     if not 1 <= candidate.line <= len(lines):
         raise ValueError(f"candidate line {candidate.line} out of range 1..{len(lines)}")
-    uses = idx.uses(*idx.region_of.get(candidate.line, (1, len(lines))))
+    region = idx.region_of.get(candidate.line, (1, len(lines)))
 
-    # hop 0: the focus plus everything co-located with it on its line.  Each
-    # hop looks up only the identifiers the previous hop added: lines that
-    # mention older ones are already selected.
-    reachable = {candidate.focus} | idx.line_ids.get(candidate.line, set())
-    selected = {candidate.line}
-    added = reachable
-    for _ in range(_DEF_USE_HOPS):
-        hit = {n for ident in added for n in uses.get(ident, ())} - selected
-        if not hit:
-            break
-        selected |= hit
-        added = set().union(*(idx.line_ids[n] for n in hit)) - reachable
-        reachable |= added
+    # the lines within reach of a set of identifiers are the union of those
+    # within reach of each: here the focus and everything on its line
+    selected = {candidate.line, *idx.reach(region, candidate.focus)}
+    for ident in idx.line_ids.get(candidate.line, ()):
+        selected.update(idx.reach(region, ident))
 
     ordered = sorted(selected)
     if len(ordered) > _MAX_SLICE_LINES:

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError
-from .slicer import DEFAULT_API_LIST, TokenClass, lex, significant
+from .slicer import DEFAULT_API_LIST, TokenClass, lex
 
 _PLACEHOLDER = re.compile(r"(VAR|FUN)(\d+)$")
 _KEEP_NUMBER_CHARS = 4
@@ -33,7 +33,7 @@ _IDENTIFIER, _NUMBER, _STRING = TokenClass.IDENTIFIER, TokenClass.NUMBER, TokenC
 
 def normalize(slice_text: str) -> str:
     """Rename user symbols to canonical placeholders; drop comments."""
-    toks = significant(lex(slice_text))
+    toks = lex(slice_text, layout=False)
     # fresh placeholder numbering starts above anything already present so
     # re-normalizing (or normalizing partially normalized text) cannot
     # capture an existing name

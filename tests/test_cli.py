@@ -481,6 +481,19 @@ def test_train_on_a_corpus_too_small_to_split_is_data_error(tmp_path, small_corp
     assert "training and validation sets must be non-empty" in err
 
 
+def test_train_on_a_row_that_does_not_lex_names_the_row(tmp_path, small_corpus_path, capsys):
+    # the code ends in a backslash that no newline follows
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"id": "x7", "kind": "AE", "label": 1, "code": "t = 1 + \\\\", '
+                   '"source": "a.c"}\n' + small_corpus_path.read_text())
+    out = tmp_path / "m"
+    assert main(["train", "--in", str(bad), *FAST_FLAGS, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert ("data error: [stage: tokenize] sample 'x7' (source a.c): "
+            "line 1: unexpected character '\\\\'") in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_run_strategy_flags_file_and_determinism(tmp_path, small_corpus_path):
     flags = ["--strategy", "s2", "--in", str(small_corpus_path), "--seed", "42", *FAST_FLAGS]
     flags_file = tmp_path / "s2.flags"

@@ -27,7 +27,7 @@ def test_public_surface():
         "split": ["sset", "seed"],
         "build_slice": ["source", "candidate"],
         "extract_candidates": ["source"],
-        "lex": ["source"],
+        "lex": ["source", "layout"],
         "balance_h1": ["corpus", "seed"],
         "balance_h2": ["corpus", "seed"],
         "remainder": ["corpus", "balanced"],

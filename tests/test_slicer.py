@@ -238,6 +238,28 @@ def test_lex_round_trips_or_raises_lex_error(src):
     _assert_positions(src, toks)
 
 
+# pieces that make lex's layout tokens span lines or sit next to each other:
+# block comments across lines, splices, and directives after comments
+LAYOUT_FRAGMENTS = ["/* a\nb */", "/*\n\n*/", "\\\n", "\\\r\n", "/* c */#define Y 1\n",
+                    "/* c */ # x\n", "\n#if X\n", "// c \\\nd\n", "/* c */\n#x\n"]
+_LAYOUT = {TokenClass.WHITESPACE, TokenClass.COMMENT, TokenClass.DIRECTIVE}
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.text(alphabet=string.printable, max_size=80)
+       | st.lists(st.sampled_from(C_FRAGMENTS + LAYOUT_FRAGMENTS + list(string.printable)),
+                  max_size=40).map("".join))
+def test_lex_without_layout_is_the_significant_tokens_of_lex(src):
+    try:
+        tokens = lex(src)
+    except LexError as e:
+        with pytest.raises(LexError) as info:
+            lex(src, layout=False)
+        assert (info.value.message, info.value.line) == (e.message, e.line)
+        return
+    assert lex(src, layout=False) == [t for t in tokens if t.cls not in _LAYOUT]
+
+
 @pytest.mark.parametrize("name,src,expected", GOLDEN, ids=[g[0] for g in GOLDEN])
 def test_golden_candidates_exact(name, src, expected):
     got = [(c.kind, c.focus, c.line) for c in extract_candidates(src)]
@@ -356,9 +378,9 @@ def test_slicing_a_file_lexes_it_once(monkeypatch):
 
     calls = []
 
-    def counting_lex(source):
+    def counting_lex(source, **kwargs):
         calls.append(source)
-        return real_lex(source)
+        return real_lex(source, **kwargs)
 
     real_lex = slicer.lex
     monkeypatch.setattr(slicer, "lex", counting_lex)
@@ -366,6 +388,78 @@ def test_slicing_a_file_lexes_it_once(monkeypatch):
     records = cli._slice_one_file(str(FIXTURES / "multi_function.c"))
     assert len(records) > 100
     assert len(calls) == 1
+
+
+def _frontier_slice(src: str, cand) -> str:
+    """build_slice's answer by one frontier walk from the focus and the
+    identifiers on its line, hop by hop."""
+    from slicevuln.slicer import _DEF_USE_HOPS, _MAX_SLICE_LINES, _index
+
+    idx = _index(src)
+    uses = idx.uses(*idx.region_of.get(cand.line, (1, len(idx.lines))))
+    reachable = {cand.focus} | idx.line_ids.get(cand.line, set())
+    selected, added = {cand.line}, reachable
+    for _ in range(_DEF_USE_HOPS):
+        hit = {n for ident in added for n in uses.get(ident, ())} - selected
+        if not hit:
+            break
+        selected |= hit
+        added = set().union(*(idx.line_ids[n] for n in hit)) - reachable
+        reachable |= added
+    ordered = sorted(selected)
+    if len(ordered) > _MAX_SLICE_LINES:
+        center = ordered.index(cand.line)
+        start = min(max(center - (_MAX_SLICE_LINES - 1) // 2, 0),
+                    len(ordered) - _MAX_SLICE_LINES)
+        ordered = ordered[start:start + _MAX_SLICE_LINES]
+    return "\n".join(idx.lines[n - 1] for n in ordered)
+
+
+_NAMES = ["a", "b", "c", "n", "p", "buf", "len"]
+_STATEMENTS = ["{0} = {1} + {2};", "{0}[{1}] = {2};", "*{0} = {1};", "strcpy({0}, {1});",
+               "{0} = {1} * {2};", "int {0} = {1};", "{0}->next = {1};", "if ({0}) {1} = {2} - 1;"]
+_statement = st.builds(lambda form, names: form.format(*names), st.sampled_from(_STATEMENTS),
+                       st.lists(st.sampled_from(_NAMES), min_size=3, max_size=3))
+# a function of up to 45 statements, or one statement at file scope
+_unit = (st.lists(_statement, min_size=1, max_size=45).map(
+            lambda body: "void f(int {0}) {{\n{1}\n}}".format(
+                _NAMES[len(body) % len(_NAMES)], "\n".join("    " + b for b in body)))
+         | _statement)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.lists(_unit, min_size=1, max_size=5).map("\n".join))
+def test_build_slice_matches_a_frontier_walk(src):
+    for cand in extract_candidates(src):
+        assert build_slice(src, cand) == _frontier_slice(src, cand)
+
+
+def test_an_identifiers_reach_is_walked_once_per_region(monkeypatch):
+    # each candidate line repeats the same identifiers, so slicing n copies
+    # looks up no more use lists than slicing one
+    from slicevuln import slicer
+
+    lookups = []
+
+    class CountingUses(dict):
+        def get(self, key, default=None):
+            lookups.append(key)
+            return super().get(key, default)
+
+    real_uses = slicer._FileIndex.uses
+    monkeypatch.setattr(slicer._FileIndex, "uses",
+                        lambda self, lo, hi: CountingUses(real_uses(self, lo, hi)))
+
+    def count(n):
+        src = "void f(char *buf, int i, int x) {\n" + "    buf[i] = x + 1;\n" * n + "}\n"
+        lookups.clear()
+        cands = extract_candidates(src)
+        assert len(cands) == 2 * n + 1
+        for cand in cands:
+            build_slice(src, cand)
+        return len(lookups)
+
+    assert count(40) == count(1) > 0
 
 
 def test_build_slice_focus_always_present():
