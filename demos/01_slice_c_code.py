@@ -41,5 +41,5 @@ print()
 api = [c for c in candidates if c.kind.value == "API" and c.focus == "strcpy"][0]
 print(f"slice around the strcpy call (line {api.line}):")
 print("-" * 50)
-print(build_slice(SOURCE, api))
+print(build_slice(api))
 print("-" * 50)

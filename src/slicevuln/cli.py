@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import shlex
 import sys
 from collections import Counter
@@ -152,15 +153,16 @@ def _slice_one_file(path: str) -> list[str]:
     text; a DataError names the file.  Each id is the path as given plus the
     candidate's index, so ids stay unique across files that share a name.
     The text is JSONEncoder(ensure_ascii=False)'s: strings through
-    encode_basestring, separators ", " and ": "."""
-    source = read_utf8(path)
+    encode_basestring, separators ", " and ": ".  A leading byte-order mark
+    is dropped, as C compilers drop it."""
+    source = read_utf8(path).removeprefix("\ufeff")
     path_text = _json_str(path)
     try:
         return [
             f'{{"id": {_json_str(f"{path}#{j}")}, "kind": "{cand.kind.value}", '
             f'"focus": {_json_str(cand.focus)}, "line": {cand.line}, '
             f'"span": [{cand.span[0]}, {cand.span[1]}], '
-            f'"code": {_json_str(slicer.build_slice(source, cand))}, "source": {path_text}}}\n'
+            f'"code": {_json_str(slicer.build_slice(cand))}, "source": {path_text}}}\n'
             for j, cand in enumerate(slicer.extract_candidates(source))]
     except DataError as e:
         raise DataError(f"{path}: {e}") from e
@@ -171,6 +173,12 @@ def _cmd_slice(args) -> int:
     repeated = [str(p) for p, n in Counter(args.inputs).items() if n > 1]
     if repeated:
         args.parser.error(f"argument --in: given more than once: {', '.join(repeated)}")
+    # each row holds its path's text, and rows are written as UTF-8
+    for p in args.inputs:
+        try:
+            str(p).encode("utf-8")
+        except UnicodeEncodeError:
+            args.parser.error(f"argument --in: path is not UTF-8: {os.fsencode(p)!r}")
     # every file is sliced before anything is written, so a bad file leaves no output
     rows = [row for p in args.inputs for row in _slice_one_file(str(p))]
     args.out.mkdir(parents=True, exist_ok=True)

@@ -49,6 +49,7 @@ _NUM_CLASSES = 2  # non-vulnerable, vulnerable
 _GRAD_CHECK_EPSILON = 1e-5  # central-difference step
 _GRAD_CHECK_SEED = 0  # keys which coordinates grad_check samples
 CHECKPOINT_VERSION = 3
+_MAX_PARAMETERS = 2**31  # a config over this is refused before any array is built
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,16 @@ class ModelConfig:
             )
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        # the size of _shapes's layout, by arithmetic alone
+        H, F = self.hidden_dim, self.ff_dim
+        count = ((self.vocab_size + self.max_len) * H
+                 + self.num_layers * (4 * H * H + 2 * H * F + 9 * H + F)
+                 + (2 + _NUM_CLASSES) * H + _NUM_CLASSES)
+        if count > _MAX_PARAMETERS:
+            raise ValueError(
+                f"num_layers {self.num_layers}, hidden_dim {H}, ff_dim {F}, max_len "
+                f"{self.max_len} and vocab_size {self.vocab_size} give {count} parameters, "
+                f"over the limit of 2**31")
 
     @property
     def head_dim(self) -> int:

@@ -18,21 +18,22 @@ over the token stream with four rules:
   or numbers, outside array subscripts.
 
 Each token starts at most one candidate, and candidates come out in token
-order.
+order.  Each candidate carries its file's index, built from one ``lex``
+of the source, so slicing it lexes nothing again and the index is freed
+with the file's candidates.
 
 Slicing is an intra-procedural identifier-sharing approximation: starting
 from the candidate's focus identifier, lines are pulled in for a bounded
 number of def-use hops.  Each identifier's hops are walked once per
-function region and shared by every candidate that reads them.  This is a
-declared stand-in for dependence-graph slicing, good enough to produce
-realistic classifier inputs.
+function region and shared by every candidate of the file that reads them.
+This is a declared stand-in for dependence-graph slicing, good enough to
+produce realistic classifier inputs.
 """
 
 from __future__ import annotations
 
-import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -99,6 +100,8 @@ class Candidate:
     line: int
     focus: str
     span: tuple[int, int]
+    # what build_slice reads; not part of the candidate's value
+    file: _FileIndex = field(repr=False, compare=False)
 
 
 # The rest of a logical line.  C splices a backslash-newline away in
@@ -221,23 +224,20 @@ def _function_regions(toks: list[Token], closing: list[int | None]) -> list[tupl
 
 
 class _FileIndex:
-    """What candidate detection and slicing read from one source text,
-    built from a single ``lex``: the significant tokens, their bracket
-    matches, the source lines, the identifiers on each line and the
-    function region of each line.  Each region's use lists and each
-    identifier's reach are built when first asked for."""
+    """What slicing reads from one source text, given its significant
+    tokens and their bracket matches: the source lines, the identifiers on
+    each line and the function region of each line.  Each region's use
+    lists and each identifier's reach are built when first asked for."""
 
-    def __init__(self, source: str):
-        self.sig = lex(source, layout=False)
-        self.closing = _match_brackets(self.sig)
+    def __init__(self, source: str, sig: list[Token], closing: list[int | None]):
         self.lines = source.split("\n")
         self.line_ids: dict[int, set[str]] = {}
-        for tok in self.sig:
+        for tok in sig:
             if tok.cls is _IDENTIFIER:
                 self.line_ids.setdefault(tok.line, set()).add(tok.text)
         # a line shared by two regions belongs to the first, as it is found first
         self.region_of: dict[int, tuple[int, int]] = {}
-        for start, end in _function_regions(self.sig, self.closing):
+        for start, end in _function_regions(sig, closing):
             for n in range(start, end + 1):
                 self.region_of.setdefault(n, (start, end))
         self._uses: dict[tuple[int, int], dict[str, list[int]]] = {}
@@ -279,13 +279,6 @@ class _FileIndex:
         return reached
 
 
-@functools.lru_cache(maxsize=1)
-def _index(source: str) -> _FileIndex:
-    """The index of the last file seen: extract_candidates followed by
-    build_slice for each candidate lexes the file once."""
-    return _FileIndex(source)
-
-
 _AE_OPS = {"+", "-", "*", "/", "%"}
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "<<=", ">>=", "&=", "|=", "^="}
 # token classes that can end an expression; an operator after one of these
@@ -303,9 +296,12 @@ def _is_binary_position(prev: Token | None) -> bool:
 
 def extract_candidates(source: str) -> list[Candidate]:
     """Detect API/AU/PU/AE candidates in token order.  The rules are
-    exclusive branches of one test per token, so no two share a token."""
-    idx = _index(source)
-    toks = idx.sig
+    exclusive branches of one test per token, so no two share a token.
+    Every candidate holds the one index of ``source`` that build_slice
+    reads."""
+    toks = lex(source, layout=False)
+    closing = _match_brackets(toks)
+    idx = _FileIndex(source, toks, closing)
     found: list[Candidate] = []
 
     bracket_depth = 0
@@ -337,13 +333,13 @@ def extract_candidates(source: str) -> list[Candidate]:
                 kind = Kind.AU
             else:
                 continue
-            close = idx.closing[i + 1]
+            close = closing[i + 1]
             end_line = toks[close].line if close is not None else tok.line
-            found.append(Candidate(kind, tok.line, tok.text, (tok.line, end_line)))
+            found.append(Candidate(kind, tok.line, tok.text, (tok.line, end_line), idx))
 
         elif tok.cls is _OPERATOR:
             if tok.text == "->" and prev is not None and prev.cls is _IDENTIFIER:
-                found.append(Candidate(Kind.PU, tok.line, prev.text, (tok.line, tok.line)))
+                found.append(Candidate(Kind.PU, tok.line, prev.text, (tok.line, tok.line), idx))
             elif tok.text == "*" and not _is_binary_position(prev):
                 # dereference or pointer declarator; collapse a ** run to
                 # one candidate at the first star
@@ -353,7 +349,8 @@ def extract_candidates(source: str) -> list[Candidate]:
                 while j < len(toks) and toks[j].text == "*":
                     j += 1
                 if j < len(toks) and toks[j].cls is _IDENTIFIER:
-                    found.append(Candidate(Kind.PU, tok.line, toks[j].text, (tok.line, tok.line)))
+                    found.append(Candidate(Kind.PU, tok.line, toks[j].text,
+                                           (tok.line, tok.line), idx))
             elif (
                 tok.text in _AE_OPS
                 and bracket_depth == 0
@@ -368,13 +365,14 @@ def extract_candidates(source: str) -> list[Candidate]:
                     (t.text for t in (prev, nxt)
                      if t.cls is _IDENTIFIER and t.line == tok.line), None)
                 if focus is not None:
-                    found.append(Candidate(Kind.AE, tok.line, focus, (tok.line, tok.line)))
+                    found.append(Candidate(Kind.AE, tok.line, focus, (tok.line, tok.line), idx))
 
     return found
 
 
-def build_slice(source: str, candidate: Candidate) -> str:
-    """Assemble the candidate line plus def-use-related lines, in order.
+def build_slice(candidate: Candidate) -> str:
+    """Assemble the candidate line plus def-use-related lines of the file
+    ``extract_candidates`` found it in, in order.
 
     Related lines are found by identifier sharing: hop 1 pulls in every
     line mentioning an identifier on the candidate line, hop 2 every line
@@ -382,7 +380,7 @@ def build_slice(source: str, candidate: Candidate) -> str:
     The result is truncated to _MAX_SLICE_LINES lines centered on the
     candidate line.
     """
-    idx = _index(source)
+    idx = candidate.file
     lines = idx.lines
     if not 1 <= candidate.line <= len(lines):
         raise ValueError(f"candidate line {candidate.line} out of range 1..{len(lines)}")

@@ -7,10 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slicevuln import Kind, balance_h1
+from slicevuln import Kind, balance_h1, model
 from slicevuln.cli import _build_parser, main
 from slicevuln.corpus import load, save, split
 from slicevuln.synth import DESK_COUNTS, pattern_corpus, reference_corpus
+
+from conftest import refuse_to_lay_out
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -84,14 +86,21 @@ def test_unknown_flag_is_usage_error():
     ("run-strategy", [{"--max-len 1": "max_len must be >= 2"}]),
     ("run-strategy", [{"--weight-decay nan": "weight_decay must be finite"}]),
     ("run-strategy", [{"--lr nan": "learning_rate must be finite"}]),
+    # models too large to build, refused before any parameter table exists
+    ("train", ["--vocab-size", "1000000000000000"]),
+    ("run-strategy", [{"--vocab-size 1000000000000000":
+                       "vocab_size 1000000000000000 give 64000000000132994 parameters"}]),
+    ("run-strategy", [{"--layers 1000000000": "num_layers 1000000000, hidden_dim 64"}]),
 ], ids=[  # fixed ids, so adding or deleting a case renames no other case
     "run-strategy-flags0", "run-strategy-flags1", "train-flags2", "slice-flags3",
     "run-strategy-flags4", "run-strategy-flags5", "run-strategy-flags6", "train-flags7",
     "train-flags8", "run-strategy-flags9", "run-strategy-flags10", "run-strategy-flags11",
-    "run-strategy-flags12",
+    "run-strategy-flags12", "train-huge-vocab", "run-strategy-huge-vocab",
+    "run-strategy-huge-layers",
 ])
-def test_invalid_flag_value_is_usage_error(tmp_path, small_corpus_path, capsys,
+def test_invalid_flag_value_is_usage_error(tmp_path, small_corpus_path, capsys, monkeypatch,
                                            command, flags):
+    monkeypatch.setattr(model, "_shapes", refuse_to_lay_out)  # no case gets that far
     inputs = [str(small_corpus_path)]
     if command == "slice":
         src = tmp_path / "a.c"
@@ -249,6 +258,29 @@ def test_slice_non_utf8_file_is_data_error(tmp_path, capsys):
     assert main(["slice", "--in", str(src), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert f"{src}:3: not UTF-8 (byte 0xe9" in err and "Traceback" not in err
+
+
+def test_slice_rejects_a_path_that_is_not_utf8(tmp_path, capsys):
+    # the row ids and sources hold the path's text, which UTF-8 cannot write
+    (src,) = _write_sources(tmp_path, {os.fsdecode(b"\xff.c"): SLICE_SOURCES["ok.c"]})
+    out = tmp_path / "o"
+    assert main(["slice", "--in", src, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "usage: slicevuln slice" in err and "Traceback" not in err
+    assert f"path is not UTF-8: {os.fsencode(src)!r}" in err
+    assert not out.exists()
+
+
+def test_slice_skips_a_leading_byte_order_mark(tmp_path):
+    text = (FIXTURES / "multi_function.c").read_text(encoding="utf-8")
+    plain, marked = _write_sources(tmp_path, {"plain.c": text, "marked.c": "\ufeff" + text})
+    rows = {}
+    for src in (plain, marked):
+        out = tmp_path / Path(src).stem
+        assert main(["slice", "--in", src, "--out", str(out)]) == 0
+        rows[src] = [{k: r[k] for k in ("kind", "focus", "line", "span", "code")}
+                     for r in map(json.loads, (out / "slices.jsonl").read_text().splitlines())]
+    assert len(rows[plain]) > 100 and rows[marked] == rows[plain]
 
 
 @pytest.mark.parametrize("expected,sources", [

@@ -15,6 +15,7 @@ from slicevuln import (
     forward,
     grad_check,
     init,
+    model,
     predict,
     train,
 )
@@ -22,7 +23,7 @@ from slicevuln.model import (Model, _backward_core, _forward_core, _loss_and_gra
                              _trim, load_checkpoint, save_checkpoint)
 from slicevuln.tokenizer import EncodedDataset, Vocab, build_vocab
 
-from conftest import random_batch, random_dataset
+from conftest import random_batch, random_dataset, refuse_to_lay_out
 
 
 def desk_cfg(**overrides):
@@ -538,14 +539,25 @@ def test_checkpoint_config_disagreeing_with_its_arrays_is_data_error(tmp_path, t
         load_checkpoint(path)
 
 
-def test_checkpoint_config_far_larger_than_its_arrays_is_data_error(tmp_path, tiny_cfg):
-    # a config claiming 2**44 embedding rows: checking the stored shapes
-    # against the layout must not build the 2**47-value table first
+def test_checkpoint_config_far_larger_than_its_arrays_is_data_error(tmp_path, tiny_cfg,
+                                                                     monkeypatch):
+    # a config claiming 2**44 embedding rows is refused by its parameter
+    # count, before the 2**47-value layout is asked for
     path = save_checkpoint(init(tiny_cfg, seed=4), tmp_path / "model.npz", _vocab())
     _rewrite_checkpoint(path, vocab_size=2**44)
+    monkeypatch.setattr(model, "_shapes", refuse_to_lay_out)
+    with pytest.raises(DataError, match=re.escape(f"{path}: not a checkpoint (ValueError: ")
+                       + f".*vocab_size {2**44} give .* parameters, over the limit of 2\\*\\*31"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_config_of_a_billion_layers_is_data_error(tmp_path, tiny_cfg, monkeypatch):
+    # _shapes would make 16 entries per layer before any shape is compared
+    path = save_checkpoint(init(tiny_cfg, seed=4), tmp_path / "model.npz", _vocab())
+    _rewrite_checkpoint(path, num_layers=10**9)
+    monkeypatch.setattr(model, "_shapes", refuse_to_lay_out)
     with pytest.raises(DataError, match=re.escape(
-            f"{path}: parameter tok_emb has shape (32, 8), the stored config gives "
-            f"({2**44}, 8)")):
+            f"{path}: not a checkpoint (ValueError: num_layers {10**9}, hidden_dim 8")):
         load_checkpoint(path)
 
 

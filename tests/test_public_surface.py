@@ -25,7 +25,7 @@ def test_public_surface():
         "load": ["path"],
         "save": ["sset", "path"],
         "split": ["sset", "seed"],
-        "build_slice": ["source", "candidate"],
+        "build_slice": ["candidate"],
         "extract_candidates": ["source"],
         "lex": ["source", "layout"],
         "balance_h1": ["corpus", "seed"],
@@ -63,5 +63,5 @@ def test_config_fields():
         "StrategySpec": ["id", "model_config", "train_config"],
         "Report": ["strategy", "confusion", "resources", "fingerprints", "history"],
         "EncodedDataset": ["ids", "labels"],
-        "Candidate": ["kind", "line", "focus", "span"],
+        "Candidate": ["kind", "line", "focus", "span", "file"],
     }

@@ -1,7 +1,10 @@
+import dataclasses
+import gc
 import hashlib
 import json
 import string
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -305,19 +308,19 @@ def test_double_star_collapses_to_one_candidate():
 def test_build_slice_single_line():
     src = "strcpy(a, b);"
     (cand,) = extract_candidates(src)
-    assert build_slice(src, cand) == src
+    assert build_slice(cand) == src
 
 
 def test_build_slice_def_use_example():
     src = "int n = 10;\nchar b[8];\nmemcpy(b, s, n);"
     cand = [c for c in extract_candidates(src) if c.kind == Kind.API][0]
-    assert build_slice(src, cand) == src
+    assert build_slice(cand) == src
 
 
 def test_build_slice_excludes_unrelated_lines():
     src = "int n = 10;\nint other = 5;\nmemcpy(b, s, n);"
     cand = [c for c in extract_candidates(src) if c.kind == Kind.API][0]
-    out = build_slice(src, cand)
+    out = build_slice(cand)
     assert "other" not in out
     assert "memcpy" in out and "int n = 10;" in out
 
@@ -326,7 +329,7 @@ def test_build_slice_reaches_two_hops_not_three():
     # each line shares one identifier with the next: d -> c -> b -> the call
     src = "void f(void) {\n    int d = 4;\n    int c = d;\n    int b = c;\n    strcpy(a, b);\n}"
     cand = [c for c in extract_candidates(src) if c.kind == Kind.API][0]
-    assert build_slice(src, cand) == "    int c = d;\n    int b = c;\n    strcpy(a, b);"
+    assert build_slice(cand) == "    int c = d;\n    int b = c;\n    strcpy(a, b);"
 
 
 def test_build_slice_truncates_to_max_lines():
@@ -334,7 +337,7 @@ def test_build_slice_truncates_to_max_lines():
     src = f"void f(int x) {{\n{body}\n}}"
     cands = extract_candidates(src)
     cand = cands[len(cands) // 2]
-    out = build_slice(src, cand)
+    out = build_slice(cand)
     lines = out.split("\n")
     assert len(lines) <= 30
     assert src.split("\n")[cand.line - 1] in lines
@@ -351,13 +354,13 @@ def test_build_slice_stays_inside_function():
         "}\n"
     )
     cand = [c for c in extract_candidates(src) if c.kind == Kind.API][0]
-    out = build_slice(src, cand)
+    out = build_slice(cand)
     assert "helper" not in out
     assert "strcpy(buf, s);" in out
 
 
 def test_function_regions_ignore_call_brace_patterns_in_bodies():
-    from slicevuln.slicer import _function_regions, _index
+    from slicevuln.slicer import _function_regions, _match_brackets
 
     src = (
         "int outer(int n) {\n"
@@ -369,8 +372,8 @@ def test_function_regions_ignore_call_brace_patterns_in_bodies():
         "    strcpy(buf, s);\n"
         "}"
     )
-    idx = _index(src)
-    assert _function_regions(idx.sig, idx.closing) == [(1, 5), (6, 8)]
+    toks = lex(src, layout=False)
+    assert _function_regions(toks, _match_brackets(toks)) == [(1, 5), (6, 8)]
 
 
 def test_slicing_a_file_lexes_it_once(monkeypatch):
@@ -384,18 +387,52 @@ def test_slicing_a_file_lexes_it_once(monkeypatch):
 
     real_lex = slicer.lex
     monkeypatch.setattr(slicer, "lex", counting_lex)
-    slicer._index.cache_clear()
     records = cli._slice_one_file(str(FIXTURES / "multi_function.c"))
     assert len(records) > 100
     assert len(calls) == 1
 
 
-def _frontier_slice(src: str, cand) -> str:
+def test_slicing_one_file_after_another_was_detected_lexes_neither_again(monkeypatch):
+    # each candidate carries its own file's index, so the order in which
+    # files are detected and sliced costs no second lex
+    from slicevuln import slicer
+
+    calls = []
+    real_lex = slicer.lex
+    monkeypatch.setattr(slicer, "lex",
+                        lambda source, **kwargs: calls.append(source) or real_lex(source, **kwargs))
+    first = extract_candidates("void f(char *s) {\n    char b[8];\n    strcpy(b, s);\n}\n")
+    second = extract_candidates("int g(int *p) {\n    return *p + 1;\n}\n")
+    slices = [build_slice(cand) for cand in first]
+    assert slices[-1] == "void f(char *s) {\n    char b[8];\n    strcpy(b, s);"
+    assert len(calls) == 2 and second
+
+
+def test_a_files_index_is_freed_with_its_candidates():
+    src = (FIXTURES / "multi_function.c").read_text(encoding="utf-8")
+    cands = extract_candidates(src)
+    assert all(build_slice(cand) for cand in cands)
+    index = weakref.ref(cands[0].file)
+    assert all(cand.file is index() for cand in cands)
+    del cands
+    gc.collect()
+    assert index() is None
+
+
+def test_the_index_is_no_part_of_a_candidates_value():
+    src = "void f(void) {\n    strcpy(b, s);\n}\n"
+    (a,), (b,) = extract_candidates(src), extract_candidates(src)
+    assert a.file is not b.file
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == "Candidate(kind=<Kind.API: 'API'>, line=2, focus='strcpy', span=(2, 2))"
+
+
+def _frontier_slice(cand) -> str:
     """build_slice's answer by one frontier walk from the focus and the
     identifiers on its line, hop by hop."""
-    from slicevuln.slicer import _DEF_USE_HOPS, _MAX_SLICE_LINES, _index
+    from slicevuln.slicer import _DEF_USE_HOPS, _MAX_SLICE_LINES
 
-    idx = _index(src)
+    idx = cand.file
     uses = idx.uses(*idx.region_of.get(cand.line, (1, len(idx.lines))))
     reachable = {cand.focus} | idx.line_ids.get(cand.line, set())
     selected, added = {cand.line}, reachable
@@ -431,7 +468,7 @@ _unit = (st.lists(_statement, min_size=1, max_size=45).map(
 @given(st.lists(_unit, min_size=1, max_size=5).map("\n".join))
 def test_build_slice_matches_a_frontier_walk(src):
     for cand in extract_candidates(src):
-        assert build_slice(src, cand) == _frontier_slice(src, cand)
+        assert build_slice(cand) == _frontier_slice(cand)
 
 
 def test_an_identifiers_reach_is_walked_once_per_region(monkeypatch):
@@ -456,7 +493,7 @@ def test_an_identifiers_reach_is_walked_once_per_region(monkeypatch):
         cands = extract_candidates(src)
         assert len(cands) == 2 * n + 1
         for cand in cands:
-            build_slice(src, cand)
+            build_slice(cand)
         return len(lookups)
 
     assert count(40) == count(1) > 0
@@ -465,15 +502,15 @@ def test_an_identifiers_reach_is_walked_once_per_region(monkeypatch):
 def test_build_slice_focus_always_present():
     for _, src, _ in GOLDEN:
         for cand in extract_candidates(src):
-            assert cand.focus in build_slice(src, cand)
+            assert cand.focus in build_slice(cand)
 
 
 def test_build_slice_line_out_of_range():
     src = "strcpy(a, b);"
     (cand,) = extract_candidates(src)
-    bad = type(cand)(kind=cand.kind, line=99, focus=cand.focus, span=(99, 99))
+    bad = dataclasses.replace(cand, line=99, span=(99, 99))
     with pytest.raises(ValueError, match="out of range"):
-        build_slice(src, bad)
+        build_slice(bad)
 
 
 @pytest.mark.parametrize("seed, count, digest", [
@@ -495,7 +532,7 @@ def test_slices_of_a_generated_tree_are_frozen(tmp_path, seed, count, digest):
             src = (tmp_path / record.path).read_text(encoding="utf-8")
             for cand in extract_candidates(src):
                 row = [cand.kind.value, cand.line, cand.focus, list(cand.span),
-                       build_slice(src, cand)]
+                       build_slice(cand)]
                 h.update(json.dumps(row).encode() + b"\n")
                 n += 1
     assert (n, h.hexdigest()) == (count, digest)
