@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import shlex
 import sys
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from json.encoder import encode_basestring as _json_str
 from pathlib import Path
 
@@ -39,15 +40,21 @@ class _Parser(argparse.ArgumentParser):
             self.error(f"flags file line {arg_line!r}: {e}")
 
     def _read_args_from_files(self, arg_strings):
-        # argparse decodes a flags file by the locale and lets a decoding
-        # error escape as a traceback; check each file is readable UTF-8 first
+        # argparse decodes a flags file by the locale, lets a decoding error
+        # escape as a traceback and keeps a leading byte-order mark; read each
+        # file as UTF-8 and drop the mark, as slice does for sources
+        expanded = []
         for arg in arg_strings:
-            if arg and arg[0] in self.fromfile_prefix_chars:
-                try:
-                    read_utf8(arg[1:])
-                except (DataError, OSError) as e:
-                    self.error(str(e))
-        return super()._read_args_from_files(arg_strings)
+            if not (arg and arg[0] in self.fromfile_prefix_chars):
+                expanded.append(arg)
+                continue
+            try:
+                text = read_utf8(arg[1:]).removeprefix("\ufeff")
+            except (DataError, OSError) as e:
+                self.error(str(e))
+            expanded += self._read_args_from_files(
+                [word for line in text.splitlines() for word in self.convert_arg_line_to_args(line)])
+        return expanded
 
 
 def _seed(text: str) -> int:
@@ -74,7 +81,10 @@ def _flag_values(args):
         args.parser.error(str(e))
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process.  Every default is set here, so a parse
+    writes nothing to it and each main call starts from the same tree."""
     parser = _Parser(prog="slicevuln", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
 
@@ -179,13 +189,27 @@ def _cmd_slice(args) -> int:
             str(p).encode("utf-8")
         except UnicodeEncodeError:
             args.parser.error(f"argument --in: path is not UTF-8: {os.fsencode(p)!r}")
-    # every file is sliced before anything is written, so a bad file leaves no output
-    rows = [row for p in args.inputs for row in _slice_one_file(str(p))]
-    args.out.mkdir(parents=True, exist_ok=True)
+    # one file's rows at a time go to a temporary file that is renamed into
+    # place after the last; a failure removes it and every directory this run
+    # made, so a bad file leaves no output and an earlier slices.jsonl as it was
     out_path = args.out / "slices.jsonl"
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.writelines(rows)
-    _log(f"wrote {len(rows)} candidate slices to {out_path}")
+    tmp_path = args.out / f"slices.jsonl.{os.getpid()}.tmp"
+    written = 0
+    with ExitStack() as undo:
+        for d in reversed((args.out, *args.out.parents)):
+            if not d.is_dir():
+                d.mkdir()
+                undo.callback(d.rmdir)
+        with open(tmp_path, "x", encoding="utf-8") as fh:
+            undo.callback(tmp_path.unlink)
+            for p in args.inputs:
+                rows = _slice_one_file(str(p))
+                fh.writelines(rows)
+                written += len(rows)
+                del rows  # before the next file's rows are built
+        os.replace(tmp_path, out_path)
+        undo.pop_all()
+    _log(f"wrote {written} candidate slices to {out_path}")
     return 0
 
 
@@ -284,7 +308,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser = _build_parser()  # built on the first call only
     try:
         args, unknown = parser.parse_known_args(argv)
         if unknown:  # with the subcommand's usage line, not the top level's

@@ -1,14 +1,17 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from slicevuln import Kind, balance_h1, model
-from slicevuln.cli import _build_parser, main
+from slicevuln import Kind, ModelConfig, TrainConfig, balance_h1, cli, experiments, model
+from slicevuln.cli import _build_parser, _slice_one_file, main
 from slicevuln.corpus import load, save, split
 from slicevuln.synth import DESK_COUNTS, pattern_corpus, reference_corpus
 
@@ -69,6 +72,42 @@ def test_module_entry_point_runs_main():
 
 def test_unknown_flag_is_usage_error():
     assert main(["balance", "--bogus"]) == 1
+
+
+def test_main_builds_the_parser_once(monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+    monkeypatch.setattr(cli._Parser, "__init__",
+                        lambda self, *a, **kw: built.append(self) or init(self, *a, **kw))
+    _build_parser.cache_clear()
+    assert main([]) == 1
+    once = len(built)
+    assert main(["balance", "--bogus"]) == 1 and main([]) == 1
+    assert once == 1 + len(cli._COMMANDS) and len(built) == once  # one per subcommand
+
+
+@pytest.fixture()
+def run_specs(monkeypatch):
+    """The specs run-strategy runs, recorded in place of the runs, so
+    nothing trains or is written."""
+    specs = []
+    monkeypatch.setattr(experiments, "run", lambda spec, sset: specs.append(spec) or
+                        SimpleNamespace(overall=SimpleNamespace(f1=None)))
+    monkeypatch.setattr(experiments, "emit", lambda report, run_dir: run_dir)
+    return specs
+
+
+def test_no_flag_carries_from_one_call_to_the_next(tmp_path, small_corpus_path, run_specs):
+    base = ["run-strategy", "--in", str(small_corpus_path), "--out", str(tmp_path / "runs")]
+    assert main([*base, "--strategy", "s1", "--seed", "7", "--epochs", "1"]) == 0
+    assert main(base) == 0
+    assert main([*base, "--heads", "3"]) == 1  # 64 hidden units do not split into 3 heads
+    assert main(base) == 0
+    first, *rest = run_specs
+    assert (first.id, first.seed, first.train_config.epochs) == ("S1", 7, 1)
+    default = experiments.StrategySpec(id="S2", model_config=ModelConfig(),
+                                       train_config=TrainConfig())
+    assert rest == [default, default] and default.train_config.epochs != 1
 
 
 @pytest.mark.parametrize("command, flags", [
@@ -145,6 +184,15 @@ def test_unreadable_flags_file_is_usage_error(tmp_path, small_corpus_path, capsy
         err = capsys.readouterr().err
         assert "usage: slicevuln run-strategy" in err
         assert named in err and "Traceback" not in err
+
+
+def test_flags_file_may_start_with_a_byte_order_mark(tmp_path, small_corpus_path, run_specs):
+    # Windows editors write one; it is dropped as slice drops it from sources
+    flags_file = tmp_path / "bom.flags"
+    flags_file.write_bytes(b"\xef\xbb\xbf--epochs 1\n")
+    assert main(["run-strategy", f"@{flags_file}", "--in", str(small_corpus_path),
+                 "--out", str(tmp_path / "runs")]) == 0
+    assert [spec.train_config.epochs for spec in run_specs] == [1]
 
 
 @pytest.mark.parametrize("command", ["build-dataset", "balance", "train", "run-strategy"])
@@ -237,10 +285,51 @@ def test_slice_names_the_file_that_fails_to_lex(tmp_path, capsys):
     (good,) = _write_sources(tmp_path, {"ok.c": SLICE_SOURCES["ok.c"]})
     bad = tmp_path / "bad.c"
     bad.write_text("int f() {\n  int @x;\n}\n")
+    out = tmp_path / "new" / "o"
+    for inputs in ([good, str(bad)], [str(bad), good]):
+        assert main(["slice", "--in", *inputs, "--out", str(out)]) == 2
+        assert f"{bad}: line 2: unexpected character '@'" in capsys.readouterr().err
+        # neither the output nor the directories made for it are left
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.c", "ok.c"]
+
+
+def test_a_failed_slice_keeps_an_earlier_output(tmp_path, capsys):
+    good, bad = _write_sources(tmp_path, {"ok.c": SLICE_SOURCES["ok.c"],
+                                          "bad.c": "int f() {\n  int @x;\n}\n"})
     out = tmp_path / "o"
-    assert main(["slice", "--in", good, str(bad), "--out", str(out)]) == 2
-    assert f"{bad}: line 2: unexpected character '@'" in capsys.readouterr().err
-    assert not out.exists()
+    assert main(["slice", "--in", good, "--out", str(out)]) == 0
+    before = (out / "slices.jsonl").read_bytes()
+    assert main(["slice", "--in", good, bad, "--out", str(out)]) == 2
+    assert "unexpected character '@'" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["slices.jsonl"]
+    assert (out / "slices.jsonl").read_bytes() == before
+
+
+def test_slice_holds_one_files_rows_at_a_time(tmp_path, monkeypatch):
+    text = (FIXTURES / "multi_function.c").read_text(encoding="utf-8")
+    sources = _write_sources(tmp_path, {f"copy{i}.c": text for i in range(8)})
+    rows = _slice_one_file(sources[0])
+    one_files_rows = sys.getsizeof(rows) + sum(map(sys.getsizeof, rows))
+    del rows
+
+    def slice_then_collect(path):
+        # CPython keeps freed tuples on free lists until a full collection,
+        # and tracemalloc counts them as live; each file's index frees hundreds
+        rows = _slice_one_file(path)
+        gc.collect()
+        return rows
+
+    monkeypatch.setattr(cli, "_slice_one_file", slice_then_collect)
+    assert main(["slice", "--in", sources[0], "--out", str(tmp_path / "warm")]) == 0
+    peaks = []
+    for n in (1, 8):
+        tracemalloc.start()
+        try:
+            assert main(["slice", "--in", *sources[:n], "--out", str(tmp_path / f"o{n}")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < one_files_rows
 
 
 def test_slice_rejects_a_file_given_twice(tmp_path, capsys):
@@ -298,6 +387,19 @@ def test_slice_output_is_frozen(tmp_path, monkeypatch, expected, sources):
     monkeypatch.chdir(tmp_path)  # relative --in paths keep "source" stable
     assert main(["slice", "--in", *sources, "--out", "out"]) == 0
     assert (tmp_path / "out" / "slices.jsonl").read_bytes() == (FIXTURES / expected).read_bytes()
+
+
+def test_slice_output_is_the_same_in_a_fresh_process_and_in_process(tmp_path, monkeypatch):
+    # a fresh process builds its parser on its first call; in-process calls reuse it
+    _write_sources(tmp_path, {n: SLICE_SOURCES[n] for n in ("a.c", "ok.c")})
+    result = _run_python("-m", "slicevuln.cli", "slice", "--in", "a.c", "ok.c", "--out", "d",
+                         cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    monkeypatch.chdir(tmp_path)
+    for out in ("e", "f"):
+        assert main(["slice", "--in", "a.c", "ok.c", "--out", out]) == 0
+    written = {d: (tmp_path / d / "slices.jsonl").read_bytes() for d in "def"}
+    assert written["d"] == written["e"] == written["f"] and written["d"].count(b"\n") == 5
 
 
 @pytest.mark.parametrize("text, named", [
