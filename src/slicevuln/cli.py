@@ -15,7 +15,7 @@ import os
 import shlex
 import sys
 from collections import Counter
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack
 from json.encoder import encode_basestring as _json_str
 from pathlib import Path
 
@@ -32,28 +32,28 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
-    def convert_arg_line_to_args(self, arg_line):
-        """A flags-file line holds shell words; '#' starts a comment."""
-        try:
-            return shlex.split(arg_line, comments=True)
-        except ValueError as e:  # an unclosed quote
-            self.error(f"flags file line {arg_line!r}: {e}")
-
     def _read_args_from_files(self, arg_strings):
-        # argparse decodes a flags file by the locale, lets a decoding error
-        # escape as a traceback and keeps a leading byte-order mark; read each
-        # file as UTF-8 and drop the mark, as slice does for sources
+        # a flags file holds flags: an @word read from one is left as it is,
+        # not read as another file.  argparse nests files without end, decodes
+        # them by the locale, lets a decoding error escape as a traceback and
+        # keeps a leading byte-order mark; read each file as UTF-8 and drop
+        # the mark, as slice does for sources
         expanded = []
         for arg in arg_strings:
             if not (arg and arg[0] in self.fromfile_prefix_chars):
                 expanded.append(arg)
                 continue
+            if arg == "@":
+                self.error("@ names no flags file")
             try:
                 text = read_utf8(arg[1:]).removeprefix("\ufeff")
             except (DataError, OSError) as e:
                 self.error(str(e))
-            expanded += self._read_args_from_files(
-                [word for line in text.splitlines() for word in self.convert_arg_line_to_args(line)])
+            for line in text.splitlines():  # shell words; '#' starts a comment
+                try:
+                    expanded += shlex.split(line, comments=True)
+                except ValueError as e:  # an unclosed quote
+                    self.error(f"flags file line {line!r}: {e}")
         return expanded
 
 
@@ -63,22 +63,13 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _add_common(p: argparse.ArgumentParser, seed: bool = False) -> None:
-    """--out on every command; --seed on those that draw random numbers."""
+def _add_common(p: argparse.ArgumentParser, run, seed: bool = False) -> None:
+    """--out on every command; --seed on those that draw random numbers.
+    main calls run(args); args.parser reports the command's usage errors."""
     if seed:
         p.add_argument("--seed", type=_seed, default=42, help="default: 42")
     p.add_argument("--out", type=Path, required=True, help="output file or directory")
-    p.set_defaults(parser=p)
-
-
-@contextmanager
-def _flag_values(args):
-    """Configs reject out-of-range values with ValueError.  Those are usage
-    errors (exit 1)."""
-    try:
-        yield
-    except ValueError as e:
-        args.parser.error(str(e))
+    p.set_defaults(parser=p, run=run)
 
 
 @functools.cache
@@ -90,30 +81,30 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("slice", help="extract candidate slices from C/C++ sources")
     p.add_argument("--in", dest="inputs", type=Path, nargs="+", required=True)
-    _add_common(p)
+    _add_common(p, _cmd_slice)
 
     p = sub.add_parser("build-dataset", help="generate a synthetic labeled corpus")
     source = p.add_mutually_exclusive_group()
     source.add_argument("--preset", choices=["reference", "desk"], default=None,
                         help="default: desk")
     source.add_argument("--counts", type=Path, default=None, help="per-kind counts manifest")
-    _add_common(p, seed=True)
+    _add_common(p, _cmd_build_dataset, seed=True)
 
     p = sub.add_parser("balance", help="downsample a corpus under H1 or H2")
     p.add_argument("--hypothesis", choices=["h1", "h2"], required=True)
     p.add_argument("--in", dest="input", type=Path, required=True)
-    _add_common(p, seed=True)
+    _add_common(p, _cmd_balance, seed=True)
 
     p = sub.add_parser("train", help="train the classifier on a labeled corpus")
     p.add_argument("--in", dest="input", type=Path, required=True)
     _add_model_flags(p)
-    _add_common(p, seed=True)
+    _add_common(p, _cmd_train, seed=True)
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint on a labeled corpus")
     p.add_argument("--model", dest="checkpoint", type=Path, required=True,
                    help="a checkpoint from train; it carries the vocabulary")
     p.add_argument("--in", dest="input", type=Path, required=True)
-    _add_common(p)
+    _add_common(p, _cmd_evaluate)
 
     p = sub.add_parser("run-strategy", help="run one strategy end to end",
                        fromfile_prefix_chars="@",
@@ -122,11 +113,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--strategy", choices=["s1", "s2", "s3"], default="s2")
     p.add_argument("--in", dest="input", type=Path, required=True)
     _add_model_flags(p)
-    _add_common(p, seed=True)
+    _add_common(p, _cmd_run_strategy, seed=True)
 
     p = sub.add_parser("report", help="compare previously written JSON reports")
     p.add_argument("--in", dest="inputs", type=Path, nargs="+", required=True)
-    _add_common(p)
+    _add_common(p, _cmd_report)
     return parser
 
 
@@ -148,6 +139,8 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _configs_from_args(args) -> tuple[model.ModelConfig, model.TrainConfig]:
+    """Configs reject out-of-range values with ValueError.  Those are usage
+    errors (exit 1)."""
     given = {key: getattr(args, dest) for dest, key in _CONFIG_FLAGS.items()
              if getattr(args, dest) is not None}
     given["seed"] = args.seed
@@ -155,7 +148,10 @@ def _configs_from_args(args) -> tuple[model.ModelConfig, model.TrainConfig]:
     def config(cls):
         return cls(**{f.name: given[f.name] for f in dataclasses.fields(cls) if f.name in given})
 
-    return config(model.ModelConfig), config(model.TrainConfig)
+    try:
+        return config(model.ModelConfig), config(model.TrainConfig)
+    except ValueError as e:
+        args.parser.error(str(e))
 
 
 def _slice_one_file(path: str) -> list[str]:
@@ -238,8 +234,7 @@ def _cmd_balance(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    with _flag_values(args):
-        mcfg, tcfg = _configs_from_args(args)
+    mcfg, tcfg = _configs_from_args(args)
     sset = corpus.load(args.input)
     train_set, val_set = corpus.split(sset, args.seed)
     _log(f"training on {len(train_set)} samples, validating on {len(val_set)}")
@@ -262,10 +257,9 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_run_strategy(args) -> int:
-    with _flag_values(args):
-        mcfg, tcfg = _configs_from_args(args)
-        spec = experiments.StrategySpec(id=args.strategy.upper(), model_config=mcfg,
-                                        train_config=tcfg)
+    mcfg, tcfg = _configs_from_args(args)
+    spec = experiments.StrategySpec(id=args.strategy.upper(), model_config=mcfg,
+                                    train_config=tcfg)
     sset = corpus.load(args.input)
     _log(f"running {spec.id} ({spec.hypothesis}) on {len(sset)} samples, seed {spec.seed}")
     report = experiments.run(spec, sset)
@@ -296,17 +290,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "slice": _cmd_slice,
-    "build-dataset": _cmd_build_dataset,
-    "balance": _cmd_balance,
-    "train": _cmd_train,
-    "evaluate": _cmd_evaluate,
-    "run-strategy": _cmd_run_strategy,
-    "report": _cmd_report,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()  # built on the first call only
     try:
@@ -316,13 +299,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.command is None:
             parser.print_help(sys.stderr)
             return 1
-        return _COMMANDS[args.command](args)
-    except SystemExit as e:  # argparse and _flag_values exit; surface as a return code
+        return args.run(args)
+    except SystemExit as e:  # usage errors exit through argparse; surface as a return code
         return int(e.code) if e.code is not None else 0
     except NumericError as e:
         _log(f"numeric failure: {e}")
         return 3
-    except (DataError, FileNotFoundError, OSError) as e:
+    except (DataError, OSError) as e:
         _log(f"data error: {e}")
         return 2
 

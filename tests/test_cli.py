@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import os
@@ -53,10 +54,17 @@ def small_corpus_path(tmp_path):
 
 
 def _run_python(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
-    """A fresh interpreter that imports slicevuln from this checkout."""
+    """A fresh interpreter that imports slicevuln from this checkout.  A
+    traceback fails the test whatever the exit code."""
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          timeout=60, cwd=cwd, env={**os.environ, "PYTHONPATH": path})
+    result = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                            timeout=60, cwd=cwd, env={**os.environ, "PYTHONPATH": path})
+    assert "Traceback" not in result.stderr, result.stderr
+    return result
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in _build_parser()._actions if a.dest == "command").choices
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -83,7 +91,14 @@ def test_main_builds_the_parser_once(monkeypatch):
     assert main([]) == 1
     once = len(built)
     assert main(["balance", "--bogus"]) == 1 and main([]) == 1
-    assert once == 1 + len(cli._COMMANDS) and len(built) == once  # one per subcommand
+    assert once == 1 + len(_subcommands()) and len(built) == once  # one per subcommand
+
+
+def test_each_subcommand_declares_its_handler():
+    assert {name: p.get_default("run").__name__ for name, p in _subcommands().items()} == {
+        "slice": "_cmd_slice", "build-dataset": "_cmd_build_dataset",
+        "balance": "_cmd_balance", "train": "_cmd_train", "evaluate": "_cmd_evaluate",
+        "run-strategy": "_cmd_run_strategy", "report": "_cmd_report"}
 
 
 @pytest.fixture()
@@ -173,17 +188,38 @@ def test_unreadable_flags_file_is_usage_error(tmp_path, small_corpus_path, capsy
     absent, latin1, quote = (tmp_path / f"{n}.flags" for n in ("absent", "latin1", "quote"))
     latin1.write_bytes(b"--epochs 2\n# caf\xe9\n")
     quote.write_text('--epochs 2\n--in "corpus.jsonl\n')
-    for flags_file, named in (
-        (absent, f"No such file or directory: '{absent}'"),
-        (latin1, f"{latin1}:2: not UTF-8 (byte 0xe9"),
-        (quote, """flags file line '--in "corpus.jsonl': No closing quotation"""),
+    for flag, named in (
+        (f"@{absent}", f"No such file or directory: '{absent}'"),
+        (f"@{latin1}", f"{latin1}:2: not UTF-8 (byte 0xe9"),
+        (f"@{quote}", """flags file line '--in "corpus.jsonl': No closing quotation"""),
+        ("@", "error: @ names no flags file"),
     ):
-        code = main(["run-strategy", f"@{flags_file}", "--in", str(small_corpus_path),
+        code = main(["run-strategy", flag, "--in", str(small_corpus_path),
                      "--out", str(tmp_path / "runs")])
         assert code == 1
         err = capsys.readouterr().err
         assert "usage: slicevuln run-strategy" in err
         assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("files, typed, left", [
+    ({"self.flags": "--epochs 1\n@self.flags\n"}, "@self.flags", "@self.flags"),
+    ({"a.flags": "--epochs 1\n@b.flags\n", "b.flags": "--epochs 2\n@a.flags\n"},
+     "@a.flags", "@b.flags"),
+], ids=["names-itself", "name-each-other"])
+def test_a_flags_file_holds_flags_not_flags_files(tmp_path, small_corpus_path, capsys,
+                                                  monkeypatch, files, typed, left):
+    # an @word inside a flags file is not read as a file, so files that name
+    # themselves or each other are an unrecognized argument, not a recursion
+    _write_sources(tmp_path, files)
+    argv = ["run-strategy", typed, "--in", small_corpus_path.name, "--out", "runs"]
+    result = _run_python("-m", "slicevuln.cli", *argv, cwd=tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    for err in (result.stderr, capsys.readouterr().err):
+        assert "usage: slicevuln run-strategy" in err and "Traceback" not in err
+        assert f"error: unrecognized arguments: {left}\n" in err
+    assert result.returncode == 1 and not (tmp_path / "runs").exists()
 
 
 def test_flags_file_may_start_with_a_byte_order_mark(tmp_path, small_corpus_path, run_specs):
