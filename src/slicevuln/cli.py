@@ -63,12 +63,18 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _path(text: str) -> Path:
+    if not text:  # Path("") is the current directory
+        raise argparse.ArgumentTypeError("expected a path, got ''")
+    return Path(text)
+
+
 def _add_common(p: argparse.ArgumentParser, run, seed: bool = False) -> None:
     """--out on every command; --seed on those that draw random numbers.
     main calls run(args); args.parser reports the command's usage errors."""
     if seed:
         p.add_argument("--seed", type=_seed, default=42, help="default: 42")
-    p.add_argument("--out", type=Path, required=True, help="output file or directory")
+    p.add_argument("--out", type=_path, required=True, help="output file or directory")
     p.set_defaults(parser=p, run=run)
 
 
@@ -80,43 +86,44 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     p = sub.add_parser("slice", help="extract candidate slices from C/C++ sources")
-    p.add_argument("--in", dest="inputs", type=Path, nargs="+", required=True)
+    p.add_argument("--in", dest="inputs", type=_path, nargs="+", required=True)
     _add_common(p, _cmd_slice)
 
     p = sub.add_parser("build-dataset", help="generate a synthetic labeled corpus")
     source = p.add_mutually_exclusive_group()
     source.add_argument("--preset", choices=["reference", "desk"], default=None,
                         help="default: desk")
-    source.add_argument("--counts", type=Path, default=None, help="per-kind counts manifest")
+    source.add_argument("--counts", type=_path, default=None, help="per-kind counts manifest")
     _add_common(p, _cmd_build_dataset, seed=True)
 
     p = sub.add_parser("balance", help="downsample a corpus under H1 or H2")
     p.add_argument("--hypothesis", choices=["h1", "h2"], required=True)
-    p.add_argument("--in", dest="input", type=Path, required=True)
+    p.add_argument("--in", dest="input", type=_path, required=True)
     _add_common(p, _cmd_balance, seed=True)
 
     p = sub.add_parser("train", help="train the classifier on a labeled corpus")
-    p.add_argument("--in", dest="input", type=Path, required=True)
+    p.add_argument("--in", dest="input", type=_path, required=True)
     _add_model_flags(p)
     _add_common(p, _cmd_train, seed=True)
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint on a labeled corpus")
-    p.add_argument("--model", dest="checkpoint", type=Path, required=True,
+    p.add_argument("--model", dest="checkpoint", type=_path, required=True,
                    help="a checkpoint from train; it carries the vocabulary")
-    p.add_argument("--in", dest="input", type=Path, required=True)
+    p.add_argument("--in", dest="input", type=_path, required=True)
     _add_common(p, _cmd_evaluate)
 
     p = sub.add_parser("run-strategy", help="run one strategy end to end",
                        fromfile_prefix_chars="@",
                        epilog="@FILE reads flags from FILE, shell words on each line; "
                               "flags after it win")
-    p.add_argument("--strategy", choices=["s1", "s2", "s3"], default="s2")
-    p.add_argument("--in", dest="input", type=Path, required=True)
+    p.add_argument("--strategy", choices=[sid.lower() for sid in experiments.STRATEGY_IDS],
+                   default="s2")
+    p.add_argument("--in", dest="input", type=_path, required=True)
     _add_model_flags(p)
     _add_common(p, _cmd_run_strategy, seed=True)
 
     p = sub.add_parser("report", help="compare previously written JSON reports")
-    p.add_argument("--in", dest="inputs", type=Path, nargs="+", required=True)
+    p.add_argument("--in", dest="inputs", type=_path, nargs="+", required=True)
     _add_common(p, _cmd_report)
     return parser
 

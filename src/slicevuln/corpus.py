@@ -64,9 +64,13 @@ class SampleSet:
 
     def __init__(self, samples: Iterable[Sample]):
         samples = list(samples)
-        if (len({s.id for s in samples}) < len(samples)
-                or not all(s.code for s in samples)):
-            _raise_first_offender(samples)
+        seen: set[str] = set()
+        for s in samples:
+            if s.id in seen:
+                raise DataError(f"duplicate sample id {s.id!r}")
+            seen.add(s.id)
+            if not s.code:
+                raise DataError(f"sample {s.id!r} has empty code")
         self.samples: list[Sample] = samples
 
     @classmethod
@@ -90,16 +94,6 @@ class SampleSet:
 
     def ids(self) -> set[str]:
         return {s.id for s in self.samples}
-
-
-def _raise_first_offender(samples: list[Sample]) -> None:
-    seen: set[str] = set()
-    for s in samples:
-        if s.id in seen:
-            raise DataError(f"duplicate sample id {s.id!r}")
-        seen.add(s.id)
-        if not s.code:
-            raise DataError(f"sample {s.id!r} has empty code")
 
 
 _KIND_NAMES = {k.value: k for k in Kind}
@@ -144,7 +138,7 @@ def _parse_jsonl_record(obj: object, path: Path, lineno: int,
     kind = _KIND_NAMES.get(kind_name) if isinstance(kind_name, str) else None
     if kind is None:
         raise DataError(f"{path}:{lineno}: unknown kind {kind_name!r}")
-    if label not in (0, 1):
+    if type(label) is not int or label not in (0, 1):  # not a bool or a float
         raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {label!r}")
     if not isinstance(code, str) or not code:
         raise DataError(f"{path}:{lineno}: code must be a non-empty string")

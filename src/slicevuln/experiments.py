@@ -187,16 +187,15 @@ def score(
     net: model.Model, test_set: SampleSet, test_data: tokenizer.EncodedDataset
 ) -> dict[Kind, metrics.ConfusionMatrix]:
     """Predict the test set; one confusion matrix per kind present, in
-    ``KIND_ORDER``."""
+    ``KIND_ORDER``, against the labels ``test_data`` holds."""
     with _Stage("evaluate"):
         predictions = model.predict(net, test_data)
         confusion: dict[Kind, metrics.ConfusionMatrix] = {}
         for kind in KIND_ORDER:
             sel = [i for i, s in enumerate(test_set) if s.kind == kind]
             if sel:
-                confusion[kind] = metrics.confusion(
-                    [int(predictions[i]) for i in sel],
-                    [int(test_set.samples[i].label) for i in sel])
+                confusion[kind] = metrics.confusion(predictions[sel].tolist(),
+                                                    test_data.labels[sel].tolist())
     return confusion
 
 

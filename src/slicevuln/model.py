@@ -44,7 +44,6 @@ _ADAM_EPS = 1e-8
 _LN_EPS = 1e-5
 _GELU_A = 0.044715
 _GELU_C = float(np.sqrt(2.0 / np.pi))
-_THRESHOLD = 0.5  # vulnerable iff softmax probability of class 1 >= this
 _NUM_CLASSES = 2  # non-vulnerable, vulnerable
 _GRAD_CHECK_EPSILON = 1e-5  # central-difference step
 _GRAD_CHECK_SEED = 0  # keys which coordinates grad_check samples
@@ -527,9 +526,8 @@ def _adamw_step(model: Model, grad, m, v, decay, t, tcfg: TrainConfig):
 
 
 def _decide(logits: np.ndarray) -> np.ndarray:
-    """True iff vulnerable: p(class 1) >= 0.5, so an exact tie is vulnerable."""
-    e = np.exp(logits - logits.max(-1, keepdims=True))
-    return e[:, 1] / e.sum(-1) >= _THRESHOLD
+    """Vulnerable iff logit 1 >= logit 0, i.e. p(class 1) >= 0.5; a tie is vulnerable."""
+    return logits[:, 1] >= logits[:, 0]
 
 
 def _eval_loss_acc(model: Model, data: EncodedDataset, batch_size: int) -> tuple[float, float]:
@@ -609,7 +607,7 @@ def train(
 
 
 def predict(model: Model, data: EncodedDataset) -> np.ndarray:
-    """0/1 labels; vulnerable iff softmax probability of class 1 >= 0.5.
+    """0/1 labels; vulnerable iff logit 1 >= logit 0 (p(class 1) >= 0.5).
     ``forward`` runs over the samples in stable length order, so each batch
     is trimmed close to the length of all its samples; labels come back in
     input order."""

@@ -89,7 +89,7 @@ class Vocab:
         return self._ids.get(token, self.UNK)
 
 
-def build_vocab(corpus: Iterable[str], max_size: int = 4096) -> Vocab:
+def build_vocab(corpus: Iterable[str], max_size: int) -> Vocab:
     """Keep the most frequent whitespace-delimited tokens, ties broken
     lexicographically, up to max_size - 3 entries after the reserved ids."""
     if max_size < 4:
@@ -101,7 +101,7 @@ def build_vocab(corpus: Iterable[str], max_size: int = 4096) -> Vocab:
     return Vocab([tok for tok, _ in ranked[: max_size - len(Vocab.RESERVED)]])
 
 
-def encode(text: str, vocab: Vocab, max_len: int = 512) -> np.ndarray:
+def encode(text: str, vocab: Vocab, max_len: int) -> np.ndarray:
     """[CLS] + token ids, truncated to max_len and padded with PAD, as a
     [max_len] int64 row."""
     if max_len < 2:

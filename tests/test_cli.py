@@ -178,6 +178,45 @@ def test_invalid_flag_value_is_usage_error(tmp_path, small_corpus_path, capsys, 
     assert not (tmp_path / "out").exists()
 
 
+def test_a_zero_model_dimension_is_usage_error(tmp_path, small_corpus_path, capsys):
+    assert main(["train", "--in", str(small_corpus_path), "--layers", "0",
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: slicevuln train ")
+    assert err.endswith("slicevuln train: error: all model dimensions must be positive\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, flags, named", [
+    ("slice", ["--in", "a.c", "--out", ""], "--out"),
+    ("slice", ["--in", "", "--out", "out"], "--in"),
+    ("build-dataset", ["--out", ""], "--out"),
+    ("build-dataset", ["--counts", "", "--out", "out"], "--counts"),
+    ("balance", ["--hypothesis", "h1", "--in", "", "--out", "out"], "--in"),
+    ("train", ["--in", "", "--out", "out"], "--in"),
+    ("evaluate", ["--model", "", "--in", "corpus.jsonl", "--out", "out"], "--model"),
+    ("run-strategy", ["--in", "", "--out", "out"], "--in"),
+    ("run-strategy", ["@empty-out.flags", "--in", "corpus.jsonl"], "--out"),
+    ("report", ["--in", "", "--out", "out"], "--in"),
+], ids=["slice-out", "slice-in", "build-dataset-out", "build-dataset-counts", "balance-in",
+        "train-in", "evaluate-model", "run-strategy-in", "run-strategy-flags-file-out",
+        "report-in"])
+def test_an_empty_path_is_usage_error(tmp_path, small_corpus_path, capsys, monkeypatch,
+                                      command, flags, named):
+    # Path("") is the current directory, so an empty path would read or
+    # write there; it is refused, naming its flag, before anything runs
+    monkeypatch.setattr(model, "_shapes", refuse_to_lay_out)
+    monkeypatch.chdir(tmp_path)
+    _write_sources(tmp_path, {"a.c": SLICE_SOURCES["a.c"], "empty-out.flags": '--out ""\n'})
+    before = sorted(tmp_path.iterdir())
+    assert main([command, *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: slicevuln {command} ")
+    assert err.endswith(f"slicevuln {command}: error: argument {named}: "
+                        "expected a path, got ''\n")
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_missing_input_is_data_error(tmp_path):
     code = main(["balance", "--hypothesis", "h1", "--in", str(tmp_path / "no.jsonl"),
                  "--out", str(tmp_path / "o")])
@@ -451,8 +490,9 @@ def test_slice_output_is_the_same_in_a_fresh_process_and_in_process(tmp_path, mo
      "conversion"),
     (DEEP_JSON, "malformed counts manifest (maximum recursion depth exceeded while "
      "decoding a JSON array"),
+    ('{"XX": {"vulnerable": 1, "non_vulnerable": 1}}', "unknown kind 'XX'"),
 ], ids=["missing-key", "negative", "not-an-object", "cell-not-an-object", "empty", "all-zero",
-        "huge-int", "deep-nesting"])
+        "huge-int", "deep-nesting", "unknown-kind"])
 def test_bad_counts_manifest_is_data_error(tmp_path, capsys, text, named):
     counts = tmp_path / "counts.json"
     counts.write_text(text)

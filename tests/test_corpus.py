@@ -84,6 +84,11 @@ REJECTED = [
     ("label-2", record(label=2) + "\n", 1, "label must be 0 or 1, got 2"),
     ("label-str", record(label="1") + "\n", 1, "label must be 0 or 1, got '1'"),
     ("label-list", record(label=[1]) + "\n", 1, "label must be 0 or 1, got [1]"),
+    # a label is the integer 0 or 1, as an id is a string or an integer
+    ("label-true", record(label=True) + "\n", 1, "label must be 0 or 1, got True"),
+    ("label-float", record(label=1.0) + "\n", 1, "label must be 0 or 1, got 1.0"),
+    ("label-false", record(label=False) + "\n", 1, "label must be 0 or 1, got False"),
+    ("label-zero-float", record(label=0.0) + "\n", 1, "label must be 0 or 1, got 0.0"),
     ("empty-code", record(code="") + "\n", 1, "code must be a non-empty string"),
     # json.dumps writes each lone surrogate as a \\uXXXX escape
     ("surrogate-code", record() + "\n" + record(id="b", code="x\ud800") + "\n", 2,
@@ -132,10 +137,7 @@ PU_NON = replace(PU_VUL, label=Label.NON_VULNERABLE)
 
 # (id, file text, the samples it loads as)
 ACCEPTED = [
-    ("label-true", record(label=True) + "\n", [PU_VUL]),
-    ("label-float", record(label=1.0) + "\n", [PU_VUL]),
-    ("label-false", record(label=False) + "\n", [PU_NON]),
-    ("label-zero-float", record(label=0.0) + "\n", [PU_NON]),
+    ("label-zero", record(label=0) + "\n", [PU_NON]),
     ("int-id", record(id=7) + "\n", [replace(PU_VUL, id="7")]),
     ("source", record(source="f.c:3") + "\n", [replace(PU_VUL, source="f.c:3")]),
     ("source-null", record(source=None) + "\n", [PU_VUL]),

@@ -134,6 +134,11 @@ def test_aggregate_identical_matrices():
     assert aggregate({Kind.PU: cm, Kind.AE: cm}) == compute(cm)
 
 
+def test_aggregate_of_no_kind_is_refused():
+    with pytest.raises(ValueError, match="^need at least one kind$"):
+        aggregate({})
+
+
 def test_aggregate_pools_matrices():
     rng = np.random.default_rng(4)
     matrices = {}

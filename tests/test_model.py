@@ -377,6 +377,21 @@ def _trained(cfg):
     return net, data
 
 
+def test_grad_check_refuses_a_non_finite_gradient(tiny_cfg):
+    net = init(tiny_cfg, seed=7)
+    net.params["head_b"][:] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(
+            NumericError, match="^non-finite gradient in tok_emb$"):
+        grad_check(net, random_dataset(tiny_cfg, 4, seed=3))
+
+
+def test_grad_check_refuses_labels_that_do_not_match_the_rows(tiny_cfg):
+    data = random_dataset(tiny_cfg, 2, seed=3)
+    data = EncodedDataset(ids=data.ids, labels=data.labels[:1])
+    with pytest.raises(ValueError, match="^logits and labels differ in batch size$"):
+        grad_check(init(tiny_cfg, seed=7), data)
+
+
 def test_grad_check_on_a_trained_float32_model(tiny_cfg):
     net, data = _trained(tiny_cfg)
     assert grad_check(net, data, num_samples=250) < 1e-4
@@ -459,6 +474,15 @@ def test_train_aborts_on_nonfinite_loss(tiny_cfg):
     net.params["tok_emb"][:] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(NumericError):
         train(net, data, data, TrainConfig(epochs=1))
+
+
+def test_train_refuses_an_empty_set(tiny_cfg):
+    data = random_dataset(tiny_cfg, 4, seed=5)
+    empty = EncodedDataset(ids=data.ids[:0], labels=data.labels[:0])
+    for train_data, val_data in ((empty, data), (data, empty)):
+        with pytest.raises(DataError,
+                           match="^training and validation sets must be non-empty$"):
+            train(init(tiny_cfg, seed=0), train_data, val_data, TrainConfig(epochs=1))
 
 
 def test_optimizer_step_rejects_nonfinite_update(tiny_cfg):

@@ -5,8 +5,8 @@ import slicevuln
 
 
 def test_public_surface():
-    # every public name, and each public function's parameters; a new name
-    # or parameter shows up here as a diff
+    # every public name, and each public function's parameters with their
+    # defaults; a new name, parameter or default shows up here as a diff
     assert slicevuln.__all__ == [
         "Kind", "Label", "Sample", "SampleSet", "load", "save", "split",
         "Candidate", "Token", "TokenClass", "build_slice", "extract_candidates", "lex",
@@ -18,7 +18,8 @@ def test_public_surface():
         "Report", "ResourceUsage", "StrategySpec", "compare", "emit", "run",
         "DataError", "LexError", "NumericError", "SliceVulnError",
     ]
-    functions = {name: list(inspect.signature(obj).parameters)
+    functions = {name: [p.name if p.default is p.empty else f"{p.name}={p.default!r}"
+                        for p in inspect.signature(obj).parameters.values()]
                  for name in slicevuln.__all__
                  if inspect.isfunction(obj := getattr(slicevuln, name))}
     assert functions == {
@@ -27,15 +28,15 @@ def test_public_surface():
         "split": ["sset", "seed"],
         "build_slice": ["candidate"],
         "extract_candidates": ["source"],
-        "lex": ["source", "layout"],
+        "lex": ["source", "layout=True"],
         "balance_h1": ["corpus", "seed"],
         "balance_h2": ["corpus", "seed"],
         "remainder": ["corpus", "balanced"],
         "build_vocab": ["corpus", "max_size"],
         "encode": ["text", "vocab", "max_len"],
         "normalize": ["slice_text"],
-        "forward": ["model", "data", "batch_size"],
-        "grad_check": ["model", "data", "num_samples"],
+        "forward": ["model", "data", "batch_size=64"],
+        "grad_check": ["model", "data", "num_samples=200"],
         "init": ["cfg", "seed"],
         "predict": ["model", "data"],
         "train": ["model", "train_data", "val_data", "tcfg"],
