@@ -8,6 +8,7 @@ are integers (1 = vulnerable), kinds are the four canonical strings
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 from collections import Counter
@@ -198,12 +199,22 @@ def _load_jsonlines(path: Path) -> list[Sample]:
 def load(path: str | Path) -> SampleSet:
     """Load a JSON-lines dataset, checking each row once as it is read.  The
     first bad line in file order is rejected, naming ``path:LINE``; a
-    duplicate id names both lines."""
+    duplicate id names both lines.
+
+    The cyclic garbage collector is paused while the file is read: a row
+    holds only strings, a ``Kind`` and a ``Label``, so rows form no cycle,
+    and each collection would walk every row read so far to free nothing.
+    The collector is left as the caller had it."""
     path = Path(path)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return SampleSet._drawn(_load_jsonlines(path))
     except UnicodeDecodeError as e:
         raise not_utf8(path) from e
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def save(sset: SampleSet, path: str | Path) -> Path:

@@ -62,8 +62,16 @@ class ModelConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
-        if min(self.num_layers, self.hidden_dim, self.num_heads, self.ff_dim,
-               self.max_len, self.vocab_size) < 1:
+        # flags come typed, but a checkpoint's config comes from JSON, where
+        # 1.0 and true would pass the range checks below
+        sizes = {name: getattr(self, name) for name in (
+            "num_layers", "hidden_dim", "num_heads", "ff_dim", "max_len", "vocab_size")}
+        for name, value in sizes.items():
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.dropout, bool) or not isinstance(self.dropout, (int, float)):
+            raise ValueError(f"dropout must be a number, got {self.dropout!r}")
+        if min(sizes.values()) < 1:
             raise ValueError("all model dimensions must be positive")
         if self.vocab_size <= len(Vocab.RESERVED):
             raise ValueError(f"vocab_size must exceed the {len(Vocab.RESERVED)} reserved "

@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slicevuln import Kind, ModelConfig, TrainConfig, balance_h1, cli, experiments, model
 from slicevuln.cli import _build_parser, _slice_one_file, main
@@ -583,6 +585,51 @@ def test_balance_non_utf8_corpus_is_data_error(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert f"{bad}:2: not UTF-8 (byte 0xe9" in err and "Traceback" not in err
+
+
+# a well-formed row; its id is its line's index
+_GOOD_ROW = st.fixed_dictionaries(
+    {"kind": st.sampled_from([k.value for k in Kind]), "label": st.sampled_from([0, 1]),
+     "code": st.sampled_from(["x = 1;", "b[i] = 0;"])},
+    optional={"source": st.sampled_from([None, "f.c"])})
+_HOSTILE_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 2), st.just(10**400), st.floats(),
+    st.sampled_from(["", "api", "\ud800", "x\udfffy"]), st.text(max_size=3),
+    st.lists(st.integers(), max_size=2), st.dictionaries(st.text(max_size=2), st.integers(),
+                                                        max_size=1))
+# a row with id "0" and one field set to a hostile value or (as ...) dropped
+_BAD_ROW = st.builds(
+    lambda row, name, value: json.dumps(
+        {k: v for k, v in {"id": "0", **row, name: value}.items() if v is not ...}).encode(),
+    _GOOD_ROW, st.sampled_from(["id", "kind", "label", "code", "source"]),
+    st.one_of(_HOSTILE_VALUE, st.just(...)))
+# lines no row makes: blank, not an object, not JSON, not UTF-8
+_RAW_LINE = st.sampled_from([
+    b"", b"  \t", b"\x0c", b"[1, 2]", b"3", b"null", b'"x"', b"NaN", b"9" * 5000, b"{",
+    b"\xff\xfe", b'{"id": "caf\xe9", "kind": "AU", "label": 0, "code": "x;"}',
+    DEEP_JSON.encode(),
+])
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(rows=st.lists(_GOOD_ROW, max_size=12),
+       bad=st.lists(st.tuples(st.integers(0, 12), st.one_of(_BAD_ROW, _RAW_LINE)), max_size=3),
+       hypothesis=st.sampled_from(["h1", "h2"]))
+def test_balance_on_a_hostile_corpus_exits_0_or_2(rows, bad, hypothesis):
+    # one row per (kind, label) cell first, so that some corpora balance
+    cells = [{"kind": k.value, "label": label, "code": "x = 1;"}
+             for k in Kind for label in (0, 1)]
+    lines = [json.dumps({"id": str(i), **row}).encode() for i, row in enumerate(cells + rows)]
+    for at, line in bad:
+        lines.insert(at, line)
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus, out = Path(tmp) / "c.jsonl", Path(tmp) / "bal"
+        corpus.write_bytes(b"\n".join(lines))
+        code = main(["balance", "--hypothesis", hypothesis, "--in", str(corpus),
+                     "--out", str(out)])
+        assert code in (0, 2)
+        assert (out / "balanced.jsonl").exists() == (code == 0)
+    assert gc.isenabled()
 
 
 def test_balance_lone_surrogate_is_data_error(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import contextlib
+import gc
 import json
 import tempfile
 from dataclasses import replace
@@ -303,6 +305,44 @@ def test_load_non_utf8_names_file_and_line(tmp_path, format, data):
     path.write_bytes(data)
     with pytest.raises(DataError, match=r"latin1\.txt:4: not UTF-8 \(byte 0xe9: "):
         load(path)
+
+
+def test_load_starts_no_collection(tmp_path):
+    # a row holds no reference cycle, so the collector is paused while rows
+    # are read: each collection would walk every row read so far
+    path = save(make_set({cell: 625 for cell in CELL_ORDER}), tmp_path / "c.jsonl")
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.callbacks.append(count)
+    try:
+        assert len(load(path)) == 5000
+    finally:
+        gc.callbacks.remove(count)
+    assert started == []
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(record().encode() + b"\n", id="good"),
+    pytest.param(record().encode() + b"\nnot json\n", id="malformed"),
+    pytest.param((record() + "\n" + record() + "\n").encode(), id="duplicate-id"),
+    pytest.param(b'{"id": "a", "kind": "PU", "label": 1, "code": "caf\xe9"}\n', id="not-utf8"),
+])
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_load_leaves_the_collector_as_it_found_it(tmp_path, data, enabled):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(data)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with contextlib.suppress(DataError):
+            load(path)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
 
 
 def test_split_8_2():

@@ -585,6 +585,25 @@ def test_checkpoint_config_of_a_billion_layers_is_data_error(tmp_path, tiny_cfg,
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("num_layers", 1.0, "num_layers must be an integer, got 1.0"),
+    ("hidden_dim", 8.0, "hidden_dim must be an integer, got 8.0"),
+    ("max_len", 16.0, "max_len must be an integer, got 16.0"),
+    ("vocab_size", 32.0, "vocab_size must be an integer, got 32.0"),
+    ("num_layers", True, "num_layers must be an integer, got True"),
+    ("num_heads", True, "num_heads must be an integer, got True"),
+    ("dropout", False, "dropout must be a number, got False"),
+])
+def test_checkpoint_config_of_the_wrong_type_is_data_error(tmp_path, tiny_cfg, field, value,
+                                                           message):
+    # JSON's 1.0 and true pass every range check a size has
+    path = save_checkpoint(init(tiny_cfg, seed=4), tmp_path / "model.npz", _vocab())
+    _rewrite_checkpoint(path, **{field: value})
+    with pytest.raises(DataError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}: not a checkpoint (ValueError: {message})"
+
+
 def test_checkpoint_parameter_that_is_not_numbers_is_data_error(tmp_path, tiny_cfg):
     path = save_checkpoint(init(tiny_cfg, seed=4), tmp_path / "model.npz", _vocab())
     with np.load(path) as blob:
