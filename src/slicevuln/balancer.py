@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import KIND_ORDER, Kind, Label, Sample, SampleSet, save
-from .errors import DataError
+from .errors import DataError, clip
 
 
 @dataclass
@@ -128,7 +128,7 @@ def remainder(corpus: SampleSet, balanced: BalancedSet) -> SampleSet:
         missing = taken - corpus.ids()
         raise DataError(
             f"balanced set contains {len(missing)} id(s) not present in the corpus, "
-            f"e.g. {sorted(missing)[0]!r}"
+            f"e.g. {clip(repr(sorted(missing)[0]))}"
         )
     return SampleSet._drawn(rest)
 

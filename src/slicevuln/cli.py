@@ -20,7 +20,7 @@ from json.encoder import encode_basestring as _json_str
 from pathlib import Path
 
 from . import balancer, corpus, experiments, metrics, model, slicer, synth
-from .errors import DataError, NumericError, read_utf8
+from .errors import DataError, NumericError, clip, read_utf8
 
 
 def _log(msg: str) -> None:
@@ -53,13 +53,14 @@ class _Parser(argparse.ArgumentParser):
                 try:
                     expanded += shlex.split(line, comments=True)
                 except ValueError as e:  # an unclosed quote
-                    self.error(f"flags file line {line!r}: {e}")
+                    self.error(f"flags file line {clip(repr(line))}: {e}")
         return expanded
 
 
 def _seed(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {clip(repr(text))}")
     return int(text)
 
 

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import DataError, not_utf8
+from .errors import DataError, clip, not_utf8
 
 
 class Kind(str, Enum):
@@ -68,10 +68,10 @@ class SampleSet:
         seen: set[str] = set()
         for s in samples:
             if s.id in seen:
-                raise DataError(f"duplicate sample id {s.id!r}")
+                raise DataError(f"duplicate sample id {clip(repr(s.id))}")
             seen.add(s.id)
             if not s.code:
-                raise DataError(f"sample {s.id!r} has empty code")
+                raise DataError(f"sample {clip(repr(s.id))} has empty code")
         self.samples: list[Sample] = samples
 
     @classmethod
@@ -134,19 +134,20 @@ def _parse_jsonl_record(obj: object, path: Path, lineno: int,
     if not isinstance(sample_id, str) or not sample_id:
         if type(sample_id) is not int:  # a bool is not an id
             raise DataError(f"{path}:{lineno}: id must be a non-empty string or an "
-                            f"integer, got {sample_id!r}")
+                            f"integer, got {clip(repr(sample_id))}")
         sample_id = str(sample_id)
     kind = _KIND_NAMES.get(kind_name) if isinstance(kind_name, str) else None
     if kind is None:
-        raise DataError(f"{path}:{lineno}: unknown kind {kind_name!r}")
+        raise DataError(f"{path}:{lineno}: unknown kind {clip(repr(kind_name))}")
     if type(label) is not int or label not in (0, 1):  # not a bool or a float
-        raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {label!r}")
+        raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {clip(repr(label))}")
     if not isinstance(code, str) or not code:
         raise DataError(f"{path}:{lineno}: code must be a non-empty string")
     source = obj.get("source")
     if source is not None:
         if not isinstance(source, str):
-            raise DataError(f"{path}:{lineno}: source must be a string or null, got {source!r}")
+            raise DataError(f"{path}:{lineno}: source must be a string or null, "
+                            f"got {clip(repr(source))}")
         source = sources.setdefault(source, source)
     return Sample(sample_id, kind, _LABELS[label], code, source)
 
@@ -189,7 +190,7 @@ def _load_jsonlines(path: Path) -> list[Sample]:
                     if skipped > first:
                         break
                     first += 1
-                raise DataError(f"{path}:{lineno}: duplicate sample id {sample.id!r} "
+                raise DataError(f"{path}:{lineno}: duplicate sample id {clip(repr(sample.id))} "
                                 f"(first on line {first})")
             ids.add(sample.id)
             samples.append(sample)

@@ -6,6 +6,12 @@ The CLI maps these onto exit codes: DataError -> 2, NumericError -> 3.
 from pathlib import Path
 
 
+def clip(text: str) -> str:
+    """``text`` cut to 80 characters and "..." when longer: a message quotes
+    an input value through it, so it stays short however large the value."""
+    return text if len(text) <= 80 else text[:80] + "..."
+
+
 class SliceVulnError(Exception):
     pass
 

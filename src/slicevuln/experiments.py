@@ -30,9 +30,11 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from . import balancer, corpus, metrics, model, tokenizer
 from .corpus import CELL_ORDER, KIND_ORDER, Kind, SampleSet
-from .errors import DataError, LexError
+from .errors import DataError, LexError, clip
 
 STRATEGY_IDS = ("S1", "S2", "S3")
 
@@ -117,7 +119,8 @@ def model_texts(sset: SampleSet) -> list[str]:
         try:
             texts.append(tokenizer.normalize(s.code))
         except LexError as e:
-            where = f"sample {s.id!r}" + ("" if s.source is None else f" (source {s.source})")
+            where = f"sample {clip(repr(s.id))}" + (
+                "" if s.source is None else f" (source {clip(s.source)})")
             raise DataError(f"{where}: {e}") from e
     return texts
 
@@ -125,11 +128,11 @@ def model_texts(sset: SampleSet) -> list[str]:
 def encode_set(
     sset: SampleSet, texts: Sequence[str], vocab: tokenizer.Vocab, max_len: int
 ) -> tokenizer.EncodedDataset:
-    """Encode each sample's model text, labelled with the sample's label."""
-    return tokenizer.EncodedDataset.from_encodings(
-        [tokenizer.encode(text, vocab, max_len) for text in texts],
-        [int(s.label) for s in sset],
-    )
+    """Encode each sample's model text into one [n, max_len] array, row by
+    row as it is encoded, labelled with the sample's label."""
+    rows = (tokenizer.encode(text, vocab, max_len) for text in texts)
+    return tokenizer.EncodedDataset(np.fromiter(rows, np.dtype((np.int64, max_len)), len(texts)),
+                                    np.array([s.label for s in sset], dtype=np.int64))
 
 
 def encode_test_set(

@@ -22,7 +22,8 @@ applied directly to the matrices, not through the gradient), shuffling keyed by
 (seed, epoch), and early stopping on validation loss with restoration of
 the best weights.  Dropout draws from a generator keyed by the training
 seed.  Validation and ``predict`` both take their logits from ``forward``,
-the one eval-mode pass, which refuses non-finite logits.
+the one eval-mode pass: it runs every set in length order and refuses
+non-finite logits.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from zipfile import BadZipFile
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, clip
 from .tokenizer import EncodedDataset, Vocab
 
 _ADAM_BETA1 = 0.9
@@ -68,9 +69,9 @@ class ModelConfig:
             "num_layers", "hidden_dim", "num_heads", "ff_dim", "max_len", "vocab_size")}
         for name, value in sizes.items():
             if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+                raise ValueError(f"{name} must be an integer, got {clip(repr(value))}")
         if isinstance(self.dropout, bool) or not isinstance(self.dropout, (int, float)):
-            raise ValueError(f"dropout must be a number, got {self.dropout!r}")
+            raise ValueError(f"dropout must be a number, got {clip(repr(self.dropout))}")
         if min(sizes.values()) < 1:
             raise ValueError("all model dimensions must be positive")
         if self.vocab_size <= len(Vocab.RESERVED):
@@ -429,16 +430,18 @@ def _backward_core(model: Model, cache: dict, dlogits: np.ndarray, G: dict) -> N
 
 
 def forward(model: Model, data: EncodedDataset, batch_size: int = 64) -> np.ndarray:
-    """Eval-mode logits [n, 2], computed in batches of ``batch_size`` that
-    are trimmed to their longest sequence."""
+    """Eval-mode logits [n, 2] in input order.  The samples run in stable
+    length order, in batches of ``batch_size`` gathered by index and trimmed
+    to their longest sequence, so ``data.ids`` is never copied whole."""
     if data.ids.shape[1] != model.config.max_len:
         raise ValueError(
             f"encoding length {data.ids.shape[1]} != model max_len {model.config.max_len}"
         )
+    order = np.argsort((data.ids != Vocab.PAD).sum(1), kind="stable")
     logits = np.empty((len(data), _NUM_CLASSES), model.flat.dtype)
     for start in range(0, len(data), batch_size):
-        ids = _trim(data.ids[start:start + batch_size])
-        logits[start:start + batch_size], _ = _forward_core(model, ids)
+        sel = order[start:start + batch_size]
+        logits[sel], _ = _forward_core(model, _trim(data.ids[sel]))
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite logits in forward pass")
     return logits
@@ -540,13 +543,8 @@ def _decide(logits: np.ndarray) -> np.ndarray:
 
 def _eval_loss_acc(model: Model, data: EncodedDataset, batch_size: int) -> tuple[float, float]:
     logits = forward(model, data, batch_size)
-    total_nll = 0.0
-    for start in range(0, len(data), batch_size):
-        y = data.labels[start:start + batch_size]
-        nll, _ = _loss_and_grad(logits[start:start + batch_size], y)
-        total_nll += nll * len(y)
-    correct = int((_decide(logits) == data.labels).sum())
-    return total_nll / len(data), correct / len(data)
+    nll, _ = _loss_and_grad(logits, data.labels)
+    return nll, int((_decide(logits) == data.labels).sum()) / len(data)
 
 
 def train(
@@ -615,15 +613,9 @@ def train(
 
 
 def predict(model: Model, data: EncodedDataset) -> np.ndarray:
-    """0/1 labels; vulnerable iff logit 1 >= logit 0 (p(class 1) >= 0.5).
-    ``forward`` runs over the samples in stable length order, so each batch
-    is trimmed close to the length of all its samples; labels come back in
-    input order."""
-    order = np.argsort((data.ids != Vocab.PAD).sum(1), kind="stable")
-    logits = forward(model, EncodedDataset(ids=data.ids[order], labels=data.labels[order]))
-    labels = np.empty(len(data), dtype=np.int64)
-    labels[order] = _decide(logits)
-    return labels
+    """0/1 labels in input order, the decision on ``forward``'s logits:
+    vulnerable iff logit 1 >= logit 0 (p(class 1) >= 0.5)."""
+    return _decide(forward(model, data)).astype(np.int64)
 
 
 def save_checkpoint(model: Model, path: str | Path, vocab: Vocab) -> Path:
@@ -677,8 +669,9 @@ def load_checkpoint(path: str | Path) -> tuple[Model, Vocab]:
         raise DataError(f"{path}: the stored {e}") from e
     shapes = _shapes(cfg)
     if arrays.keys() != shapes.keys():
-        raise DataError(f"{path}: parameters missing {sorted(shapes.keys() - arrays.keys())}, "
-                        f"unexpected {sorted(arrays.keys() - shapes.keys())}")
+        raise DataError(f"{path}: parameters missing "
+                        f"{clip(repr(sorted(shapes.keys() - arrays.keys())))}, "
+                        f"unexpected {clip(repr(sorted(arrays.keys() - shapes.keys())))}")
     for name, shape in shapes.items():
         if arrays[name].shape != shape:
             raise DataError(f"{path}: parameter {name} has shape {arrays[name].shape}, "

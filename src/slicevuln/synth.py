@@ -23,7 +23,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .corpus import KIND_ORDER, Kind, Label, Sample, SampleSet
-from .errors import DataError, read_utf8
+from .errors import DataError, clip, read_utf8
 
 # Per-kind (vulnerable, non-vulnerable) counts of the reference distribution:
 # a heavily imbalanced real-world-shaped corpus of 420,627 slices.
@@ -58,12 +58,12 @@ def read_counts_manifest(path: str | Path) -> dict[Kind, tuple[int, int]]:
     counts = {}
     for name, cell in payload.items():
         if name not in Kind._value2member_map_:
-            raise DataError(f"{path}: unknown kind {name!r}")
+            raise DataError(f"{path}: unknown kind {clip(repr(name))}")
         if not (isinstance(cell, dict) and all(
                 type(cell.get(key)) is int and cell[key] >= 0
                 for key in ("vulnerable", "non_vulnerable"))):
             raise DataError(f"{path}: {name} needs non-negative integer 'vulnerable' "
-                            f"and 'non_vulnerable' counts, got {cell!r}")
+                            f"and 'non_vulnerable' counts, got {clip(repr(cell))}")
         counts[Kind(name)] = (cell["vulnerable"], cell["non_vulnerable"])
     if not any(v + n for v, n in counts.values()):
         raise DataError(f"{path}: a counts manifest needs at least one sample")

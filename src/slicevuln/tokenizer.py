@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, clip
 from .slicer import DEFAULT_API_LIST, TokenClass, lex
 
 _PLACEHOLDER = re.compile(r"(VAR|FUN)(\d+)$")
@@ -80,7 +80,7 @@ class Vocab:
         self._ids = {tok: i + len(self.RESERVED) for i, tok in enumerate(self.tokens)}
         if len(self._ids) != len(self.tokens):
             dup = next(tok for tok, n in Counter(self.tokens).items() if n > 1)
-            raise DataError(f"vocabulary repeats the token {dup!r}")
+            raise DataError(f"vocabulary repeats the token {clip(repr(dup))}")
 
     def __len__(self) -> int:
         return len(self.tokens) + len(self.RESERVED)
@@ -114,18 +114,10 @@ def encode(text: str, vocab: Vocab, max_len: int) -> np.ndarray:
 
 @dataclass(slots=True)
 class EncodedDataset:
-    """A batchable dataset: stacked id rows plus integer labels."""
+    """A batchable dataset: one id array, a row per sample, plus integer labels."""
 
     ids: np.ndarray     # [n, max_len] int64
     labels: np.ndarray  # [n] int64
 
     def __len__(self) -> int:
         return self.ids.shape[0]
-
-    @classmethod
-    def from_encodings(
-        cls, rows: Sequence[np.ndarray], labels: Sequence[int]
-    ) -> "EncodedDataset":
-        if len(rows) != len(labels):
-            raise ValueError("encodings and labels differ in length")
-        return cls(ids=np.stack(rows), labels=np.asarray(labels, dtype=np.int64))

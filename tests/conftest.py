@@ -25,7 +25,7 @@ def random_batch(cfg, n, seed):
 
 def random_dataset(cfg, n, seed):
     rows, labels = random_batch(cfg, n, seed)
-    return EncodedDataset.from_encodings(rows, labels)
+    return EncodedDataset(ids=np.stack(rows), labels=labels)
 
 
 @pytest.fixture

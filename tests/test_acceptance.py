@@ -29,10 +29,10 @@ from slicevuln import (
     train,
 )
 from slicevuln.corpus import KIND_ORDER, Label, Sample, SampleSet
-from slicevuln.experiments import emit, run
+from slicevuln.experiments import emit, encode_set, run
 from slicevuln.slicer import C_KEYWORDS, DEFAULT_API_LIST, TokenClass
 from slicevuln.synth import _make_slice, pattern_corpus, reference_corpus
-from slicevuln.tokenizer import EncodedDataset, Vocab, build_vocab, encode, normalize
+from slicevuln.tokenizer import Vocab, build_vocab, encode, normalize
 
 from golden_corpus import GOLDEN
 from test_metrics import oracle_metrics
@@ -136,10 +136,7 @@ def test_criterion_05_overfit_benchmark():
     texts = [normalize(s.code) for s in toy]
     vocab = build_vocab(texts, 512)
     cfg = ModelConfig(max_len=64, vocab_size=512)  # desk shape: 2/64/4/256
-    data = EncodedDataset.from_encodings(
-        [encode(t, vocab, cfg.max_len) for t in texts],
-        [int(s.label) for s in toy],
-    )
+    data = encode_set(toy, texts, vocab, cfg.max_len)
     tcfg = TrainConfig(epochs=100, early_stop_patience=100, seed=42)
     net, history = train(init(cfg, seed=42), data, data, tcfg)
     accuracy = float((predict(net, data) == data.labels).mean())

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import gc
 import json
 import os
@@ -910,3 +911,35 @@ def test_demo_runs(demo, tmp_path):
                    for sid in ("s1", "s2", "s3"))
     else:
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("reader", ["corpus", "counts", "flags", "checkpoint"])
+def test_an_oversized_value_is_quoted_short(tmp_path, small_corpus_path, capsys, reader):
+    # a message quotes at most a fixed length of a bad value; quoting it all
+    # printed hundreds of kilobytes for one oversized field
+    bad, big = tmp_path / "bad", "x" * 300_000
+    out = ["--out", str(tmp_path / "out")]
+    if reader == "corpus":
+        bad.write_text(json.dumps({"id": "a", "kind": "API", "label": [0] * 200_000,
+                                   "code": "x;"}) + "\n")
+        argv, code = ["balance", "--hypothesis", "h1", "--in", str(bad)], 2
+        named = f"{bad}:1: label must be 0 or 1, got [0, 0, 0"
+    elif reader == "counts":
+        bad.write_text(json.dumps({"API": {"vulnerable": big}}))
+        argv, code = ["build-dataset", "--counts", str(bad)], 2
+        named = f"{bad}: API needs non-negative integer 'vulnerable' and 'non_vulnerable' counts"
+    elif reader == "flags":
+        bad.write_text(f'--epochs 1\n--in "{big}\n')
+        argv, code = ["run-strategy", f"@{bad}"], 1
+        named = f"""flags file line '--in "xxx"""
+    else:
+        config = {**dataclasses.asdict(ModelConfig()), "num_layers": big}
+        meta = json.dumps({"version": model.CHECKPOINT_VERSION, "config": config, "vocab": []})
+        bad = bad.with_suffix(".npz")
+        np.savez(bad, __meta__=np.frombuffer(meta.encode(), dtype=np.uint8))
+        argv, code = ["evaluate", "--model", str(bad), "--in", str(small_corpus_path)], 2
+        named = f"{bad}: not a checkpoint (ValueError: num_layers must be an integer, got 'xxx"
+    assert main(argv + out) == code
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert len(err.encode()) < 1024, f"{len(err.encode())} bytes of stderr"

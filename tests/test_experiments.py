@@ -14,8 +14,10 @@ from slicevuln import (
     compare,
     emit,
     run,
+    tokenizer,
 )
 from slicevuln.balancer import balance_h1, balance_h2
+from slicevuln.experiments import encode_set
 from slicevuln.metrics import compute
 from slicevuln.model import TrainHistory
 from slicevuln.synth import pattern_corpus
@@ -222,3 +224,21 @@ def test_the_train_config_seed_is_the_run_seed():
         spec.seed = 8
     with pytest.raises(TypeError):
         StrategySpec(id="S1", seed=7)
+
+
+def test_encode_set_holds_the_ids_once():
+    # the rows fill one array as they are encoded: no list of rows beside it
+    import tracemalloc
+
+    samples = pattern_corpus({Kind.API: (1000, 1000)}, seed=5)
+    texts = [tokenizer.normalize(s.code) for s in samples]
+    vocab = tokenizer.build_vocab(texts, 256)
+    tracemalloc.start()
+    try:
+        data = encode_set(samples, texts, vocab, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.ids.shape == (2000, 512)
+    assert peak <= 1.25 * data.ids.nbytes, (
+        f"encode_set peaked at {peak} bytes for {data.ids.nbytes} of ids")

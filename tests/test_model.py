@@ -105,7 +105,7 @@ def test_forward_shape_and_softmax(tiny_cfg):
 
 def test_forward_rejects_wrong_length(tiny_cfg):
     net = init(tiny_cfg, seed=1)
-    data = EncodedDataset.from_encodings([np.array([2, 3], dtype=np.int64)], [0])
+    data = EncodedDataset(ids=np.array([[2, 3]]), labels=np.array([0]))
     with pytest.raises(ValueError, match="max_len"):
         forward(net, data)
     with pytest.raises(ValueError, match="max_len"):
@@ -301,7 +301,7 @@ def make_separable_dataset(cfg, n=64):
         ids[1 + int(rng.integers(0, length - 1))] = 5 if label else 6
         rows.append(ids)
         labels.append(label)
-    return EncodedDataset.from_encodings(rows, labels)
+    return EncodedDataset(ids=np.stack(rows), labels=np.array(labels))
 
 
 def test_overfit_separable_set():
@@ -440,11 +440,54 @@ def test_predict_invariant_to_batch_partitioning(tiny_cfg):
 def test_prediction_permutation_consistency(tiny_cfg):
     net = init(tiny_cfg, seed=9)
     rows, labels = random_batch(tiny_cfg, 10, seed=3)
-    base = predict(net, EncodedDataset.from_encodings(rows, labels))
+    base = predict(net, EncodedDataset(ids=np.stack(rows), labels=labels))
     perm = np.random.default_rng(0).permutation(10)
-    shuffled = predict(net, EncodedDataset.from_encodings([rows[i] for i in perm],
-                                                          labels[perm]))
+    shuffled = predict(net, EncodedDataset(ids=np.stack(rows)[perm], labels=labels[perm]))
     assert np.array_equal(shuffled, base[perm])
+
+
+def test_forward_batches_in_length_order(tiny_cfg, monkeypatch):
+    # rows given longest first still run shortest first, so the batch
+    # widths, each trimmed to its longest row, never decrease
+    data = random_dataset(tiny_cfg, 17, seed=2)
+    longest_first = np.argsort(-(data.ids != Vocab.PAD).sum(1), kind="stable")
+    data = EncodedDataset(ids=data.ids[longest_first], labels=data.labels[longest_first])
+    widths = []
+
+    def recording(net, ids, *args, **kwargs):
+        widths.append(ids.shape[1])
+        return _forward_core(net, ids, *args, **kwargs)
+
+    monkeypatch.setattr(model, "_forward_core", recording)
+    logits = forward(init(tiny_cfg, seed=9), data, batch_size=4)
+    assert len(widths) == 5 and widths == sorted(widths)
+    monkeypatch.undo()
+    assert np.allclose(logits, forward(init(tiny_cfg, seed=9), data, batch_size=1),
+                       rtol=0, atol=1e-12)
+
+
+def test_predict_holds_no_copy_of_the_ids():
+    # 2000 rows at max_len 512 whose live prefix is at most 16 ids: predict
+    # may gather a batch at a time, but not a second array of all the rows
+    import tracemalloc
+
+    cfg = ModelConfig(num_layers=1, hidden_dim=8, num_heads=2, ff_dim=16, max_len=512,
+                      vocab_size=32, dropout=0.0)
+    rng = np.random.default_rng(4)
+    ids = np.zeros((2000, 512), dtype=np.int64)
+    ids[:, 0] = Vocab.CLS
+    for row, length in zip(ids, rng.integers(1, 16, size=len(ids))):
+        row[1:length] = rng.integers(3, cfg.vocab_size, size=length - 1)
+    data = EncodedDataset(ids=ids, labels=rng.integers(0, 2, size=len(ids)))
+    net = init(cfg, seed=1)
+    tracemalloc.start()
+    try:
+        labels = predict(net, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert labels.shape == (2000,)
+    assert peak < ids.nbytes, f"predict peaked at {peak} bytes for {ids.nbytes} of ids"
 
 
 def test_predict_rejects_nonfinite_logits(tiny_cfg):

@@ -1,4 +1,5 @@
 import dataclasses
+import enum
 import inspect
 
 import slicevuln
@@ -65,4 +66,23 @@ def test_config_fields():
         "Report": ["strategy", "confusion", "resources", "fingerprints", "history"],
         "EncodedDataset": ["ids", "labels"],
         "Candidate": ["kind", "line", "focus", "span", "file"],
+    }
+
+
+def test_public_methods():
+    # each public non-enum class's own public methods and properties; a new
+    # or removed method shows up here as a diff
+    kinds = (property, classmethod, staticmethod)
+    members = {name: [attr for attr, value in vars(cls).items() if not attr.startswith("_")
+                      and (inspect.isfunction(value) or isinstance(value, kinds))]
+               for name in slicevuln.__all__
+               if inspect.isclass(cls := getattr(slicevuln, name))
+               and not issubclass(cls, enum.Enum)}
+    assert members == {
+        "Sample": [], "SampleSet": ["counts", "ids"], "Candidate": [], "Token": [],
+        "BalancedSet": [], "EncodedDataset": [], "Vocab": ["lookup"],
+        "Model": ["num_parameters"], "ModelConfig": ["head_dim"], "TrainConfig": [],
+        "TrainHistory": [], "ConfusionMatrix": ["total"], "MetricSet": [],
+        "Report": ["overall"], "ResourceUsage": [], "StrategySpec": ["hypothesis", "seed"],
+        "DataError": [], "LexError": [], "NumericError": [], "SliceVulnError": [],
     }

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from slicevuln import Vocab, build_vocab, encode, normalize
+from slicevuln.corpus import Kind, Label, Sample, SampleSet
+from slicevuln.experiments import encode_set
 from slicevuln.synth import pattern_corpus
-from slicevuln.tokenizer import EncodedDataset
 
 
 def test_normalize_simple_declaration():
@@ -131,9 +132,9 @@ def test_encode_min_len():
 
 def test_encoded_dataset_shapes():
     v = build_vocab(["a b"], max_size=8)
-    encs = [encode("a", v, 6), encode("b a", v, 6)]
-    data = EncodedDataset.from_encodings(encs, [0, 1])
-    assert data.ids.shape == (2, 6)
-    assert data.labels.tolist() == [0, 1]
-    with pytest.raises(ValueError):
-        EncodedDataset.from_encodings(encs, [0])
+    samples = SampleSet([Sample("s0", Kind.API, Label.NON_VULNERABLE, "a;"),
+                         Sample("s1", Kind.API, Label.VULNERABLE, "b a;")])
+    data = encode_set(samples, ["a", "b a"], v, 6)
+    assert data.ids.shape == (2, 6) and data.ids.dtype == np.int64
+    assert data.ids.tolist() == [encode("a", v, 6).tolist(), encode("b a", v, 6).tolist()]
+    assert data.labels.tolist() == [0, 1] and data.labels.dtype == np.int64
