@@ -46,13 +46,30 @@ CELL_ORDER = tuple((kind, label) for kind in KIND_ORDER for label in Label)
 
 @dataclass(frozen=True, slots=True)
 class Sample:
-    """One labeled code slice."""
+    """One labeled code slice.
+
+    Its ``__init__`` writes each field through its slot's descriptor: the
+    generated frozen one calls ``object.__setattr__`` per field, which made
+    it about a fifth of a reference-corpus ``load``."""
 
     id: str
     kind: Kind
     label: Label
     code: str
     source: str | None = None
+
+    def __init__(self, id: str, kind: Kind, label: Label, code: str,
+                 source: str | None = None):
+        _set_id(self, id)
+        _set_kind(self, kind)
+        _set_label(self, label)
+        _set_code(self, code)
+        _set_source(self, source)
+
+
+_set_id, _set_kind, _set_label, _set_code, _set_source = (
+    Sample.id.__set__, Sample.kind.__set__, Sample.label.__set__, Sample.code.__set__,
+    Sample.source.__set__)
 
 
 class SampleSet:

@@ -291,11 +291,14 @@ def emit(report: Report, run_dir: str | Path) -> Path:
 
 def _read(table: dict, key: str, *types: type, top: float = math.inf):
     """``table[key]`` if it is one of ``types`` and not a bool, else a
-    TypeError; a number that is not finite or lies outside [0, ``top``] is
-    a ValueError."""
+    TypeError; a number that is not finite or lies outside [0, ``top``], or
+    a string holding a lone surrogate (no UTF-8 file can hold it), is a
+    ValueError."""
     value = table[key]
     if isinstance(value, bool) or not isinstance(value, types):
         raise TypeError(f"{key} is a {type(value).__name__}")
+    if isinstance(value, str) and (found := corpus._SURROGATE.search(value)):
+        raise ValueError(f"{key} holds a lone surrogate (U+{ord(found.group()):04X})")
     if isinstance(value, (int, float)):
         if not math.isfinite(value):
             raise ValueError(f"{key} is {value}, not finite")
@@ -310,7 +313,8 @@ def compare(payloads: Sequence[dict]) -> str:
     training wall time in seconds and peak memory in MiB.  A strategy that
     is not a string, or a value read here that is not a number (F1 and
     accuracy may be null), is a TypeError; F1 or accuracy outside [0, 1],
-    or a negative or non-finite number, is a ValueError."""
+    a negative or non-finite number, or a strategy holding a lone
+    surrogate, is a ValueError."""
     lines = ["strategy,overall_f1_pct,overall_accuracy_pct,wall_time_s,peak_memory_mb"]
     for payload in payloads:
         overall, res = payload["metrics"]["Overall"], payload["resources"]

@@ -653,10 +653,15 @@ def load_checkpoint(path: str | Path) -> tuple[Model, Vocab]:
                 f"slicevuln reads version {CHECKPOINT_VERSION}); retrain the model with "
                 "`slicevuln train`"
             )
-        cfg = ModelConfig(**meta["config"])
+        try:
+            cfg = ModelConfig(**meta["config"])
+        except ValueError as e:  # ModelConfig's own text, kept whole (it names every size)
+            raise DataError(f"{path}: not a checkpoint (ValueError: {e})") from e
         tokens = meta["vocab"]
     except (AttributeError, KeyError, TypeError, ValueError, RecursionError, BadZipFile) as e:
-        raise DataError(f"{path}: not a checkpoint ({type(e).__name__}: {e})") from e
+        # Python's and numpy's text may quote an unknown config key or an
+        # array header whole
+        raise DataError(f"{path}: not a checkpoint ({type(e).__name__}: {clip(str(e))})") from e
     if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
         raise DataError(f"{path}: the stored vocabulary is not a list of strings")
     room = cfg.vocab_size - len(Vocab.RESERVED)

@@ -860,6 +860,56 @@ def test_report_on_a_non_utf8_file_names_the_line(tmp_path, capsys):
     assert not (tmp_path / "cmp").exists()
 
 
+def test_report_on_a_strategy_with_a_lone_surrogate_is_data_error(tmp_path, capsys):
+    # json reads "\ud800" as a lone surrogate, which comparison.csv cannot hold
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(_report_with(strategy="S\ud800")))
+    assert main(["report", "--in", str(path), "--out", str(tmp_path / "cmp")]) == 2
+    err = capsys.readouterr().err
+    assert (f"{path}: not a report.json (ValueError: strategy holds a lone surrogate (U+D800))"
+            in err and "Traceback" not in err)
+    assert not (tmp_path / "cmp").exists()
+
+
+def _changed_report(changes):
+    """``_report_with()``'s payload with each (key, value) of ``changes`` set
+    in the table that holds the key, or the key dropped where value is ..."""
+    payload = _report_with()
+    tables = (payload, payload["metrics"], payload["metrics"]["Overall"], payload["resources"])
+    owner = {key: table for table in tables for key in table}
+    for key, value in changes:
+        if value is ...:
+            owner[key].pop(key, None)
+        else:
+            owner[key][key] = value
+    return payload
+
+
+_REPORT_KEY = st.sampled_from(["strategy", "metrics", "Overall", "f1", "accuracy", "resources",
+                               "wall_time_seconds", "peak_resident_memory_bytes"])
+# report.json text: an accepted payload with a few values made hostile or
+# dropped, a hostile value alone, or a line that is not a JSON object
+_REPORT_TEXT = st.one_of(
+    st.builds(lambda changes: json.dumps(_changed_report(changes)).encode(),
+              st.lists(st.tuples(_REPORT_KEY, st.one_of(_HOSTILE_VALUE, st.just(...))),
+                       max_size=3)),
+    st.builds(lambda value: json.dumps(value).encode(), _HOSTILE_VALUE),
+    _RAW_LINE)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(texts=st.lists(_REPORT_TEXT, min_size=1, max_size=2))
+def test_report_on_hostile_reports_exits_0_or_2(texts):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / f"r{i}.json" for i in range(len(texts))]
+        for path, text in zip(paths, texts):
+            path.write_bytes(text)
+        out = Path(tmp) / "cmp"
+        code = main(["report", "--in", *map(str, paths), "--out", str(out)])
+        assert code in (0, 2)
+        assert (out / "comparison.csv").exists() == (code == 0)
+
+
 def test_report_comparison_is_frozen(tmp_path):
     payloads = [
         {"strategy": "S1", "metrics": {"Overall": {"f1": 0.98765, "accuracy": 0.5}},

@@ -1,6 +1,9 @@
 import contextlib
+import dataclasses
 import gc
+import inspect
 import json
+import pickle
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -183,6 +186,25 @@ def test_load_keeps_one_string_per_repeated_source(tmp_path):
     a, b, c = load(path).samples
     assert (a.source, b.source, c.source) == ("f.c", "g.c", "f.c")
     assert a.source is c.source
+
+
+def test_sample_is_a_frozen_value(tmp_path):
+    # Sample's __init__ is written by hand; these pin what the generated one gave
+    assert [str(p) for p in inspect.signature(Sample).parameters.values()] == [
+        "id: 'str'", "kind: 'Kind'", "label: 'Label'", "code: 'str'",
+        "source: 'str | None' = None"]
+    s = Sample("a", Kind.PU, Label.VULNERABLE, "*p = 0;", "f.c")
+    for name in ("id", "kind", "label", "code", "source"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, name, None)
+    twin = Sample(id="a", kind=Kind.PU, label=Label.VULNERABLE, code="*p = 0;", source="f.c")
+    assert twin == s and hash(twin) == hash(s) and twin is not s
+    assert Sample("a", Kind.PU, Label.VULNERABLE, "*p = 0;").source is None
+    assert replace(s) == s and replace(s, source=None) != s
+    assert pickle.loads(pickle.dumps(s)) == s
+    path = tmp_path / "one.jsonl"
+    path.write_text(record(source="f.c") + "\n")
+    assert load(path).samples == [s]
 
 
 def test_duplicate_ids_rejected():

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -645,6 +646,32 @@ def test_checkpoint_config_of_the_wrong_type_is_data_error(tmp_path, tiny_cfg, f
     with pytest.raises(DataError) as err:
         load_checkpoint(path)
     assert str(err.value) == f"{path}: not a checkpoint (ValueError: {message})"
+
+
+def test_checkpoint_error_quotes_an_unknown_config_key_clipped(tmp_path, tiny_cfg):
+    # Python's TypeError text names the whole keyword, however long
+    path = save_checkpoint(init(tiny_cfg, seed=4), tmp_path / "model.npz", _vocab())
+    _rewrite_checkpoint(path, **{"k" * 1000: 1})
+    with pytest.raises(DataError) as err:
+        load_checkpoint(path)
+    text = "ModelConfig.__init__() got an unexpected keyword argument 'kkk"
+    assert str(err.value).startswith(f"{path}: not a checkpoint (TypeError: {text}")
+    assert str(err.value).endswith("kkk...)")
+    assert len(str(err.value)) == len(f"{path}: not a checkpoint (TypeError: )") + 83
+
+
+def test_checkpoint_error_quotes_a_bad_array_header_clipped(tmp_path):
+    # numpy's text quotes a header it cannot parse whole, up to 10,000 bytes
+    header = b"{'descr': '<u1', 'fortran_order': False, 'shape': (3,), " + b"y" * 3000 + b"}"
+    header += b" " * (-(len(header) + 11) % 64) + b"\n"
+    path = tmp_path / "model.npz"
+    with zipfile.ZipFile(path, "w") as archive:
+        archive.writestr("__meta__.npy", b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little")
+                         + header + b"abc")
+    with pytest.raises(DataError) as err:
+        load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: not a checkpoint (ValueError: Cannot parse header")
+    assert len(str(err.value)) == len(f"{path}: not a checkpoint (ValueError: )") + 83
 
 
 def test_checkpoint_parameter_that_is_not_numbers_is_data_error(tmp_path, tiny_cfg):

@@ -56,7 +56,8 @@ def test_config_fields():
     configs = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
                for cls in (slicevuln.ModelConfig, slicevuln.TrainConfig,
                            slicevuln.StrategySpec, slicevuln.Report,
-                           slicevuln.EncodedDataset, slicevuln.Candidate)}
+                           slicevuln.EncodedDataset, slicevuln.Candidate,
+                           slicevuln.Sample)}
     assert configs == {
         "ModelConfig": ["num_layers", "hidden_dim", "num_heads", "ff_dim", "max_len",
                         "vocab_size", "dropout"],
@@ -66,6 +67,7 @@ def test_config_fields():
         "Report": ["strategy", "confusion", "resources", "fingerprints", "history"],
         "EncodedDataset": ["ids", "labels"],
         "Candidate": ["kind", "line", "focus", "span", "file"],
+        "Sample": ["id", "kind", "label", "code", "source"],
     }
 
 
