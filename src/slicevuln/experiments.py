@@ -26,6 +26,7 @@ import math
 import resource
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -95,20 +96,14 @@ def _digest(strings: Iterable[str]) -> str:
     return h.hexdigest()
 
 
-class _Stage:
-    """Tags exceptions escaping a pipeline stage with the stage name."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc is not None and not hasattr(exc, "stage"):
-            exc.stage = self.name
-            exc.args = (f"[stage: {self.name}] {exc}",) + exc.args[1:]
-        return False
+@contextmanager
+def _stage(name: str):
+    """Puts ``[stage: name] `` before an escaping exception's message; stages never nest."""
+    try:
+        yield
+    except Exception as exc:
+        exc.args = (f"[stage: {name}] {exc}",) + exc.args[1:]
+        raise
 
 
 def model_texts(sset: SampleSet) -> list[str]:
@@ -166,16 +161,14 @@ def fit(
     """Normalize each sample once, build the vocabulary from the training
     texts, encode both sides, then initialize from ``train_config.seed`` and
     train with early stopping on the held-out side."""
-    if len(train_set) == 0 or len(heldout) == 0:
-        raise DataError("training and validation sets must be non-empty")
-    with _Stage("tokenize"):
+    with _stage("tokenize"):
         train_texts = model_texts(train_set)
         vocab = tokenizer.build_vocab(train_texts, model_config.vocab_size)
         train_data = encode_set(train_set, train_texts, vocab, model_config.max_len)
         heldout_data = encode_set(heldout, model_texts(heldout), vocab,
                                   model_config.max_len)
 
-    with _Stage("train"):
+    with _stage("train"):
         net = model.init(model_config, train_config.seed)
         t0 = time.monotonic()
         net, history = model.train(net, train_data, heldout_data, train_config)
@@ -191,7 +184,7 @@ def score(
 ) -> dict[Kind, metrics.ConfusionMatrix]:
     """Predict the test set; one confusion matrix per kind present, in
     ``KIND_ORDER``, against the labels ``test_data`` holds."""
-    with _Stage("evaluate"):
+    with _stage("evaluate"):
         predictions = model.predict(net, test_data)
         confusion: dict[Kind, metrics.ConfusionMatrix] = {}
         for kind in KIND_ORDER:
@@ -204,19 +197,19 @@ def score(
 
 def run(spec: StrategySpec, full_corpus: SampleSet) -> Report:
     """Execute one strategy end to end and assemble its report."""
-    with _Stage("balance"):
+    with _stage("balance"):
         balance = balancer.balance_h1 if spec.hypothesis == "H1" else balancer.balance_h2
         balanced = balance(full_corpus, spec.seed)
 
-    with _Stage("split"):
+    with _stage("split"):
         train_set, heldout = corpus.split(balanced.samples, spec.seed)
 
     fitted = fit(train_set, heldout, spec.model_config, spec.train_config)
 
     if spec.id == "S3":
-        with _Stage("remainder"):
+        with _stage("remainder"):
             test_set = balancer.remainder(full_corpus, balanced)
-        with _Stage("tokenize"):
+        with _stage("tokenize"):
             test_data = encode_test_set(test_set, fitted.vocab, spec.model_config.max_len,
                                         "the S3 remainder")
     else:
@@ -291,14 +284,11 @@ def emit(report: Report, run_dir: str | Path) -> Path:
 
 def _read(table: dict, key: str, *types: type, top: float = math.inf):
     """``table[key]`` if it is one of ``types`` and not a bool, else a
-    TypeError; a number that is not finite or lies outside [0, ``top``], or
-    a string holding a lone surrogate (no UTF-8 file can hold it), is a
+    TypeError; a number that is not finite or lies outside [0, ``top``] is a
     ValueError."""
     value = table[key]
     if isinstance(value, bool) or not isinstance(value, types):
         raise TypeError(f"{key} is a {type(value).__name__}")
-    if isinstance(value, str) and (found := corpus._SURROGATE.search(value)):
-        raise ValueError(f"{key} holds a lone surrogate (U+{ord(found.group()):04X})")
     if isinstance(value, (int, float)):
         if not math.isfinite(value):
             raise ValueError(f"{key} is {value}, not finite")
@@ -313,15 +303,17 @@ def compare(payloads: Sequence[dict]) -> str:
     training wall time in seconds and peak memory in MiB.  A strategy that
     is not a string, or a value read here that is not a number (F1 and
     accuracy may be null), is a TypeError; F1 or accuracy outside [0, 1],
-    a negative or non-finite number, or a strategy holding a lone
-    surrogate, is a ValueError."""
+    a negative or non-finite number, or a strategy not in ``STRATEGY_IDS``
+    (the ids ``emit`` writes), is a ValueError."""
     lines = ["strategy,overall_f1_pct,overall_accuracy_pct,wall_time_s,peak_memory_mb"]
     for payload in payloads:
         overall, res = payload["metrics"]["Overall"], payload["resources"]
         f1, accuracy = (_read(overall, key, int, float, type(None), top=1)
                         for key in ("f1", "accuracy"))
+        if (strategy := _read(payload, "strategy", str)) not in STRATEGY_IDS:
+            raise ValueError(f"strategy must be one of {STRATEGY_IDS}, got {clip(repr(strategy))}")
         lines.append(
-            f"{_read(payload, 'strategy', str)},{metrics.percent(f1, '')},"
+            f"{strategy},{metrics.percent(f1, '')},"
             f"{metrics.percent(accuracy, '')},"
             f"{_read(res, 'wall_time_seconds', int, float):.2f},"
             f"{_read(res, 'peak_resident_memory_bytes', int, float) / 2**20:.1f}"

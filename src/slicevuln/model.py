@@ -52,6 +52,14 @@ CHECKPOINT_VERSION = 3
 _MAX_PARAMETERS = 2**31  # a config over this is refused before any array is built
 
 
+def _figure(value) -> str:
+    """``value`` as text through clip; an integer too long for str() as about 2**n."""
+    try:
+        return clip(str(value))
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return f"about {'-' if value < 0 else ''}2**{value.bit_length() - 1}"
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     num_layers: int = 2
@@ -80,21 +88,19 @@ class ModelConfig:
         if self.max_len < 2:
             raise ValueError(f"max_len must be >= 2 (CLS plus a token), got {self.max_len}")
         if self.hidden_dim % self.num_heads != 0:
-            raise ValueError(
-                f"hidden_dim {self.hidden_dim} not divisible by num_heads {self.num_heads}"
-            )
+            raise ValueError(f"hidden_dim {_figure(self.hidden_dim)} not divisible by "
+                             f"num_heads {_figure(self.num_heads)}")
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+            raise ValueError(f"dropout must be in [0, 1), got {_figure(self.dropout)}")
         # the size of _shapes's layout, by arithmetic alone
         H, F = self.hidden_dim, self.ff_dim
         count = ((self.vocab_size + self.max_len) * H
                  + self.num_layers * (4 * H * H + 2 * H * F + 9 * H + F)
                  + (2 + _NUM_CLASSES) * H + _NUM_CLASSES)
         if count > _MAX_PARAMETERS:
-            raise ValueError(
-                f"num_layers {self.num_layers}, hidden_dim {H}, ff_dim {F}, max_len "
-                f"{self.max_len} and vocab_size {self.vocab_size} give {count} parameters, "
-                f"over the limit of 2**31")
+            *named, last = (f"{n} {_figure(v)}" for n, v in sizes.items() if n != "num_heads")
+            raise ValueError(f"{', '.join(named)} and {last} give {_figure(count)} parameters, "
+                             "over the limit of 2**31")
 
     @property
     def head_dim(self) -> int:
@@ -672,6 +678,8 @@ def load_checkpoint(path: str | Path) -> tuple[Model, Vocab]:
         vocab = Vocab(tokens)
     except DataError as e:
         raise DataError(f"{path}: the stored {e}") from e
+    if cfg.num_layers > len(arrays):  # a layer is 16 arrays; _shapes lays out every layer
+        raise DataError(f"{path}: {cfg.num_layers} layers, but only {len(arrays)} arrays stored")
     shapes = _shapes(cfg)
     if arrays.keys() != shapes.keys():
         raise DataError(f"{path}: parameters missing "

@@ -36,6 +36,10 @@ def tiny_cfg():
                        max_len=16, vocab_size=32, dropout=0.0)
 
 
+# sha256 of the reference corpus file, as corpus.save writes it
+REFERENCE_CORPUS_SHA256 = "ca77a3748e709bcf80e1ec51146ac615bf9ea33d7f5a11b05570fda10a29b76c"
+
+
 def refuse_to_lay_out(cfg):
     """Patched over model._shapes where a test of a size check must not
     build the table the check guards against."""

@@ -16,6 +16,8 @@ from slicevuln.balancer import save_balanced
 from slicevuln.corpus import CELL_ORDER, KIND_ORDER, load, save
 from slicevuln.synth import pattern_corpus, reference_corpus
 
+from conftest import REFERENCE_CORPUS_SHA256
+
 
 def make_corpus(cells):
     samples = []
@@ -278,7 +280,7 @@ def _ids_digest(bset):
     # AU absent, AE with non-vulnerable samples only
     (lambda: pattern_corpus({Kind.API: (40, 60), Kind.PU: (25, 30), Kind.AE: (0, 20)}, seed=42),
      175, "eeee85d576afc0fdfb345bf7953fd147b084055d60ae862bc71b22750cc8397a"),
-    (None, 420627, "ca77a3748e709bcf80e1ec51146ac615bf9ea33d7f5a11b05570fda10a29b76c"),
+    (None, 420627, REFERENCE_CORPUS_SHA256),
 ], ids=["desk-42", "counts", "reference"])
 def test_generated_corpora_are_frozen(make, count, digest, reference, tmp_path):
     # the bytes corpus.save writes: ids, order, texts and sources of every cell

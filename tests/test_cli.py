@@ -1,6 +1,8 @@
 import argparse
 import dataclasses
+import functools
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -19,7 +21,7 @@ from slicevuln.cli import _build_parser, _slice_one_file, main
 from slicevuln.corpus import load, save, split
 from slicevuln.synth import DESK_COUNTS, pattern_corpus, reference_corpus
 
-from conftest import refuse_to_lay_out
+from conftest import REFERENCE_CORPUS_SHA256, refuse_to_lay_out
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -332,6 +334,12 @@ def test_build_dataset_desk(tmp_path):
                  "--out", str(out)]) == 0
     sset = load(out)
     assert len(sset) == sum(v + n for v, n in DESK_COUNTS.values())
+
+
+def test_build_dataset_reference_preset_writes_the_frozen_corpus(tmp_path):
+    out = tmp_path / "reference.jsonl"
+    assert main(["build-dataset", "--preset", "reference", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REFERENCE_CORPUS_SHA256
 
 
 def test_slice_writes_candidates(tmp_path):
@@ -840,6 +848,10 @@ def _report_text(key, literal):
     pytest.param(_report_text("peak_resident_memory_bytes", "1" + "0" * 400),
                  "OverflowError: int too large to convert to float",
                  id="peak_resident_memory_bytes=10**400"),
+    # only the names emit writes: a comma and a newline would split the row
+    pytest.param(json.dumps(_report_with(strategy="S1,x\ny")),
+                 "ValueError: strategy must be one of ('S1', 'S2', 'S3'), got 'S1,x\\ny'",
+                 id="strategy=S1,x-newline-y"),
 ])
 def test_report_on_a_broken_report_is_data_error(tmp_path, capsys, text, reason):
     path = tmp_path / "report.json"
@@ -866,8 +878,8 @@ def test_report_on_a_strategy_with_a_lone_surrogate_is_data_error(tmp_path, caps
     path.write_text(json.dumps(_report_with(strategy="S\ud800")))
     assert main(["report", "--in", str(path), "--out", str(tmp_path / "cmp")]) == 2
     err = capsys.readouterr().err
-    assert (f"{path}: not a report.json (ValueError: strategy holds a lone surrogate (U+D800))"
-            in err and "Traceback" not in err)
+    assert (f"{path}: not a report.json (ValueError: strategy must be one of "
+            "('S1', 'S2', 'S3'), got 'S\\ud800')" in err and "Traceback" not in err)
     assert not (tmp_path / "cmp").exists()
 
 
@@ -908,6 +920,110 @@ def test_report_on_hostile_reports_exits_0_or_2(texts):
         code = main(["report", "--in", *map(str, paths), "--out", str(out)])
         assert code in (0, 2)
         assert (out / "comparison.csv").exists() == (code == 0)
+
+
+@functools.cache
+def _tiny_checkpoint():
+    """The metadata and arrays of a one-layer checkpoint, and corpus rows
+    it scores."""
+    cfg = ModelConfig(num_layers=1, hidden_dim=8, num_heads=2, ff_dim=16, max_len=16,
+                      vocab_size=32, dropout=0.0)
+    meta = {"version": model.CHECKPOINT_VERSION, "config": dataclasses.asdict(cfg),
+            "vocab": ["strcpy", "b", "s"]}
+    rows = "".join(json.dumps({"id": str(i), "kind": "API", "label": i % 2, "code": code}) + "\n"
+                   for i, code in enumerate(["strcpy(b, s);", "x = 1;"]))
+    return meta, dict(model.init(cfg, seed=4).params), rows
+
+
+def _tiny_meta(config, top):
+    """``_tiny_checkpoint``'s metadata as __meta__ bytes, with ``config``
+    merged into its model config and then the ``top`` fields set."""
+    meta = _tiny_checkpoint()[0]
+    return json.dumps({**meta, "config": {**meta["config"], **config}, **top}).encode()
+
+
+_CONFIG_KEY = st.sampled_from(["num_layers", "hidden_dim", "num_heads", "ff_dim", "max_len",
+                               "vocab_size", "dropout", "extra"])
+_CONFIG_VALUE = st.one_of(_HOSTILE_VALUE, st.integers(0, 10**9), st.just(1))
+# __meta__ bytes: a few config values, and maybe the version, the whole
+# config or the vocabulary, made hostile; any number of layers of width 1,
+# which count under 2**31 parameters up to about 1.3e8 layers; or a line
+# that is not a JSON object
+_META_BYTES = st.one_of(
+    st.builds(_tiny_meta, st.dictionaries(_CONFIG_KEY, _CONFIG_VALUE, max_size=3),
+              st.dictionaries(st.sampled_from(["version", "config", "vocab"]),
+                              st.one_of(_HOSTILE_VALUE, st.lists(st.text(max_size=2), max_size=4)),
+                              max_size=1)),
+    st.builds(lambda layers: _tiny_meta(
+        {"num_layers": layers, "hidden_dim": 1, "num_heads": 1, "ff_dim": 1}, {}),
+        st.integers(0, 10**8)),
+    _RAW_LINE)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(meta=_META_BYTES, drop=st.lists(st.sampled_from(["tok_emb", "layers.0.Wq", "head_b"]),
+                                       max_size=1))
+def test_evaluate_on_hostile_checkpoint_metadata_exits_0_to_3(meta, drop):
+    _, arrays, rows = _tiny_checkpoint()
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt, data, out = Path(tmp) / "m.npz", Path(tmp) / "c.jsonl", Path(tmp) / "eval"
+        np.savez(ckpt, __meta__=np.frombuffer(meta, dtype=np.uint8),
+                 **{name: a for name, a in arrays.items() if name not in drop})
+        data.write_text(rows)
+        code = main(["evaluate", "--model", str(ckpt), "--in", str(data), "--out", str(out)])
+        assert code in (0, 1, 2, 3)
+        assert out.exists() == (code == 0)
+
+
+_FLAG_WORD = st.sampled_from([
+    "--strategy", "s1", "S2", "--seed", "-1", "7", "--epochs", "0", "--layers", "1000000000",
+    "--vocab-size", "3", "--dropout", "nan", "--lr", "inf", "--heads", "3", "--in", "--out",
+    "''", "@x", "@", "-h", "--bogus", "'", '"', "#", "\\", "\ufeff"])
+# flags-file bytes: lines of flag words and short text, a leading
+# byte-order mark or not; or bytes that are not such a file
+_FLAGS_BYTES = st.one_of(
+    st.builds(lambda bom, lines: (bom + "\n".join(lines)).encode(),
+              st.sampled_from(["", "\ufeff"]),
+              st.lists(st.one_of(st.lists(_FLAG_WORD, max_size=6).map(" ".join),
+                                 st.text(max_size=8)), max_size=4)),
+    st.binary(max_size=16), _RAW_LINE)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(text=_FLAGS_BYTES)
+def test_run_strategy_on_a_hostile_flags_file_exits_0_to_3(text):
+    # the corpus after the flags file does not exist, so no example trains
+    with tempfile.TemporaryDirectory() as tmp:
+        flags, out = Path(tmp) / "run.flags", Path(tmp) / "runs"
+        flags.write_bytes(text)
+        code = main(["run-strategy", f"@{flags}", "--in", str(Path(tmp) / "absent.jsonl"),
+                     "--out", str(out)])
+        assert code in (0, 1, 2, 3)
+        assert not out.exists()
+
+
+_C_PIECE = st.sampled_from([
+    "strcpy(b, s);", "buf[i] = 0;", "*p = q;", "x = a + b;", "char b[8];",
+    "void f(char *s) {", "}", "{", "(", ")", "[", "]", ";", "/*", "*/", "//", '"', "'",
+    "\\", "#define X \\", "#include <a.h>", "\n", "\t", "\ufeff", "0x1fULL", "1e+", "@",
+    "`", "é", "L'x'", "R\"(x)\""])
+# C source bytes: C-like pieces and short text, or bytes that may not be UTF-8
+_C_BYTES = st.one_of(
+    st.lists(st.one_of(_C_PIECE, st.text(max_size=4)), max_size=24).map(
+        lambda parts: " ".join(parts).encode()),
+    st.binary(max_size=32))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(sources=st.lists(_C_BYTES, min_size=1, max_size=2))
+def test_slice_on_hostile_c_source_exits_0_to_3(sources):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths, out = [Path(tmp) / f"s{i}.c" for i in range(len(sources))], Path(tmp) / "out"
+        for path, source in zip(paths, sources):
+            path.write_bytes(source)
+        code = main(["slice", "--in", *map(str, paths), "--out", str(out)])
+        assert code in (0, 1, 2, 3)
+        assert out.exists() == (code == 0)
 
 
 def test_report_comparison_is_frozen(tmp_path):

@@ -629,6 +629,31 @@ def test_checkpoint_config_of_a_billion_layers_is_data_error(tmp_path, tiny_cfg,
         load_checkpoint(path)
 
 
+def test_checkpoint_config_of_many_tiny_layers_is_data_error(tmp_path, tiny_cfg, monkeypatch):
+    # 10**8 layers of width 1 count 1.6e9 parameters, under the 2**31 bound,
+    # but _shapes would make 1.6e9 entries; the archive stores 22 arrays
+    path = save_checkpoint(init(tiny_cfg, seed=4), tmp_path / "model.npz", _vocab())
+    _rewrite_checkpoint(path, num_layers=10**8, hidden_dim=1, ff_dim=1, num_heads=1)
+    monkeypatch.setattr(model, "_shapes", refuse_to_lay_out)
+    with pytest.raises(DataError, match=re.escape(
+            f"{path}: {10**8} layers, but only 22 arrays stored")):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("sizes, named", [
+    ({"num_layers": 10**4000}, ["num_layers 1000"]),
+    # the parameter count has more digits than str() writes
+    ({"hidden_dim": 10**4000, "vocab_size": 10**4000, "num_heads": 1},
+     ["hidden_dim 1000", "vocab_size 1000"]),
+], ids=["layers", "hidden-and-vocab"])
+def test_model_config_message_on_sizes_too_long_to_quote_is_short(sizes, named):
+    with pytest.raises(ValueError) as err:
+        ModelConfig(**sizes)
+    message = str(err.value)
+    assert len(message) < 1024 and message.endswith("parameters, over the limit of 2**31")
+    assert all(name in message for name in named)
+
+
 @pytest.mark.parametrize("field,value,message", [
     ("num_layers", 1.0, "num_layers must be an integer, got 1.0"),
     ("hidden_dim", 8.0, "hidden_dim must be an integer, got 8.0"),
