@@ -32,7 +32,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from zipfile import BadZipFile
+from zipfile import ZIP_STORED, BadZipFile
 
 import numpy as np
 
@@ -48,7 +48,7 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 _NUM_CLASSES = 2  # non-vulnerable, vulnerable
 _GRAD_CHECK_EPSILON = 1e-5  # central-difference step
 _GRAD_CHECK_SEED = 0  # keys which coordinates grad_check samples
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 _MAX_PARAMETERS = 2**31  # a config over this is refused before any array is built
 
 
@@ -92,11 +92,7 @@ class ModelConfig:
                              f"num_heads {_figure(self.num_heads)}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {_figure(self.dropout)}")
-        # the size of _shapes's layout, by arithmetic alone
-        H, F = self.hidden_dim, self.ff_dim
-        count = ((self.vocab_size + self.max_len) * H
-                 + self.num_layers * (4 * H * H + 2 * H * F + 9 * H + F)
-                 + (2 + _NUM_CLASSES) * H + _NUM_CLASSES)
+        count = _size(self)
         if count > _MAX_PARAMETERS:
             *named, last = (f"{n} {_figure(v)}" for n, v in sizes.items() if n != "num_heads")
             raise ValueError(f"{', '.join(named)} and {last} give {_figure(count)} parameters, "
@@ -136,6 +132,14 @@ class TrainHistory:
     stopped_epoch: int = 0
 
 
+def _size(cfg: ModelConfig) -> int:
+    """The parameter count of ``_shapes(cfg)``, by arithmetic alone."""
+    H, F = cfg.hidden_dim, cfg.ff_dim
+    return ((cfg.vocab_size + cfg.max_len) * H
+            + cfg.num_layers * (4 * H * H + 2 * H * F + 9 * H + F)
+            + (2 + _NUM_CLASSES) * H + _NUM_CLASSES)
+
+
 def _shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     """The parameter layout: each parameter's name and shape, in the order
     its values sit in ``Model.flat``."""
@@ -172,7 +176,7 @@ def init(cfg: ModelConfig, seed: int) -> Model:
     """Deterministic initialization, in layout order: N(0, 0.02) matrices,
     unit layer-norm gains, zero biases."""
     rng = np.random.default_rng(seed)
-    net = Model(cfg, np.zeros(sum(math.prod(shape) for shape in _shapes(cfg).values())))
+    net = Model(cfg, np.zeros(_size(cfg)))
     for name, p in net.params.items():
         if p.ndim == 2:
             p[:] = rng.normal(0.0, 0.02, p.shape)
@@ -627,7 +631,7 @@ def predict(model: Model, data: EncodedDataset) -> np.ndarray:
 def save_checkpoint(model: Model, path: str | Path, vocab: Vocab) -> Path:
     """Single-file binary checkpoint: everything ``evaluate`` needs to read
     a corpus the way the model was trained, namely the model config and the
-    vocabulary, plus the parameters."""
+    vocabulary, plus the parameter vector ``Model.flat``."""
     path = Path(path)
     if path.suffix != ".npz":
         path = Path(str(path) + ".npz")
@@ -637,36 +641,38 @@ def save_checkpoint(model: Model, path: str | Path, vocab: Vocab) -> Path:
         "vocab": list(vocab.tokens),
     }
     np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-             **model.params)
+             flat=model.flat)
     return path
 
 
 def load_checkpoint(path: str | Path) -> tuple[Model, Vocab]:
     """The model and vocabulary ``save_checkpoint`` stored.  A file that is
-    not such a checkpoint (an older version, a stored vocabulary that is not
-    a list of distinct strings or does not fit the config's ``vocab_size``,
-    parameters that are not numbers or whose names or shapes differ from the
-    layout of the stored config) is a DataError naming the file.  The
-    parameters come back as one float32 vector, the precision ``train`` runs
-    in, whatever dtype the archive stores."""
+    not such a checkpoint (a compressed member, whose read size no header
+    bounds; an older version; a stored vocabulary that is not a list of
+    distinct strings or does not fit the config's ``vocab_size``; a ``flat``
+    other than one vector of the stored config's parameter count of numbers)
+    is a DataError naming the file.  The parameters come back in float32,
+    the precision ``train`` runs in, whatever number type the archive stores."""
     try:
         with np.load(path) as blob:
+            if any(member.compress_type != ZIP_STORED for member in blob.zip.infolist()):
+                raise DataError(f"{path}: not a checkpoint (it holds a compressed member)")
             meta = json.loads(bytes(blob["__meta__"]).decode())
-            arrays = {name: blob[name] for name in blob.files if name != "__meta__"}
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise DataError(
-                f"{path}: unsupported checkpoint version {meta.get('version')} (this "
-                f"slicevuln reads version {CHECKPOINT_VERSION}); retrain the model with "
-                "`slicevuln train`"
-            )
-        try:
-            cfg = ModelConfig(**meta["config"])
-        except ValueError as e:  # ModelConfig's own text, kept whole (it names every size)
-            raise DataError(f"{path}: not a checkpoint (ValueError: {e})") from e
-        tokens = meta["vocab"]
-    except (AttributeError, KeyError, TypeError, ValueError, RecursionError, BadZipFile) as e:
+            if meta.get("version") != CHECKPOINT_VERSION:
+                raise DataError(
+                    f"{path}: unsupported checkpoint version {meta.get('version')} (this "
+                    f"slicevuln reads version {CHECKPOINT_VERSION}); retrain the model with "
+                    "`slicevuln train`"
+                )
+            try:
+                cfg = ModelConfig(**meta["config"])
+            except ValueError as e:  # ModelConfig's own text, kept whole (it names every size)
+                raise DataError(f"{path}: not a checkpoint (ValueError: {e})") from e
+            tokens, flat = meta["vocab"], blob["flat"]
+    except (AttributeError, KeyError, TypeError, ValueError, RecursionError, MemoryError,
+            BadZipFile) as e:
         # Python's and numpy's text may quote an unknown config key or an
-        # array header whole
+        # array header whole; a header may claim an array no memory holds
         raise DataError(f"{path}: not a checkpoint ({type(e).__name__}: {clip(str(e))})") from e
     if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
         raise DataError(f"{path}: the stored vocabulary is not a list of strings")
@@ -678,18 +684,7 @@ def load_checkpoint(path: str | Path) -> tuple[Model, Vocab]:
         vocab = Vocab(tokens)
     except DataError as e:
         raise DataError(f"{path}: the stored {e}") from e
-    if cfg.num_layers > len(arrays):  # a layer is 16 arrays; _shapes lays out every layer
-        raise DataError(f"{path}: {cfg.num_layers} layers, but only {len(arrays)} arrays stored")
-    shapes = _shapes(cfg)
-    if arrays.keys() != shapes.keys():
-        raise DataError(f"{path}: parameters missing "
-                        f"{clip(repr(sorted(shapes.keys() - arrays.keys())))}, "
-                        f"unexpected {clip(repr(sorted(arrays.keys() - shapes.keys())))}")
-    for name, shape in shapes.items():
-        if arrays[name].shape != shape:
-            raise DataError(f"{path}: parameter {name} has shape {arrays[name].shape}, "
-                            f"the stored config gives {shape}")
-        if arrays[name].dtype.kind not in "fiu":
-            raise DataError(f"{path}: parameter {name} holds {arrays[name].dtype}, not numbers")
-    flat = np.concatenate([arrays[name] for name in shapes], axis=None, dtype=np.float32)
-    return Model(cfg, flat), vocab
+    if flat.dtype.kind not in "fiu" or flat.shape != (_size(cfg),):
+        raise DataError(f"{path}: flat holds {clip(f'{flat.dtype} {flat.shape}')}, not the "
+                        f"{_size(cfg)} numbers the stored config gives")
+    return Model(cfg, flat.astype(np.float32, copy=False)), vocab

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from slicevuln import Kind, ModelConfig, TrainConfig, balance_h1, cli, experiments, model
 from slicevuln.cli import _build_parser, _slice_one_file, main
@@ -924,15 +924,15 @@ def test_report_on_hostile_reports_exits_0_or_2(texts):
 
 @functools.cache
 def _tiny_checkpoint():
-    """The metadata and arrays of a one-layer checkpoint, and corpus rows
-    it scores."""
+    """The metadata and parameter vector of a one-layer checkpoint, and
+    corpus rows it scores."""
     cfg = ModelConfig(num_layers=1, hidden_dim=8, num_heads=2, ff_dim=16, max_len=16,
                       vocab_size=32, dropout=0.0)
     meta = {"version": model.CHECKPOINT_VERSION, "config": dataclasses.asdict(cfg),
             "vocab": ["strcpy", "b", "s"]}
     rows = "".join(json.dumps({"id": str(i), "kind": "API", "label": i % 2, "code": code}) + "\n"
                    for i, code in enumerate(["strcpy(b, s);", "x = 1;"]))
-    return meta, dict(model.init(cfg, seed=4).params), rows
+    return meta, model.init(cfg, seed=4).flat, rows
 
 
 def _tiny_meta(config, top):
@@ -961,18 +961,20 @@ _META_BYTES = st.one_of(
 
 
 @settings(max_examples=100, deadline=None, database=None)
-@given(meta=_META_BYTES, drop=st.lists(st.sampled_from(["tok_emb", "layers.0.Wq", "head_b"]),
-                                       max_size=1))
+@given(meta=_META_BYTES, drop=st.sampled_from(["nothing", "flat", "flat's last value"]))
+@example(meta=_tiny_meta({}, {}), drop="nothing")  # the checkpoint as saved: it scores
 def test_evaluate_on_hostile_checkpoint_metadata_exits_0_to_3(meta, drop):
-    _, arrays, rows = _tiny_checkpoint()
+    _, flat, rows = _tiny_checkpoint()
+    arrays = {"nothing": {"flat": flat}, "flat": {}, "flat's last value": {"flat": flat[:-1]}}
     with tempfile.TemporaryDirectory() as tmp:
         ckpt, data, out = Path(tmp) / "m.npz", Path(tmp) / "c.jsonl", Path(tmp) / "eval"
-        np.savez(ckpt, __meta__=np.frombuffer(meta, dtype=np.uint8),
-                 **{name: a for name, a in arrays.items() if name not in drop})
+        np.savez(ckpt, __meta__=np.frombuffer(meta, dtype=np.uint8), **arrays[drop])
         data.write_text(rows)
         code = main(["evaluate", "--model", str(ckpt), "--in", str(data), "--out", str(out)])
         assert code in (0, 1, 2, 3)
         assert out.exists() == (code == 0)
+        if meta == _tiny_meta({}, {}) and drop == "nothing":
+            assert code == 0
 
 
 _FLAG_WORD = st.sampled_from([

@@ -2,11 +2,13 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from slicevuln import (
     DataError,
@@ -20,8 +22,9 @@ from slicevuln import (
     predict,
     train,
 )
+from slicevuln.cli import main
 from slicevuln.model import (Model, _backward_core, _forward_core, _loss_and_grad, _shapes,
-                             _trim, load_checkpoint, save_checkpoint)
+                             _size, _trim, load_checkpoint, save_checkpoint)
 from slicevuln.tokenizer import EncodedDataset, Vocab, build_vocab
 
 from conftest import random_batch, random_dataset, refuse_to_lay_out
@@ -64,6 +67,19 @@ def test_parameter_count_closed_form():
     per_layer = 2 * H + 4 * H * H + 4 * H + 2 * H + H * F + F + F * H + H
     want = (cfg.vocab_size * H) + (cfg.max_len * H) + L * per_layer + 2 * H + H * 2 + 2
     assert net.num_parameters() == want
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(layers=st.integers(1, 300), heads=st.integers(1, 4), head_dim=st.integers(1, 4),
+       ff=st.integers(1, 16), max_len=st.integers(2, 32), vocab=st.integers(4, 64))
+@example(layers=1000, heads=1, head_dim=1, ff=1, max_len=2, vocab=4)
+def test_parameter_count_is_the_size_of_the_layout(layers, heads, head_dim, ff, max_len, vocab):
+    # load_checkpoint refuses a stored vector of any other length than
+    # _size, so a count that drifted from the layout would refuse every
+    # genuine checkpoint
+    cfg = ModelConfig(num_layers=layers, hidden_dim=heads * head_dim, num_heads=heads,
+                      ff_dim=ff, max_len=max_len, vocab_size=vocab)
+    assert _size(cfg) == sum(math.prod(shape) for shape in _shapes(cfg).values())
 
 
 def assert_one_layout(net):
@@ -566,7 +582,7 @@ def test_trained_checkpoint_keeps_float32(tmp_path, tiny_cfg):
     net, data = _trained(tiny_cfg)
     path = save_checkpoint(net, tmp_path / "model.npz", _vocab())
     with np.load(path) as blob:
-        assert all(blob[name].dtype == np.float32 for name in net.params)
+        assert blob.files == ["__meta__", "flat"] and blob["flat"].dtype == np.float32
     back, _ = load_checkpoint(path)
     assert np.array_equal(forward(back, data), forward(net, data))
 
@@ -585,6 +601,13 @@ def _rewrite_checkpoint(path, drop=(), meta=None, **config):
              **arrays)
 
 
+def _store_flat(path, flat):
+    """Rewrite a saved checkpoint with ``flat`` in place of its parameters."""
+    with np.load(path) as blob:
+        meta = blob["__meta__"]
+    np.savez(path, __meta__=meta, flat=flat)
+
+
 def test_checkpoint_that_is_not_an_archive_is_data_error(tmp_path):
     path = tmp_path / "model.npz"
     path.write_text("not an archive\n")
@@ -593,17 +616,49 @@ def test_checkpoint_that_is_not_an_archive_is_data_error(tmp_path):
 
 
 def test_checkpoint_missing_a_parameter_is_data_error(tmp_path, tiny_cfg):
-    path = save_checkpoint(init(tiny_cfg, seed=4), tmp_path / "model.npz", _vocab())
-    _rewrite_checkpoint(path, drop=("layers.0.Wq",))
-    with pytest.raises(DataError, match=re.escape(f"{path}: parameters missing ['layers.0.Wq']")):
+    net = init(tiny_cfg, seed=4)
+    path = save_checkpoint(net, tmp_path / "model.npz", _vocab())
+    _store_flat(path, net.flat[:-2])  # head_b's two values
+    with pytest.raises(DataError, match=re.escape(
+            f"{path}: flat holds float64 (1016,), not the 1018 numbers the stored config gives")):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("compressed", ["an-extra-member", "flat"])
+def test_checkpoint_with_a_compressed_member_is_refused_before_any_read(tmp_path, tiny_cfg,
+                                                                      compressed):
+    # a deflated member may inflate far past the file's size; this one is
+    # 25 million float64 zeros (200 MB) in a few hundred kilobytes
+    net = init(tiny_cfg, seed=4)
+    path = save_checkpoint(net, tmp_path / "model.npz", _vocab())
+    if compressed == "flat":
+        with np.load(path) as blob:
+            meta = blob["__meta__"]
+        np.savez_compressed(path, __meta__=meta, flat=net.flat)
+    else:
+        with zipfile.ZipFile(path, "a", zipfile.ZIP_DEFLATED) as archive, \
+                archive.open("extra.npy", "w", force_zip64=True) as member:
+            np.lib.format.write_array_header_1_0(
+                member, {"descr": "<f8", "fortran_order": False, "shape": (25_000_000,)})
+            for _ in range(200):
+                member.write(bytes(1_000_000))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError) as err:
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == f"{path}: not a checkpoint (it holds a compressed member)"
+    assert peak < 10_000_000
 
 
 def test_checkpoint_config_disagreeing_with_its_arrays_is_data_error(tmp_path, tiny_cfg):
     net = init(dataclasses.replace(tiny_cfg, vocab_size=16), seed=4)
     path = save_checkpoint(net, tmp_path / "model.npz", _vocab())
     _rewrite_checkpoint(path, vocab_size=99)
-    with pytest.raises(DataError, match=re.escape(f"{path}: parameter tok_emb has shape (16, 8)")):
+    with pytest.raises(DataError, match=re.escape(
+            f"{path}: flat holds float64 (890,), not the 1554 numbers the stored config gives")):
         load_checkpoint(path)
 
 
@@ -631,12 +686,12 @@ def test_checkpoint_config_of_a_billion_layers_is_data_error(tmp_path, tiny_cfg,
 
 def test_checkpoint_config_of_many_tiny_layers_is_data_error(tmp_path, tiny_cfg, monkeypatch):
     # 10**8 layers of width 1 count 1.6e9 parameters, under the 2**31 bound,
-    # but _shapes would make 1.6e9 entries; the archive stores 22 arrays
+    # but _shapes would make 1.6e9 entries; the archive stores 1,018 values
     path = save_checkpoint(init(tiny_cfg, seed=4), tmp_path / "model.npz", _vocab())
     _rewrite_checkpoint(path, num_layers=10**8, hidden_dim=1, ff_dim=1, num_heads=1)
     monkeypatch.setattr(model, "_shapes", refuse_to_lay_out)
     with pytest.raises(DataError, match=re.escape(
-            f"{path}: {10**8} layers, but only 22 arrays stored")):
+            f"{path}: flat holds float64 (1018,), not the 1600000054 numbers the stored config")):
         load_checkpoint(path)
 
 
@@ -699,25 +754,45 @@ def test_checkpoint_error_quotes_a_bad_array_header_clipped(tmp_path):
     assert len(str(err.value)) == len(f"{path}: not a checkpoint (ValueError: )") + 83
 
 
-def test_checkpoint_parameter_that_is_not_numbers_is_data_error(tmp_path, tiny_cfg):
+def test_checkpoint_array_header_claiming_petabytes_is_data_error(tmp_path, tiny_cfg):
+    # numpy allocates the shape a stored header declares before it reads the
+    # values; 10**15 float64 values fit no address space
     path = save_checkpoint(init(tiny_cfg, seed=4), tmp_path / "model.npz", _vocab())
     with np.load(path) as blob:
-        arrays = {name: blob[name] for name in blob.files}
-    arrays["head_b"] = np.array(["x", "y"])
-    np.savez(path, **arrays)
-    with pytest.raises(DataError, match=re.escape(f"{path}: parameter head_b holds <U1")):
+        meta = blob["__meta__"]
+    with zipfile.ZipFile(path, "w") as archive:
+        with archive.open("__meta__.npy", "w") as member:
+            np.lib.format.write_array(member, meta)
+        with archive.open("flat.npy", "w") as member:
+            np.lib.format.write_array_header_1_0(
+                member, {"descr": "<f8", "fortran_order": False, "shape": (10**15,)})
+            member.write(bytes(64))
+    with pytest.raises(DataError, match=re.escape(f"{path}: not a checkpoint (")) as err:
+        load_checkpoint(path)
+    assert "Unable to allocate" in str(err.value)
+
+
+def test_checkpoint_parameter_that_is_not_numbers_is_data_error(tmp_path, tiny_cfg):
+    path = save_checkpoint(init(tiny_cfg, seed=4), tmp_path / "model.npz", _vocab())
+    _store_flat(path, np.array(["x"] * 1018))
+    with pytest.raises(DataError, match=re.escape(f"{path}: flat holds <U1 (1018,), not the 1018")):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("version", [1, 2])
-def test_old_checkpoint_version_is_data_error_that_says_to_retrain(tmp_path, tiny_cfg,
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_old_checkpoint_version_is_data_error_that_says_to_retrain(tmp_path, tiny_cfg, capsys,
                                                                    version):
     # the earlier formats: version 1 kept the vocabulary in vocab.txt and held
     # its hash and the parameter shapes; version 2 held the vocabulary, a
-    # normalization setting and num_classes in the stored model config
+    # normalization setting and num_classes in the stored model config;
+    # version 3 stored one array per parameter name
     net, vocab = init(tiny_cfg, seed=4), _vocab()
     path = save_checkpoint(net, tmp_path / "model.npz", vocab)
-    if version == 1:
+    if version == 3:
+        meta = {"version": 3, "config": dataclasses.asdict(tiny_cfg), "vocab": list(vocab.tokens)}
+        np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+                 **net.params)
+    elif version == 1:
         _rewrite_checkpoint(path, drop=("vocab",), meta={
             "version": 1,
             "vocab_hash": "7d289cf495d1597a1d5dface71fa8640d760aff0ef380e1c3e865348bf0e93ca",
@@ -725,10 +800,14 @@ def test_old_checkpoint_version_is_data_error_that_says_to_retrain(tmp_path, tin
     else:
         _rewrite_checkpoint(path, meta={"version": 2, "normalize_symbols": True},
                             num_classes=2)
-    with pytest.raises(DataError, match=re.escape(
-            f"{path}: unsupported checkpoint version {version} (this slicevuln reads "
-            "version 3); retrain the model")):
+    message = (f"{path}: unsupported checkpoint version {version} (this slicevuln reads "
+               "version 4); retrain the model")
+    with pytest.raises(DataError, match=re.escape(message)):
         load_checkpoint(path)
+    rows, out = tmp_path / "c.jsonl", tmp_path / "eval"
+    rows.write_text(json.dumps({"id": "1", "kind": "API", "label": 1, "code": "f(t0);"}) + "\n")
+    assert main(["evaluate", "--model", str(path), "--in", str(rows), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err and not out.exists()
 
 
 @pytest.mark.parametrize("meta, named", [
